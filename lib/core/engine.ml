@@ -1,4 +1,6 @@
-module Profile = Genas_profile.Profile
+module Axis = Genas_model.Axis
+module Event = Genas_model.Event
+module Schema = Genas_model.Schema
 module Profile_set = Genas_profile.Profile_set
 module Lattice = Genas_profile.Lattice
 module Decomp = Genas_filter.Decomp
@@ -114,6 +116,9 @@ type agg = {
   mutable epoch : int;
   delta_cap : int;
   mutable scratch : int array;  (** reusable sorted-match buffer *)
+  mutable fill : int;  (** ids written to [scratch] for the current event *)
+  domains : Genas_model.Domain.t array;  (** per attribute, for [coords] *)
+  coords : Float.Array.t;  (** the current event's axis coordinates *)
   mutable async : bool;  (** recompile on a background domain *)
   mutable pending : pending_swap option;
   agg_ins : agg_instruments option;
@@ -201,18 +206,23 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
   let agg =
     if not aggregate then None
     else begin
-      let lat = Lattice.create (Profile_set.schema pset) in
+      let schema = Profile_set.schema pset in
+      let lat = Lattice.create schema in
       Profile_set.iter pset (fun id p -> ignore (Lattice.add lat ~id p));
       let agg =
         {
           lat;
-          cset = Profile_set.create (Profile_set.schema pset);
+          cset = Profile_set.create schema;
           compiled = Hashtbl.create 256;
           dead = Hashtbl.create 64;
           delta = Hashtbl.create 64;
           epoch = 0;
           delta_cap = Stdlib.max 1 delta_cap;
           scratch = Array.make 64 0;
+          fill = 0;
+          domains =
+            Array.map (fun a -> a.Schema.domain) (Schema.attributes schema);
+          coords = Float.Array.make (Schema.arity schema) 0.0;
           async = false;
           pending = None;
           agg_ins = Option.map make_agg_instruments metrics;
@@ -545,42 +555,95 @@ let match_flat t event =
   | None -> Flat.match_into ~ops:t.ops t.flat t.cursor event
   | Some r -> Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r event
 
-let grow_scratch agg n =
-  if Array.length agg.scratch < n then
-    agg.scratch <-
-      Array.make (Stdlib.max n (2 * Array.length agg.scratch)) 0
+(* Append one matched id, doubling the buffer (filled prefix kept) when
+   it is full. *)
+let push_scratch agg id =
+  let n = agg.fill in
+  if n = Array.length agg.scratch then begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit agg.scratch 0 bigger 0 n;
+    agg.scratch <- bigger
+  end;
+  agg.scratch.(n) <- id;
+  agg.fill <- n + 1
+
+let swap_ints (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* In-place ascending sort of [a.(lo..hi)], specialised to ints: the
+   library sort calls a comparison closure per step, which costs more
+   than the rest of a typical aggregated match. Quicksort with a
+   median-of-three pivot, insertion sort below 16 slots, and the larger
+   side sorted by a tail call, so the stack stays logarithmic. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo < 16 then
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) < a.(lo) then swap_ints a mid lo;
+    if a.(hi) < a.(lo) then swap_ints a hi lo;
+    if a.(hi) < a.(mid) then swap_ints a hi mid;
+    let pivot = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        swap_ints a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      sort_ints a lo !j;
+      sort_ints a !i hi
+    end
+    else begin
+      sort_ints a !i hi;
+      sort_ints a lo !j
+    end
+  end
+
+(* Resolve the event once into axis coordinates; the lattice checks
+   every candidate node against these. +infinity stands for a value
+   outside its domain, which no constrained attribute accepts. *)
+let resolve agg event =
+  Array.iteri
+    (fun i dom ->
+      Float.Array.set agg.coords i
+        (match Axis.coord dom (Event.value event i) with
+        | Some c -> c
+        | None -> Float.infinity))
+    agg.domains
 
 (* Aggregated match: the compiled flat form decides the root
    representatives exactly; covered profiles are then collected by
    descending covering links from each matched root (plus the delta
-   roots, verified directly), pruning any subtree whose node profile
-   rejects the event — a coverer's rejection implies rejection of
-   everything it covers. Each candidate-node verification counts one
+   roots, verified directly), pruning any subtree whose node rejects
+   the event — a coverer's rejection implies rejection of everything
+   it covers. Each candidate-node verification counts one
    comparison. *)
 let match_agg t agg event =
   poll_pending t agg;
-  let schema = Profile_set.schema t.pset in
   let nflat = match_flat t event in
   let out = Flat.matches t.cursor in
+  resolve agg event;
+  agg.fill <- 0;
   Lattice.begin_visit agg.lat;
-  let acc = ref [] and count = ref 0 in
-  let rec expand ~verified node =
-    if not (Lattice.seen agg.lat node) then begin
-      let matched =
-        verified
-        ||
-        (t.ops.Ops.comparisons <- t.ops.Ops.comparisons + 1;
-         Profile.matches schema (Lattice.node_profile node) event)
-      in
-      if matched then begin
-        List.iter
-          (fun m ->
-            acc := m :: !acc;
-            incr count)
-          (Lattice.node_members node);
-        List.iter (expand ~verified:false) (Lattice.node_children node)
-      end
-    end
+  let on_check () = t.ops.Ops.comparisons <- t.ops.Ops.comparisons + 1 in
+  let emit id = push_scratch agg id in
+  let expand ~verified node =
+    Lattice.expand agg.lat ~coords:agg.coords ~verified node ~on_check ~emit
   in
   for i = 0 to nflat - 1 do
     let id = out.(i) in
@@ -595,17 +658,8 @@ let match_agg t agg event =
       | Some node -> expand ~verified:false node
       | None -> ())
     agg.delta;
-  let n = !count in
-  grow_scratch agg n;
-  let i = ref 0 in
-  List.iter
-    (fun id ->
-      agg.scratch.(!i) <- id;
-      incr i)
-    !acc;
-  let sub = Array.sub agg.scratch 0 n in
-  Array.sort Int.compare sub;
-  Array.blit sub 0 agg.scratch 0 n;
+  let n = agg.fill in
+  sort_ints agg.scratch 0 (n - 1);
   (* The flat form counted its own matches (the root hits); align the
      cumulative pair counter with what the caller actually receives. *)
   t.ops.Ops.matches <- t.ops.Ops.matches + (n - nflat);

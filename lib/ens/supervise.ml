@@ -188,15 +188,14 @@ let close t c =
   c.state <- Closed;
   c.count <- 0
 
+(* Only eventful deliveries (a retry, a failure, a short-circuit) are
+   traced; callers build the record on those branches only, so a clean
+   first-attempt delivery allocates none. *)
 let record_trace t r =
-  (* Only eventful deliveries (a retry, a failure, a short-circuit) are
-     traced; clean first-attempt deliveries stay allocation-light. *)
-  if r.attempts > 1 || r.outcome <> Delivered then begin
-    if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
-    else begin
-      t.trace <- r :: t.trace;
-      t.trace_len <- t.trace_len + 1
-    end
+  if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
+  else begin
+    t.trace <- r :: t.trace;
+    t.trace_len <- t.trace_len + 1
   end
 
 let dead_letter t notification ~attempts ~error ~seq =
@@ -305,9 +304,10 @@ let deliver t ?faults ~subscriber ~handler notification =
     | None ->
       close t c;
       t.delivered <- t.delivered + 1;
-      record_trace t
-        { seq; subscriber; attempts; backoffs_ns; outcome = Delivered;
-          error = None };
+      if attempts > 1 then
+        record_trace t
+          { seq; subscriber; attempts; backoffs_ns; outcome = Delivered;
+            error = None };
       finish_deliver ();
       true
     | Some exn ->

@@ -30,12 +30,47 @@ type metric = {
   inst : instrument;
 }
 
+(* The list keeps registration order for the exporters; the index finds
+   an identity (name, sorted labels) in O(1), so a registry holding one
+   series per subscriber does not make every further registration a
+   scan. The index is an open-addressing table of the metrics
+   themselves, linear probing, at most half full: two or three words a
+   series, where a [Hashtbl] keyed by the identity costs eight and, at
+   10^4 series, measurably more peak heap. Both are guarded by
+   [t_mu]. *)
 type t = {
   mutable metrics : metric list; (* reverse registration order *)
+  mutable slots : metric array;  (** power-of-two length *)
+  mutable used : int;
   t_mu : Mutex.t;
 }
 
-let create () = { metrics = []; t_mu = Mutex.create () }
+let vacant =
+  { name = ""; labels = []; help = ""; inst = Gauge_i { g_value = Atomic.make 0.0 } }
+
+let create () =
+  { metrics = []; slots = Array.make 64 vacant; used = 0; t_mu = Mutex.create () }
+
+(* Folds in every label, where the generic hash would stop after a few. *)
+let identity_hash name labels =
+  List.fold_left (fun h (k, v) -> Hashtbl.hash (h, k, v)) (Hashtbl.hash name) labels
+
+(* The slot holding the identity, or the vacant slot where it belongs. *)
+let slot_of slots name labels =
+  let mask = Array.length slots - 1 in
+  let rec probe i =
+    let m = slots.(i) in
+    if m == vacant || (String.equal m.name name && m.labels = labels) then i
+    else probe ((i + 1) land mask)
+  in
+  probe (identity_hash name labels land mask)
+
+let grow t =
+  let old = t.slots in
+  t.slots <- Array.make (2 * Array.length old) vacant;
+  Array.iter
+    (fun m -> if m != vacant then t.slots.(slot_of t.slots m.name m.labels) <- m)
+    old
 
 let valid_name name =
   name <> ""
@@ -54,14 +89,17 @@ let register t ~help ~labels name make =
     invalid_arg (Printf.sprintf "Metrics: malformed metric name %S" name);
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   Mutex.protect t.t_mu @@ fun () ->
-  match
-    List.find_opt (fun m -> m.name = name && m.labels = labels) t.metrics
-  with
-  | Some m -> m.inst
-  | None ->
-    let inst = make () in
-    t.metrics <- { name; labels; help; inst } :: t.metrics;
-    inst
+  let i = slot_of t.slots name labels in
+  let found = t.slots.(i) in
+  if found != vacant then found.inst
+  else begin
+    let m = { name; labels; help; inst = make () } in
+    t.slots.(i) <- m;
+    t.used <- t.used + 1;
+    if 2 * t.used > Array.length t.slots then grow t;
+    t.metrics <- m :: t.metrics;
+    m.inst
+  end
 
 let counter t ?(help = "") ?(labels = []) name =
   match

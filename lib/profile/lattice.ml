@@ -21,6 +21,9 @@ type node = {
   mask : int;
   lo : float array;
   hi : float array;
+  exact : bool;
+      (** every constrained denotation is one closed interval inside the
+          mask width, so the hull test alone decides a match *)
   mutable parents : node list;
   mutable children : node list;
   mutable stamp : int;
@@ -173,6 +176,21 @@ let rec insert_sorted id = function
   | x :: _ as l when id < x -> id :: l
   | x :: rest -> x :: insert_sorted id rest
 
+let hull_is_exact (k : key) =
+  let ok = ref true in
+  Array.iteri
+    (fun i d ->
+      match d with
+      | None -> ()
+      | Some s -> (
+        match Iset.intervals s with
+        | [ iv ] when i < mask_width && iv.Interval.lo_closed && iv.Interval.hi_closed
+          ->
+          ()
+        | _ -> ok := false))
+    k.k_denots;
+  !ok
+
 let fresh_node t ~id ~profile k =
   let nid = t.next_nid in
   t.next_nid <- nid + 1;
@@ -185,6 +203,7 @@ let fresh_node t ~id ~profile k =
     mask = k.k_mask;
     lo = k.k_lo;
     hi = k.k_hi;
+    exact = hull_is_exact k;
     parents = [];
     children = [];
     stamp = 0;
@@ -337,12 +356,6 @@ let node_of t id = Hashtbl.find_opt t.by_id id
 
 let node_members (n : node) = n.members
 
-let node_profile (n : node) = n.profile
-
-let node_children (n : node) = n.children
-
-let node_is_root (n : node) = n.parents = []
-
 let begin_visit t = t.stamp <- t.stamp + 1
 
 let seen t (n : node) =
@@ -351,6 +364,46 @@ let seen t (n : node) =
     n.stamp <- t.stamp;
     false
   end
+
+(* Does [n] match the event whose axis coordinates are [coords]? The
+   hull test over the constrained-attribute mask is a necessary
+   condition everywhere and the whole answer on exact nodes; the rest
+   (open bounds, gaps, attributes past the mask) also take the
+   interval-set walk. A coordinate of +infinity (a value outside its
+   domain) fails every hull and every interval set, as
+   [Profile.matches] fails it. *)
+let rec in_hull (n : node) coords i m =
+  m = 0
+  || (m land 1 = 0
+     ||
+     let c = Float.Array.get coords i in
+     n.lo.(i) <= c && c <= n.hi.(i))
+     && in_hull n coords (i + 1) (m lsr 1)
+
+let rec in_sets (n : node) coords i =
+  i = Array.length n.denots
+  || (match n.denots.(i) with
+     | None -> true
+     | Some s -> Iset.mem s (Float.Array.get coords i))
+     && in_sets n coords (i + 1)
+
+let node_matches (n : node) coords =
+  in_hull n coords 0 n.mask && (n.exact || in_sets n coords 0)
+
+let expand t ~coords ~verified node ~on_check ~emit =
+  let rec visit verified (n : node) =
+    if not (seen t n) then
+      if verified || (on_check (); node_matches n coords) then begin
+        List.iter emit n.members;
+        children n.children
+      end
+  and children = function
+    | [] -> ()
+    | c :: rest ->
+      visit false c;
+      children rest
+  in
+  visit verified node
 
 let descendant_count t id =
   match Hashtbl.find_opt t.by_id id with

@@ -101,10 +101,10 @@ val cover_tests : t -> int
 
     Match-time expansion for the aggregated engine: starting from
     matched roots, descend covering links, pruning subtrees whose node
-    profile does not match the event (if a coverer rejects an event,
-    everything it covers rejects too — the dual: only descend into
-    children when the parent matched). Nodes carry a visit stamp so
-    overlapping subtrees are expanded once per round. *)
+    does not match the event (if a coverer rejects an event, everything
+    it covers rejects too — the dual: only descend into children when
+    the parent matched). Nodes carry a visit stamp so overlapping
+    subtrees are expanded once per round. *)
 
 type node
 
@@ -113,15 +113,30 @@ val node_of : t -> Profile_set.id -> node option
 val node_members : node -> Profile_set.id list
 (** Ascending; head = representative. *)
 
-val node_profile : node -> Profile.t
-
-val node_children : node -> node list
-
-val node_is_root : node -> bool
-
 val begin_visit : t -> unit
 (** Start a visit round (invalidates previous marks in O(1)). *)
 
-val seen : t -> node -> bool
-(** Mark-and-test: [false] the first time a node is reached in the
-    current round, [true] afterwards. *)
+val expand :
+  t ->
+  coords:Float.Array.t ->
+  verified:bool ->
+  node ->
+  on_check:(unit -> unit) ->
+  emit:(Profile_set.id -> unit) ->
+  unit
+(** Expand one node in the current visit round. [coords] holds the
+    event's axis coordinates ({!Genas_model.Axis.coord}) by natural
+    attribute index, [+infinity] where the value lies outside its
+    domain. Unless [verified] (the caller already knows the node
+    matches), the node is checked first: [on_check] runs once per
+    check, before it. A matching node [emit]s each of its members
+    (ascending within the node) and expands its children unverified.
+    Nodes already reached in this round are skipped.
+
+    The check reads each node's covering signature: the hull of every
+    constrained denotation decides it alone when all of them are
+    single closed intervals, and an interval-set membership test per
+    attribute backs it up otherwise (open bounds, gaps, attributes
+    past the signature's mask width). The result equals
+    {!Profile.matches} on the node's profiles for events of the
+    schema. *)

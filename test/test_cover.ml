@@ -13,6 +13,8 @@ module Profile_set = Genas_profile.Profile_set
 module Covering = Genas_profile.Covering
 module Lattice = Genas_profile.Lattice
 module Engine = Genas_core.Engine
+module Naive = Genas_filter.Naive
+module Ops = Genas_filter.Ops
 module Broker = Genas_ens.Broker
 module Journal = Genas_ens.Journal
 module Gen = Genas_testlib.Gen
@@ -343,6 +345,176 @@ let prop_agg_equals_plain_under_churn =
       Array.for_all2 (fun x y -> ids_equal (Array.to_list x) (Array.to_list y))
         ba bb)
 
+(* Aggregated engine ≡ Naive over its own registry. The schema mixes
+   every domain kind; float bounds come from a small grid the events
+   also draw from, so open bounds ([Lt]/[Gt], open [Between]) are hit
+   exactly. [Neq] and gapped [One_of] give multi-interval denotations,
+   the nodes whose hull alone cannot decide a match. Churn adds
+   nested profiles (a live profile plus one more test) and equivalent
+   ones (a live profile again, or with a full-axis test added), and
+   runs through forced and automatic swaps, synchronous and on a
+   background domain. *)
+let mixed_schema =
+  Schema.create_exn
+    [
+      ("n", Domain.int_range ~lo:0 ~hi:12);
+      ("r", Domain.float_range ~lo:0.0 ~hi:10.0);
+      ("c", Domain.enum [ "red"; "green"; "blue"; "cyan" ]);
+      ("b", Domain.bool_dom);
+    ]
+
+let mixed_test attr =
+  let open QCheck.Gen in
+  let int_v = int_range 0 12 >|= fun v -> Value.Int v in
+  let float_v =
+    frequency
+      [
+        (3, oneofl [ 0.0; 2.5; 5.0; 7.5; 10.0 ]);
+        (1, float_range 0.0 10.0);
+      ]
+    >|= fun v -> Value.Float v
+  in
+  let enum_v = oneofl [ "red"; "green"; "blue"; "cyan" ] >|= fun v -> Value.Str v in
+  let range v =
+    pair (pair v v) (pair bool bool) >|= fun ((a, b), (lo_closed, hi_closed)) ->
+    let lo, hi = if Value.compare a b <= 0 then (a, b) else (b, a) in
+    Predicate.Between { lo; lo_closed; hi; hi_closed }
+  in
+  match attr with
+  | "n" ->
+    frequency
+      [
+        (2, int_v >|= fun v -> Predicate.Eq v);
+        (2, int_v >|= fun v -> Predicate.Neq v);
+        (2, range int_v);
+        (2, list_size (int_range 2 4) int_v >|= fun vs -> Predicate.One_of vs);
+        (1, int_v >|= fun v -> Predicate.Ge v);
+      ]
+  | "r" ->
+    frequency
+      [
+        (2, float_v >|= fun v -> Predicate.Lt v);
+        (2, float_v >|= fun v -> Predicate.Gt v);
+        (1, float_v >|= fun v -> Predicate.Le v);
+        (1, float_v >|= fun v -> Predicate.Ge v);
+        (1, float_v >|= fun v -> Predicate.Neq v);
+        (2, range float_v);
+      ]
+  | "c" ->
+    frequency
+      [
+        (2, enum_v >|= fun v -> Predicate.Eq v);
+        (1, enum_v >|= fun v -> Predicate.Neq v);
+        (2, list_size (int_range 2 3) enum_v >|= fun vs -> Predicate.One_of vs);
+      ]
+  | _ -> bool >|= fun v -> Predicate.Eq (Value.Bool v)
+
+let mixed_attrs = [ "n"; "r"; "c"; "b" ]
+
+(* Satisfiable tests or nothing: an unsatisfiable draw makes the caller
+   skip the operation. *)
+let mixed_tests =
+  let open QCheck.Gen in
+  flatten_l
+    (List.map
+       (fun a ->
+         frequency [ (1, return None); (1, mixed_test a >|= Option.some) ]
+         >|= Option.map (fun t -> (a, t)))
+       mixed_attrs)
+  >|= List.filter_map Fun.id
+
+let named_tests (pr : Profile.t) =
+  List.concat_map
+    (fun (i, ts) ->
+      let name = (Schema.attribute mixed_schema i).Schema.name in
+      List.map (fun t -> (name, t)) ts)
+    pr.Profile.tests
+
+let mixed_event =
+  let open QCheck.Gen in
+  map4
+    (fun n r c b ->
+      Event.create_exn mixed_schema
+        [
+          ("n", Value.Int n); ("r", Value.Float r); ("c", Value.Str c);
+          ("b", Value.Bool b);
+        ])
+    (int_range 0 12)
+    (frequency
+       [ (1, oneofl [ 0.0; 2.5; 5.0; 7.5; 10.0 ]); (1, float_range 0.0 10.0) ])
+    (oneofl [ "red"; "green"; "blue"; "cyan" ])
+    bool
+
+let prop_agg_equals_naive_mixed =
+  QCheck.Test.make ~name:"aggregated engine ≡ Naive, mixed schema under churn"
+    ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 12) mixed_tests >>= fun initial ->
+         list_size (int_range 20 80)
+           (frequency
+              [
+                (3, mixed_tests >|= fun ts -> `Add ts);
+                ( 2,
+                  pair (int_bound 1000) (oneofl mixed_attrs >>= fun a ->
+                                         mixed_test a >|= fun t -> (a, t))
+                  >|= fun (i, extra) -> `Nested (i, extra) );
+                (1, pair (int_bound 1000) bool >|= fun (i, full) -> `Equiv (i, full));
+                (2, int_bound 1000 >|= fun i -> `Remove i);
+                (5, mixed_event >|= fun e -> `Match e);
+                (1, return `Swap);
+                (1, return `Async);
+              ])
+         >|= fun ops -> (initial, ops)))
+    (fun (initial, ops) ->
+      let s = mixed_schema in
+      let pset = Profile_set.create s in
+      List.iter
+        (fun ts ->
+          match Profile.create s ts with
+          | Ok pr -> ignore (Profile_set.add pset pr)
+          | Error _ -> ())
+        initial;
+      let agg = Engine.create ~aggregate:true ~delta_cap:2 pset in
+      let add ts =
+        match Profile.create s ts with
+        | Ok pr -> ignore (Engine.add_profile agg pr)
+        | Error _ -> ()
+      in
+      let pick i =
+        match Profile_set.ids (Engine.profiles agg) with
+        | [] -> None
+        | ids -> Some (List.nth ids (i mod List.length ids))
+      in
+      let live_tests i =
+        Option.map
+          (fun id -> named_tests (Profile_set.find_exn (Engine.profiles agg) id))
+          (pick i)
+      in
+      let step = function
+        | `Add ts -> add ts; true
+        | `Nested (i, extra) ->
+          Option.iter (fun ts -> add (ts @ [ extra ])) (live_tests i);
+          true
+        | `Equiv (i, full) ->
+          Option.iter
+            (fun ts -> add (if full then ts @ [ ("n", Predicate.Ge (Value.Int 0)) ] else ts))
+            (live_tests i);
+          true
+        | `Remove i -> (
+          match pick i with
+          | None -> true
+          | Some id -> Engine.remove_profile agg id)
+        | `Match e ->
+          let want = Naive.match_event (Naive.build (Engine.profiles agg)) e in
+          ids_equal want (Engine.match_event agg e)
+        | `Swap -> Engine.swap_now agg; true
+        | `Async -> Engine.set_async_swaps agg (not (Engine.async_swaps agg)); true
+      in
+      let ok = List.for_all step ops in
+      Engine.set_async_swaps agg false;
+      ok)
+
 let test_agg_gauges_and_epochs () =
   let s = schema () in
   let pset = Profile_set.create s in
@@ -371,7 +543,11 @@ let test_agg_gauges_and_epochs () =
     (Engine.match_event engine (ev 9));
   Engine.swap_now engine;
   Alcotest.(check int) "nothing pending after swap" 0
-    (Engine.pending_rebuild engine)
+    (Engine.pending_rebuild engine);
+  (* The paper's metric over this script: flat-form steps plus one per
+     lattice node verified. *)
+  Alcotest.(check int) "comparisons pinned" 10
+    (Engine.ops engine).Ops.comparisons
 
 let () =
   Alcotest.run "cover"
@@ -401,6 +577,7 @@ let () =
       ( "engine",
         [
           QCheck_alcotest.to_alcotest prop_agg_equals_plain_under_churn;
+          QCheck_alcotest.to_alcotest prop_agg_equals_naive_mixed;
           Alcotest.test_case "gauges and epoch swaps" `Quick
             test_agg_gauges_and_epochs;
         ] );

@@ -67,6 +67,76 @@ let test_registry_kind_clash () =
   | _ -> Alcotest.fail "expected kind clash to raise"
   | exception Invalid_argument _ -> ()
 
+let test_registry_label_order () =
+  let reg = Metrics.create () in
+  let a =
+    Metrics.counter reg "perm_total" ~labels:[ ("a", "1"); ("b", "2"); ("c", "3") ]
+  in
+  let b =
+    Metrics.counter reg "perm_total" ~labels:[ ("c", "3"); ("a", "1"); ("b", "2") ]
+  in
+  Alcotest.(check bool) "permuted labels, same instrument" true (a == b);
+  let g1 = Metrics.gauge reg "perm_g" ~labels:[ ("x", "1"); ("y", "2") ] in
+  let g2 = Metrics.gauge reg "perm_g" ~labels:[ ("y", "2"); ("x", "1") ] in
+  Alcotest.(check bool) "gauges too" true (g1 == g2);
+  Alcotest.(check int) "one counter series" 1
+    (List.length (Metrics.counters reg))
+
+let test_registry_kind_clash_labelled () =
+  let reg = Metrics.create () in
+  let _ = Metrics.counter reg "clash" ~labels:[ ("k", "v") ] in
+  (match Metrics.gauge reg "clash" ~labels:[ ("k", "v") ] with
+  | _ -> Alcotest.fail "expected counter/gauge clash to raise"
+  | exception Invalid_argument _ -> ());
+  let _ = Metrics.gauge reg "clash_g" in
+  match Metrics.counter reg "clash_g" with
+  | _ -> Alcotest.fail "expected gauge/counter clash to raise"
+  | exception Invalid_argument _ -> ()
+
+(* Exposition follows first registration, however many series a family
+   later gains: the index must not reorder the output. *)
+let test_registry_family_order () =
+  let reg = Metrics.create () in
+  let names = [ "zeta_total"; "alpha_total"; "mid_total" ] in
+  List.iter (fun n -> ignore (Metrics.counter reg n ~labels:[ ("i", "0") ])) names;
+  for i = 1 to 200 do
+    List.iter
+      (fun n -> ignore (Metrics.counter reg n ~labels:[ ("i", string_of_int i) ]))
+      (List.rev names)
+  done;
+  let prom = Metrics.to_prometheus reg in
+  let types =
+    String.split_on_char '\n' prom
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "#"; "TYPE"; name; _ ] -> Some name
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "first-registration family order" names types;
+  Alcotest.(check int) "every series kept" (3 * 201)
+    (List.length (Metrics.counters reg))
+
+let test_registry_concurrent_register () =
+  let reg = Metrics.create () in
+  let per_domain = 2_000 in
+  let work () =
+    Array.init per_domain (fun i ->
+        let c =
+          Metrics.counter reg "race_total"
+            ~labels:[ ("sub", string_of_int (i mod 50)); ("node", "n") ]
+        in
+        Metrics.Counter.incr c;
+        c)
+  in
+  let d1 = Domain.spawn work and d2 = Domain.spawn work in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "both domains got the same instrument" true
+    (Array.for_all2 ( == ) r1 r2);
+  Alcotest.(check int) "one series per label set" 50
+    (List.length (Metrics.counters reg));
+  Alcotest.(check int) "no increment lost" (2 * per_domain)
+    (List.fold_left (fun acc (_, v) -> acc + v) 0 (Metrics.counters reg))
+
 let test_registry_bad_name () =
   let reg = Metrics.create () in
   match Metrics.counter reg "9bad-name" with
@@ -351,6 +421,12 @@ let () =
           Alcotest.test_case "dedup" `Quick test_registry_dedup;
           Alcotest.test_case "kind clash" `Quick test_registry_kind_clash;
           Alcotest.test_case "bad name" `Quick test_registry_bad_name;
+          Alcotest.test_case "permuted labels" `Quick test_registry_label_order;
+          Alcotest.test_case "labelled kind clash" `Quick
+            test_registry_kind_clash_labelled;
+          Alcotest.test_case "family order" `Quick test_registry_family_order;
+          Alcotest.test_case "concurrent registration" `Quick
+            test_registry_concurrent_register;
         ] );
       ( "histogram",
         [
