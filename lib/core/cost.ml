@@ -6,9 +6,9 @@ module Overlay = Genas_interval.Overlay
 module Ph = Hashtbl.Make (struct
   type t = Tree.node
 
-  let equal = ( == )
+  let equal a b = Tree.id a = Tree.id b
 
-  let hash = Hashtbl.hash
+  let hash = Tree.id
 end)
 
 type report = {
@@ -87,7 +87,7 @@ let evaluate tree ~cell_probs =
       | None ->
         let r =
           match node with
-          | Tree.Leaf ids ->
+          | Tree.Leaf { ids; _ } ->
             (0.0, 1.0, float_of_int (Array.length ids), 0.0)
           | Tree.Node _ ->
             List.fold_left
@@ -168,7 +168,7 @@ let evaluate_joint tree joint =
     if wsum < 1e-14 then (0.0, 0.0, 0.0, 0.0)
     else
       match node with
-      | Tree.Leaf ids ->
+      | Tree.Leaf { ids; _ } ->
         (0.0, wsum, wsum *. float_of_int (Array.length ids), 0.0)
       | Tree.Node { attr; edge_positions; children; rest; _ } ->
         let positions = tree.Tree.tables.(attr).Order.positions in
@@ -239,7 +239,7 @@ let per_profile tree ~cell_probs =
       | None ->
         let r =
           match node with
-          | Tree.Leaf leaf_ids ->
+          | Tree.Leaf { ids = leaf_ids; _ } ->
             let m = Array.make p 0.0 in
             Array.iter
               (fun id -> m.(Hashtbl.find idx_of id) <- 1.0)

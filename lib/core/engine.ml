@@ -173,24 +173,48 @@ let observe_agg agg =
       (float_of_int (Lattice.root_count agg.lat));
     Metrics.Gauge.set ins.pending_rebuild (float_of_int (pending_of agg))
 
-let plan ~bins ~old_stats pset spec =
-  let decomp = Decomp.build pset in
-  let stats =
-    match old_stats with
-    | Some s when (Stats.decomp s).Decomp.revision = decomp.Decomp.revision ->
-      s
-    | Some _ | None -> Stats.create ~bins decomp
-  in
-  let tree = Reorder.build stats spec in
-  (stats, tree)
-
-let install_tree t tree =
+let install t tree flat =
   t.tree <- tree;
-  t.flat <- Flat.compile tree;
-  t.cursor <- Flat.cursor t.flat;
+  t.flat <- flat;
+  t.cursor <- Flat.cursor flat;
   match t.recorder with
   | None -> ()
-  | Some _ -> t.recorder <- Some (Flat.recorder t.flat)
+  | Some _ -> t.recorder <- Some (Flat.recorder flat)
+
+let count_rebuild t =
+  match t.instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.Counter.incr ins.rebuilds_total;
+    observe_tree t
+
+(* What a re-plan does with the observed event history: [Keep] the live
+   statistics while they describe the same profile-set revision (else
+   restart), [Absorb] them into fresh statistics over the new cells, or
+   [Restart] from fresh statistics. *)
+type history = Keep | Absorb | Restart
+
+(* The one re-plan path: decompose [pset], build statistics, reorder,
+   compile, install, and count the rebuild. *)
+let replan t pset history =
+  let decomp = Decomp.build pset in
+  let stats =
+    match history with
+    | Keep
+      when (Stats.decomp t.stats).Decomp.revision = decomp.Decomp.revision ->
+      t.stats
+    | Absorb ->
+      let stats = Stats.create ~bins:t.bins decomp in
+      Stats.absorb stats ~from:t.stats;
+      stats
+    | Keep | Restart -> Stats.create ~bins:t.bins decomp
+  in
+  t.stats <- stats;
+  let tree = Reorder.build stats t.spec in
+  (* Drop the old tree before compiling: it would widen the peak. *)
+  t.tree <- tree;
+  install t tree (Flat.compile tree);
+  count_rebuild t
 
 (* Snapshot the lattice roots into a registry under their own ids; the
    flat matcher compiled from it reports root representatives. *)
@@ -237,7 +261,8 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
   let planning_set =
     match agg with Some a -> a.cset | None -> pset
   in
-  let stats, tree = plan ~bins ~old_stats:None planning_set spec in
+  let stats = Stats.create ~bins (Decomp.build planning_set) in
+  let tree = Reorder.build stats spec in
   let flat = Flat.compile tree in
   let t =
     {
@@ -291,13 +316,8 @@ let lattice_roots t =
 
 let lattice t = Option.map (fun a -> a.lat) t.agg
 
-let swap_metrics t agg =
+let swap_metrics agg =
   agg.epoch <- agg.epoch + 1;
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.incr ins.rebuilds_total;
-    observe_tree t);
   (match agg.agg_ins with
   | None -> ()
   | Some ins -> Metrics.Counter.incr ins.epoch_swaps_total);
@@ -321,18 +341,13 @@ let discard_pending agg =
 let swap_agg t agg =
   discard_pending agg;
   let cset = root_snapshot agg (Profile_set.schema t.pset) in
-  let old = t.stats in
-  let decomp = Decomp.build cset in
-  let stats = Stats.create ~bins:t.bins decomp in
-  Stats.absorb stats ~from:old;
-  t.stats <- stats;
   agg.cset <- cset;
-  install_tree t (Reorder.build t.stats t.spec);
+  replan t cset Absorb;
   Hashtbl.reset agg.compiled;
   Hashtbl.reset agg.dead;
   Hashtbl.reset agg.delta;
   Profile_set.iter cset (fun id _ -> Hashtbl.replace agg.compiled id ());
-  swap_metrics t agg
+  swap_metrics agg
 
 (* Keep the reachability invariant for one root equivalence class:
    some member must sit in the compiled-live or delta set. *)
@@ -382,12 +397,8 @@ let install_pending t agg ps =
   agg.pending <- None;
   t.stats <- stats;
   agg.cset <- ps.ps_cset;
-  t.tree <- tree;
-  t.flat <- flat;
-  t.cursor <- Flat.cursor flat;
-  (match t.recorder with
-  | None -> ()
-  | Some _ -> t.recorder <- Some (Flat.recorder flat));
+  install t tree flat;
+  count_rebuild t;
   Hashtbl.reset agg.compiled;
   Hashtbl.reset agg.dead;
   Hashtbl.reset agg.delta;
@@ -402,7 +413,7 @@ let install_pending t agg ps =
       | Some node -> ensure_reachable agg (Lattice.node_members node)
       | None -> ())
     (Lattice.minimal_cover agg.lat);
-  swap_metrics t agg
+  swap_metrics agg
 
 (* Opportunistic install point, polled from churn and match entries:
    one atomic load when a compile is in flight, nothing otherwise. *)
@@ -418,16 +429,7 @@ let rebuild t =
     (* Keep the statistics when the profile set is unchanged (the
        normal re-optimization path); refresh the decomposition
        otherwise. *)
-    let stats, tree =
-      plan ~bins:t.bins ~old_stats:(Some t.stats) t.pset t.spec
-    in
-    t.stats <- stats;
-    install_tree t tree;
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.incr ins.rebuilds_total;
-      observe_tree t)
+    replan t t.pset Keep
 
 let swap_now t =
   match t.agg with Some agg -> swap_agg t agg | None -> rebuild t
@@ -462,36 +464,17 @@ let refresh_if_stale t =
   match t.agg with
   | Some _ -> ()  (* churn goes through add/remove_profile; never stale *)
   | None ->
-    if Tree.revision t.tree <> Profile_set.revision t.pset then begin
+    if Tree.revision t.tree <> Profile_set.revision t.pset then
       (* Profiles changed: rebuild decomposition and statistics. The
          observed history refers to stale cells, so it is restarted. *)
-      let decomp = Decomp.build t.pset in
-      t.stats <- Stats.create ~bins:t.bins decomp;
-      install_tree t (Reorder.build t.stats t.spec);
-      match t.instruments with
-      | None -> ()
-      | Some ins ->
-        Metrics.Counter.incr ins.rebuilds_total;
-        observe_tree t
-    end
+      replan t t.pset Restart
 
 let refresh_keeping_history t =
   match t.agg with
   | Some agg -> if pending_of agg > 0 then swap_agg t agg
   | None ->
-    if Tree.revision t.tree <> Profile_set.revision t.pset then begin
-      let old = t.stats in
-      let decomp = Decomp.build t.pset in
-      let stats = Stats.create ~bins:t.bins decomp in
-      Stats.absorb stats ~from:old;
-      t.stats <- stats;
-      install_tree t (Reorder.build t.stats t.spec);
-      match t.instruments with
-      | None -> ()
-      | Some ins ->
-        Metrics.Counter.incr ins.rebuilds_total;
-        observe_tree t
-    end
+    if Tree.revision t.tree <> Profile_set.revision t.pset then
+      replan t t.pset Absorb
 
 (* -- Aggregated registry churn ------------------------------------- *)
 

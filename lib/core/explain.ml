@@ -32,7 +32,7 @@ let trace_coords tree coords =
   let steps = ref [] and total = ref 0 in
   let matched = ref [] in
   let rec go level = function
-    | Tree.Leaf ids -> matched := Array.to_list ids
+    | Tree.Leaf { ids; _ } -> matched := Array.to_list ids
     | Tree.Node { attr; edge_positions; children; rest; _ } ->
       let cell = Decomp.cell_of_coord decomp ~attr coords.(attr) in
       let target =

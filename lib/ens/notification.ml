@@ -17,8 +17,6 @@ type handler = t -> unit
 let make ?broker ~event ~origin ~subscriber () =
   { event; origin; subscriber; broker }
 
-let profile_id t = match t.origin with Primitive id -> id | Composite _ -> -1
-
 let pp_origin ppf = function
   | Primitive id -> Format.fprintf ppf "profile %d" id
   | Composite id -> Format.fprintf ppf "composite %d" id

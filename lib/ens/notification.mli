@@ -29,12 +29,6 @@ val make :
   unit ->
   t
 
-val profile_id : t -> Genas_profile.Profile_set.id
-  [@@ocaml.deprecated "match on Notification.origin instead"]
-(** Compatibility accessor for the pre-[origin] record layout: the
-    profile id for [Primitive] notifications and the old [-1] sentinel
-    for [Composite] ones. *)
-
 val pp_origin : Format.formatter -> origin -> unit
 
 val pp : Genas_model.Schema.t -> Format.formatter -> t -> unit

@@ -34,6 +34,7 @@ type result = {
   events_per_sec : float;
   comparisons_per_event : float;
   matches_per_event : float;
+  plan_ms : float option;
 }
 
 type t = {
@@ -99,25 +100,51 @@ let measure ~events entry =
       float_of_int ops.Ops.comparisons /. float_of_int ops.Ops.events;
     matches_per_event =
       float_of_int ops.Ops.matches /. float_of_int ops.Ops.events;
+    plan_ms = None;
   }
 
+let attrs = 3
+
+let schema = Workload.normalized_schema ~attrs ~points:100 ()
+
+let axes =
+  Array.init attrs (fun i ->
+      Axis.of_domain (Schema.attribute schema i).Schema.domain)
+
+let paper_profiles ?(profiles = 500) rng =
+  Workload.gen_profiles rng schema
+    {
+      Workload.p = profiles;
+      dontcare = Array.make attrs 0.3;
+      value_dists = Array.map (fun ax -> Shape.gauss () ax) axes;
+      range_width = None;
+    }
+
+let v1a2 =
+  {
+    Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
+    value_choice = `Measure Selectivity.V1;
+  }
+
+(* One full re-plan of the table, the work every rebuild pays:
+   decompose, reorder from fresh statistics, compile; median of 5. *)
+let plan_row pset =
+  let ms =
+    Array.init 5 (fun _ ->
+        let t0 = Clock.now_ns () in
+        let stats = Stats.create (Decomp.build pset) in
+        ignore (Flat.compile (Reorder.build stats v1a2));
+        Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e6)
+  in
+  Array.sort Float.compare ms;
+  { name = "plan/v1+a2"; matcher = "plan"; strategy = "v1+a2"; domains = 1;
+    timed_events = 5; events_per_sec = 1e3 /. ms.(2);
+    comparisons_per_event = 0.0; matches_per_event = 0.0;
+    plan_ms = Some ms.(2) }
+
 let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
-  let attrs = 3 in
-  let schema = Workload.normalized_schema ~attrs ~points:100 () in
-  let axes =
-    Array.init attrs (fun i ->
-        Axis.of_domain (Schema.attribute schema i).Schema.domain)
-  in
   let rng = Prng.create ~seed in
-  let pset =
-    Workload.gen_profiles rng schema
-      {
-        Workload.p = profiles;
-        dontcare = Array.make attrs 0.3;
-        value_dists = Array.map (fun ax -> Shape.gauss () ax) axes;
-        range_width = None;
-      }
-  in
+  let pset = paper_profiles ~profiles rng in
   let decomp = Decomp.build pset in
   let stats = Stats.create decomp in
   let dists = Array.map Dist.uniform axes in
@@ -132,12 +159,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
   let mask = pool_size - 1 in
   let naive = Naive.build pset in
   let counting = Counting.build pset in
-  let v1a2 =
-    {
-      Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
-      value_choice = `Measure Selectivity.V1;
-    }
-  in
   let binary =
     { Reorder.attr_choice = Reorder.Attr_natural; value_choice = `Binary }
   in
@@ -462,6 +483,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
       @ [ batch_entry; packed_entry ]
       @ skew_entries @ publish_entries @ net_publish_entries @ pool_entries
       @ [ spawn_entry ] @ shard_entries)
+    @ [ plan_row pset ]
   in
   (* Pools own domains; release them before returning (the at_exit
      hook would catch them anyway, but a long-lived caller should not
@@ -668,7 +690,7 @@ let pool_peak t =
 let to_json ?scale:sc t =
   let result_json r =
     Json.Obj
-      [
+      ([
         ("name", Json.Str r.name);
         ("matcher", Json.Str r.matcher);
         ("strategy", Json.Str r.strategy);
@@ -678,6 +700,9 @@ let to_json ?scale:sc t =
         ("comparisons_per_event", Json.number r.comparisons_per_event);
         ("matches_per_event", Json.number r.matches_per_event);
       ]
+      @ match r.plan_ms with
+        | Some ms -> [ ("plan_ms", Json.number ms) ]
+        | None -> [])
   in
   let derived =
     let field name v =

@@ -8,7 +8,8 @@
     and without the hotness-guided relayout, the persistent
     {!Genas_filter.Pool} fan-out per domain count (plus the retired
     spawn-per-batch path as a regression row), and the
-    {!Genas_filter.Shard} profile-partition axis at 2 and 4 shards.
+    {!Genas_filter.Shard} profile-partition axis at 2 and 4 shards,
+    and the cost of one full re-plan of the table.
     Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
@@ -22,7 +23,7 @@ type result = {
   name : string;  (** e.g. ["flat/v1+a2"], ["pool/v1+a2/d2"] *)
   matcher : string;
       (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          flat-skew-layout|publish|publish-net|pool|pool-spawn|shard;
+          flat-skew-layout|publish|publish-net|pool|pool-spawn|shard|plan;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -36,6 +37,10 @@ type result = {
   events_per_sec : float;
   comparisons_per_event : float;
   matches_per_event : float;
+  plan_ms : float option;
+      (** [plan/v1+a2] only: median ms of one re-plan ([Decomp.build],
+          [Reorder.build], [Flat.compile]) over [timed_events] trials;
+          its [events_per_sec] is re-plans/s, its per-event counts 0 *)
 }
 
 type t = {
@@ -50,6 +55,14 @@ type t = {
 }
 
 val host_cpu_count : unit -> int
+
+val paper_profiles :
+  ?profiles:int -> Genas_prng.Prng.t -> Genas_profile.Profile_set.t
+(** The timing table (default 500 profiles) as [run ~seed] draws it
+    first from [Prng.create ~seed]. *)
+
+val v1a2 : Genas_core.Reorder.spec
+(** The V1 + A2 (descending) spec of every [v1+a2] row. *)
 
 val run : ?profiles:int -> ?seed:int -> ?events:int -> ?domains:int list ->
   unit -> t

@@ -11,7 +11,8 @@ type t = {
   schema : Schema.t;
   axes : Axis.t array;
   overlays : Overlay.t array;
-  profile_cells : (int, int array) Hashtbl.t array;
+  cell_first : int array array;
+  cell_list : int array array;
   ids : int array;
   revision : int;
 }
@@ -25,34 +26,42 @@ let build pset =
   let overlays =
     Array.init n (fun i -> Overlay.build axes.(i) (Profile_set.denotations pset i))
   in
-  let profile_cells =
-    Array.init n (fun i ->
-        let tbl = Hashtbl.create 64 in
-        let cells = overlays.(i).Overlay.cells in
+  let ids = Array.of_list (Profile_set.ids pset) in
+  let bound = if ids = [||] then 0 else ids.(Array.length ids - 1) + 1 in
+  (* Counting sort of (id, cell) pairs by id; visiting the cells in
+     order leaves each id's cells ascending. *)
+  let cell_first = Array.init n (fun _ -> Array.make (bound + 1) 0) in
+  let cell_list =
+    Array.mapi
+      (fun i (ov : Overlay.t) ->
+        let first = cell_first.(i) in
+        Array.iter
+          (fun (c : Overlay.cell) ->
+            List.iter (fun id -> first.(id + 1) <- first.(id + 1) + 1) c.ids)
+          ov.cells;
+        for id = 1 to bound do
+          first.(id) <- first.(id) + first.(id - 1)
+        done;
+        let list = Array.make first.(bound) 0 in
+        let fill = Array.sub first 0 bound in
         Array.iteri
           (fun ci (c : Overlay.cell) ->
             List.iter
               (fun id ->
-                let prev =
-                  Option.value ~default:[] (Hashtbl.find_opt tbl id)
-                in
-                Hashtbl.replace tbl id (ci :: prev))
-              c.Overlay.ids)
-          cells;
-        let out = Hashtbl.create (Hashtbl.length tbl) in
-        Hashtbl.iter
-          (fun id cis ->
-            Hashtbl.replace out id
-              (Array.of_list (List.sort Int.compare cis)))
-          tbl;
-        out)
+                list.(fill.(id)) <- ci;
+                fill.(id) <- fill.(id) + 1)
+              c.ids)
+          ov.cells;
+        list)
+      overlays
   in
   {
     schema;
     axes;
     overlays;
-    profile_cells;
-    ids = Array.of_list (Profile_set.ids pset);
+    cell_first;
+    cell_list;
+    ids;
     revision = Profile_set.revision pset;
   }
 
@@ -66,12 +75,19 @@ let cell_of_event t ~attr event =
   | None -> None
   | Some c -> cell_of_coord t ~attr c
 
-let cells_of_profile t ~attr ~id = Hashtbl.find_opt t.profile_cells.(attr) id
+let cells_of_profile t ~attr ~id =
+  let first = t.cell_first.(attr) in
+  if id < 0 || id + 1 >= Array.length first || first.(id) = first.(id + 1)
+  then None
+  else Some (Array.sub t.cell_list.(attr) first.(id) (first.(id + 1) - first.(id)))
 
 let referenced_count t ~attr = Array.length (Overlay.referenced t.overlays.(attr))
 
 let dont_care_count t ~attr =
-  Array.length t.ids - Hashtbl.length t.profile_cells.(attr)
+  let first = t.cell_first.(attr) in
+  Array.fold_left
+    (fun acc id -> if first.(id) = first.(id + 1) then acc + 1 else acc)
+    0 t.ids
 
 let d0_share t ~attr =
   if dont_care_count t ~attr > 0 then 0.0

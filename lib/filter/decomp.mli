@@ -10,9 +10,14 @@ type t = private {
   schema : Genas_model.Schema.t;
   axes : Genas_model.Axis.t array;
   overlays : Genas_interval.Overlay.t array;  (** by attribute index *)
-  profile_cells : (int, int array) Hashtbl.t array;
-      (** per attribute: profile id → sorted global cell indices its
-          denotation covers (absent = don't-care) *)
+  cell_first : int array array;
+  cell_list : int array array;
+      (** per attribute, the global cells each profile's denotation
+          covers, packed by profile id: the cells of [id] are
+          [cell_list.(a).(cell_first.(a).(id))] up to (excluding)
+          [cell_list.(a).(cell_first.(a).(id + 1))], ascending; an
+          empty range means don't-care. [cell_first.(a)] has one slot
+          per id up to the largest live id, plus one. *)
   ids : int array;  (** live profile ids at snapshot time, ascending *)
   revision : int;
 }

@@ -61,33 +61,6 @@ type cursor = {
   mutable epoch : int;
 }
 
-module Vec = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 16 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let b = Array.make (2 * v.len) 0 in
-      Array.blit v.a 0 b 0 v.len;
-      v.a <- b
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let to_array v = Array.sub v.a 0 v.len
-end
-
-(* Shared subtrees are physically shared by the tree's hash-consing,
-   so physical identity is the right memo key; the structural default
-   hash is depth-bounded and cheap. *)
-module Phys = Hashtbl.Make (struct
-  type t = Tree.node
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 (* Tables above this many slots fall back to the generic bisection
    path: a sparse gigantic int domain must not inflate the compiled
    form. *)
@@ -131,48 +104,49 @@ let compile_plain (tree : Tree.t) =
     Array.init arity (fun i -> (Schema.attribute schema i).Schema.domain)
   in
   let lookup = Array.mapi (build_lookup decomp pos2) domains in
-  let node_attr = Vec.create () and edge_first = Vec.create () in
-  let edge_count = Vec.create () and rest = Vec.create () in
-  let leaf_first = Vec.create () and leaf_count = Vec.create () in
-  let edge_pos = Vec.create () and edge_child = Vec.create () in
-  let postings = Vec.create () in
-  let memo = Phys.create 256 in
-  let alloc ~attr ~efirst ~ecount ~rest:r ~lfirst ~lcount =
-    let id = node_attr.Vec.len in
-    Vec.push node_attr attr;
-    Vec.push edge_first efirst;
-    Vec.push edge_count ecount;
-    Vec.push rest r;
-    Vec.push leaf_first lfirst;
-    Vec.push leaf_count lcount;
-    id
-  in
+  (* Construction ids are dense over the unique nodes, so the memo is
+     an int array and every table has its final size up front. *)
+  let s = tree.Tree.stats in
+  let n = s.Tree.nodes + s.Tree.leaves in
+  let node_attr = Array.make n 0 and edge_first = Array.make n 0 in
+  let edge_count = Array.make n 0 and rest = Array.make n 0 in
+  let leaf_first = Array.make n 0 and leaf_count = Array.make n 0 in
+  let edge_pos = Array.make s.Tree.edges 0 in
+  let edge_child = Array.make s.Tree.edges 0 in
+  let postings = Array.make s.Tree.postings 0 in
+  let memo = Array.make n (-1) in
+  let next = ref 0 and nedges = ref 0 and nposts = ref 0 in
+  (* Unset slots keep 0: leaves have no edges, inner nodes no postings. *)
   let rec go node =
-    match Phys.find_opt memo node with
-    | Some id -> id
-    | None ->
-      let id =
-        match node with
-        | Tree.Leaf ids ->
-          let lfirst = postings.Vec.len in
-          Array.iter (Vec.push postings) ids;
-          alloc ~attr:(-1) ~efirst:0 ~ecount:0 ~rest:(-1) ~lfirst
-            ~lcount:(Array.length ids)
-        | Tree.Node { attr; edge_positions; children; rest = r; _ } ->
-          (* Children first so this node's edge slots stay contiguous. *)
-          let child_ids = Array.map go children in
-          let rest_id = match r with Some c -> go c | None -> -1 in
-          let efirst = edge_pos.Vec.len in
-          Array.iteri
-            (fun j p ->
-              Vec.push edge_pos (pos2_of_float p);
-              Vec.push edge_child child_ids.(j))
-            edge_positions;
-          alloc ~attr ~efirst ~ecount:(Array.length edge_positions)
-            ~rest:rest_id ~lfirst:0 ~lcount:0
-      in
-      Phys.replace memo node id;
-      id
+    let cid = Tree.id node in
+    if memo.(cid) < 0 then begin
+      (match node with
+      | Tree.Leaf { ids; _ } ->
+        node_attr.(!next) <- -1;
+        rest.(!next) <- -1;
+        leaf_first.(!next) <- !nposts;
+        leaf_count.(!next) <- Array.length ids;
+        Array.blit ids 0 postings !nposts (Array.length ids);
+        nposts := !nposts + Array.length ids
+      | Tree.Node { attr; edge_positions; children; rest = r; _ } ->
+        (* Children first so this node's edge slots stay contiguous. *)
+        let child_ids = Array.map go children in
+        let rest_id = match r with Some c -> go c | None -> -1 in
+        let efirst = !nedges in
+        Array.iteri
+          (fun j p ->
+            edge_pos.(efirst + j) <- pos2_of_float p;
+            edge_child.(efirst + j) <- child_ids.(j))
+          edge_positions;
+        nedges := efirst + Array.length edge_positions;
+        node_attr.(!next) <- attr;
+        edge_first.(!next) <- efirst;
+        edge_count.(!next) <- Array.length edge_positions;
+        rest.(!next) <- rest_id);
+      memo.(cid) <- !next;
+      incr next
+    end;
+    memo.(cid)
   in
   let root = match tree.Tree.root with Some r -> go r | None -> -1 in
   let ids = decomp.Decomp.ids in
@@ -184,15 +158,15 @@ let compile_plain (tree : Tree.t) =
     pos2;
     domains;
     lookup;
-    node_attr = Vec.to_array node_attr;
-    edge_first = Vec.to_array edge_first;
-    edge_count = Vec.to_array edge_count;
-    rest = Vec.to_array rest;
-    leaf_first = Vec.to_array leaf_first;
-    leaf_count = Vec.to_array leaf_count;
-    edge_pos = Vec.to_array edge_pos;
-    edge_child = Vec.to_array edge_child;
-    postings = Vec.to_array postings;
+    node_attr;
+    edge_first;
+    edge_count;
+    rest;
+    leaf_first;
+    leaf_count;
+    edge_pos;
+    edge_child;
+    postings;
     root;
     seen_size = (if nlive = 0 then 0 else ids.(nlive - 1) + 1);
     out_size = nlive;

@@ -3,8 +3,9 @@ module Schema = Genas_model.Schema
 module Axis = Genas_model.Axis
 
 type node =
-  | Leaf of int array
+  | Leaf of { id : int; ids : int array }
   | Node of {
+      id : int;
       attr : int;
       cells : int array;
       edge_positions : float array;
@@ -14,7 +15,13 @@ type node =
 
 type config = { attr_order : int array; strategies : Order.strategy array }
 
-type stats = { nodes : int; leaves : int; edges : int; build_visits : int }
+type stats = {
+  nodes : int;
+  leaves : int;
+  edges : int;
+  postings : int;
+  build_visits : int;
+}
 
 type t = {
   decomp : Decomp.t;
@@ -45,54 +52,72 @@ let validate_config decomp config =
       seen.(a) <- true)
     config.attr_order
 
-(* Memo keys are (level, sorted alive-id array); two nodes with the
-   same key root identical subtrees, so the construction hash-conses
-   them. *)
+(* Memo keys are sorted alive-id arrays, one table per level; two nodes
+   with the same key root identical subtrees, so the construction
+   hash-conses them. A probe key may view a prefix of a scratch buffer,
+   so a key carries its length and its hash, computed once. *)
 module Key = struct
-  type t = int * int array
+  type t = { ids : int array; len : int; hash : int }
 
-  let equal ((l1, a1) : t) (l2, a2) = l1 = l2 && a1 = a2
+  let make ids len =
+    let h = ref 1 in
+    for i = 0 to len - 1 do
+      h := (!h * 31) + Array.unsafe_get ids i + 1
+    done;
+    { ids; len; hash = !h land max_int }
 
-  let hash ((l, a) : t) =
-    Array.fold_left (fun h x -> (h * 31) + x + 1) (l + 1) a land max_int
+  let equal a b =
+    a.hash = b.hash && a.len = b.len
+    &&
+    let rec same i =
+      i = a.len
+      || (Array.unsafe_get a.ids i = Array.unsafe_get b.ids i && same (i + 1))
+    in
+    same 0
+
+  let hash k = k.hash
 end
 
 module Memo = Hashtbl.Make (Key)
 
-(* Merge two sorted int arrays (both duplicate-free, disjoint by
-   construction: constrainers vs don't-cares). *)
-let merge_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
-  else begin
-    let out = Array.make (la + lb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < la && !j < lb do
-      if a.(!i) <= b.(!j) then begin
-        out.(!k) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(!k) <- b.(!j);
-        incr j
-      end;
-      incr k
-    done;
-    while !i < la do
-      out.(!k) <- a.(!i);
-      incr i;
-      incr k
-    done;
-    while !j < lb do
-      out.(!k) <- b.(!j);
-      incr j;
-      incr k
-    done;
-    out
-  end
+(* Merge the sorted [src.(lo .. hi-1)] with the sorted [dc.(0 .. ndc-1)]
+   into [dst] (disjoint by construction: constrainers vs don't-cares);
+   returns the merged length. *)
+let merge_into dst src lo hi dc ndc =
+  let i = ref lo and j = ref 0 and k = ref 0 in
+  while !i < hi && !j < ndc do
+    let a = src.(!i) and b = dc.(!j) in
+    if a <= b then begin
+      dst.(!k) <- a;
+      incr i
+    end
+    else begin
+      dst.(!k) <- b;
+      incr j
+    end;
+    incr k
+  done;
+  let ra = hi - !i in
+  Array.blit src !i dst !k ra;
+  Array.blit dc !j dst (!k + ra) (ndc - !j);
+  !k + ra + ndc - !j
 
 exception Construction_blowup of int
+
+let id = function Leaf { id; _ } | Node { id; _ } -> id
+
+(* Sort [a.(0 .. n-1)] ascending by [key]; nodes touch few cells. *)
+let insertion_sort (key : float array) a n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let kx = key.(x) in
+    let j = ref (i - 1) in
+    while !j >= 0 && key.(a.(!j)) > kx do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 let build ?(share = true) ?max_visits decomp config =
   validate_config decomp config;
@@ -102,87 +127,113 @@ let build ?(share = true) ?max_visits decomp config =
         Order.compile decomp.Decomp.overlays.(attr)
           (Order.strategy_order config.strategies.(attr)))
   in
-  let memo : node Memo.t = Memo.create 1024 in
+  let nids = Array.length decomp.Decomp.ids in
+  (* Per-attribute scratch for the node testing it: its don't-cares,
+     its ids bucketed by cell (counting sort), the touched cells,
+     per-cell bucket ends, and its children's merged alive sets. A
+     child copies its alive set out of the scratch only on a memo
+     miss. *)
+  let scratch size = Array.init n (fun attr -> Array.make (size attr) 0) in
+  let dontcares = scratch (fun _ -> nids) and merged = scratch (fun _ -> nids) in
+  let buckets = scratch (fun a -> Array.length decomp.Decomp.cell_list.(a)) in
+  let ncells a = Array.length tables.(a).Order.positions in
+  let touched = scratch ncells and ends = scratch ncells in
+  (* Sized so that a table of a few hundred profiles never resizes the
+     leaf memo (the 500-profile paper table holds 20-30k leaves). *)
+  let memo =
+    Array.init (n + 1) (fun level ->
+        Memo.create (if level = n then 64 * nids else nids))
+  in
   let nodes = ref 0 and leaves = ref 0 and edges = ref 0 and visits = ref 0 in
-  let rec construct level (alive : int array) =
+  let postings = ref 0 in
+  let rec construct level src len =
     incr visits;
     (match max_visits with
     | Some limit when !visits > limit -> raise (Construction_blowup limit)
     | Some _ | None -> ());
-    let key = (level, alive) in
-    match if share then Memo.find_opt memo key else None with
+    let probe = Key.make src len in
+    match if share then Memo.find_opt memo.(level) probe else None with
     | Some node -> node
     | None ->
+      let alive = Array.sub src 0 len in
       let node =
-        if level = n then begin
-          incr leaves;
-          Leaf alive
-        end
+        if level < n then inner level alive
         else begin
-          let attr = config.attr_order.(level) in
-          let constrains id = Decomp.cells_of_profile decomp ~attr ~id <> None in
-          let dontcares =
-            Array.of_seq
-              (Seq.filter (fun id -> not (constrains id)) (Array.to_seq alive))
-          in
-          (* Group constraining profiles by the global cells their
-             denotations cover; iterating [alive] in ascending order
-             keeps each cell's id list sorted after the final reversal. *)
-          let by_cell : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-          Array.iter
-            (fun id ->
-              match Decomp.cells_of_profile decomp ~attr ~id with
-              | None -> ()
-              | Some cells ->
-                Array.iter
-                  (fun c ->
-                    Hashtbl.replace by_cell c
-                      (id :: Option.value ~default:[] (Hashtbl.find_opt by_cell c)))
-                  cells)
-            alive;
-          let cell_list =
-            Hashtbl.fold
-              (fun c ids acc -> (c, Array.of_list (List.rev ids)) :: acc)
-              by_cell []
-          in
-          (* Store edges in the defined value order (ascending lookup
-             position) so both scan strategies read them in place. *)
-          let positions = tables.(attr).Order.positions in
-          let cell_list =
-            List.sort
-              (fun (a, _) (b, _) -> Float.compare positions.(a) positions.(b))
-              cell_list
-          in
-          let rest =
-            if Array.length dontcares = 0 then None
-            else Some (construct (level + 1) dontcares)
-          in
-          let cells = Array.of_list (List.map fst cell_list) in
-          let children =
-            Array.of_list
-              (List.map
-                 (fun (_, ids) ->
-                   construct (level + 1) (merge_sorted ids dontcares))
-                 cell_list)
-          in
-          incr nodes;
-          edges := !edges + Array.length cells;
-          Node
-            {
-              attr;
-              cells;
-              edge_positions = Array.map (fun c -> positions.(c)) cells;
-              children;
-              rest;
-            }
+          incr leaves;
+          postings := !postings + len;
+          Leaf { id = !nodes + !leaves - 1; ids = alive }
         end
       in
-      if share then Memo.replace memo key node;
+      if share then Memo.replace memo.(level) { probe with Key.ids = alive } node;
       node
+  and inner level alive =
+    let attr = config.attr_order.(level) in
+    let first = decomp.Decomp.cell_first.(attr) in
+    let list = decomp.Decomp.cell_list.(attr) in
+    let positions = tables.(attr).Order.positions in
+    let dc = dontcares.(attr) and bucket = buckets.(attr) in
+    let touched = touched.(attr) and ends = ends.(attr) in
+    (* Count ids per cell; [ends] holds the counts until placement. *)
+    let ndc = ref 0 and k = ref 0 in
+    Array.iter
+      (fun pid ->
+        if first.(pid) = first.(pid + 1) then begin
+          dc.(!ndc) <- pid;
+          incr ndc
+        end;
+        for j = first.(pid) to first.(pid + 1) - 1 do
+          let c = list.(j) in
+          if ends.(c) = 0 then begin
+            touched.(!k) <- c;
+            incr k
+          end;
+          ends.(c) <- ends.(c) + 1
+        done)
+      alive;
+    let k = !k and ndc = !ndc in
+    (* Store edges in the defined value order (ascending lookup
+       position) so both scan strategies read them in place. *)
+    insertion_sort positions touched k;
+    let total = ref 0 in
+    for i = 0 to k - 1 do
+      let c = touched.(i) in
+      let cnt = ends.(c) in
+      ends.(c) <- !total;
+      total := !total + cnt
+    done;
+    (* Placing [alive] in ascending order keeps each bucket sorted. *)
+    Array.iter
+      (fun pid ->
+        for j = first.(pid) to first.(pid + 1) - 1 do
+          let c = list.(j) in
+          bucket.(ends.(c)) <- pid;
+          ends.(c) <- ends.(c) + 1
+        done)
+      alive;
+    let cells = Array.sub touched 0 k in
+    let hi = Array.map (fun c -> ends.(c)) cells in
+    Array.iter (fun c -> ends.(c) <- 0) cells;
+    let rest = if ndc = 0 then None else Some (construct (level + 1) dc ndc) in
+    let next = merged.(attr) in
+    let children =
+      Array.init k (fun i ->
+          let lo = if i = 0 then 0 else hi.(i - 1) in
+          construct (level + 1) next (merge_into next bucket lo hi.(i) dc ndc))
+    in
+    incr nodes;
+    edges := !edges + k;
+    Node
+      {
+        id = !nodes + !leaves - 1;
+        attr;
+        cells;
+        edge_positions = Array.map (fun c -> positions.(c)) cells;
+        children;
+        rest;
+      }
   in
   let root =
-    if Array.length decomp.Decomp.ids = 0 then None
-    else Some (construct 0 (Array.copy decomp.Decomp.ids))
+    if nids = 0 then None else Some (construct 0 decomp.Decomp.ids nids)
   in
   {
     decomp;
@@ -190,7 +241,13 @@ let build ?(share = true) ?max_visits decomp config =
     tables;
     root;
     stats =
-      { nodes = !nodes; leaves = !leaves; edges = !edges; build_visits = !visits };
+      {
+        nodes = !nodes;
+        leaves = !leaves;
+        edges = !edges;
+        postings = !postings;
+        build_visits = !visits;
+      };
   }
 
 (* Runtime search at one node: returns (comparisons, matched edge
@@ -223,7 +280,7 @@ let match_targets ?ops t targets =
   let comparisons = ref 0 and node_visits = ref 0 in
   let matched = ref [] in
   let rec go = function
-    | Leaf ids -> matched := Array.to_list ids :: !matched
+    | Leaf { ids; _ } -> matched := Array.to_list ids :: !matched
     | Node { attr; edge_positions; children; rest; _ } ->
       incr node_visits;
       let cost, hit =
@@ -298,7 +355,7 @@ let pp ppf t =
   in
   let rec go ppf indent node =
     match node with
-    | Leaf ids -> Format.fprintf ppf "%s-> %a@," indent pp_leaf ids
+    | Leaf { ids; _ } -> Format.fprintf ppf "%s-> %a@," indent pp_leaf ids
     | Node { attr; cells; children; rest; _ } ->
       Array.iteri
         (fun i cell ->

@@ -16,8 +16,12 @@
     executes. Treat it as immutable. *)
 
 type node =
-  | Leaf of int array  (** matched profile ids, ascending *)
+  | Leaf of {
+      id : int;  (** construction id, see {!id} *)
+      ids : int array;  (** matched profile ids, ascending *)
+    }
   | Node of {
+      id : int;  (** construction id, see {!id} *)
       attr : int;  (** natural attribute index tested at this node *)
       cells : int array;  (** global cell per edge, in scan order *)
       edge_positions : float array;
@@ -39,6 +43,7 @@ type stats = {
   nodes : int;  (** unique inner nodes *)
   leaves : int;  (** unique leaves *)
   edges : int;  (** edges over unique nodes (excluding rest) *)
+  postings : int;  (** profile ids over unique leaves *)
   build_visits : int;
       (** construction calls, counting shared subtrees each time they
           are reached — [build_visits - nodes - leaves] quantifies the
@@ -70,6 +75,11 @@ val build : ?share:bool -> ?max_visits:int -> Decomp.t -> config -> t
     @raise Invalid_argument if [config.attr_order] is not a permutation
     of the schema's attribute indices or [strategies] has the wrong
     length. *)
+
+val id : node -> int
+(** The node's construction id: [build] numbers the physically distinct
+    nodes and leaves densely over [0 .. stats.nodes + stats.leaves - 1],
+    so walkers can memoize in an int array. *)
 
 val match_event :
   ?ops:Ops.t -> t -> Genas_model.Event.t -> Genas_profile.Profile_set.id list

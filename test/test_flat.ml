@@ -23,6 +23,8 @@ module Selectivity = Genas_core.Selectivity
 module Reorder = Genas_core.Reorder
 module Engine = Genas_core.Engine
 module Gen = Genas_testlib.Gen
+module Prng = Genas_prng.Prng
+module Perfbench = Genas_expt.Perfbench
 
 (* Every value-strategy family the reorderer can emit, so the flat
    scan's linear, binary, and hashed branches are all exercised. *)
@@ -475,6 +477,19 @@ let test_sharing_preserved () =
     (st.Tree.nodes + st.Tree.leaves)
     (Flat.node_count flat)
 
+(* The compiled image of the bench's 500-profile paper table at its
+   default seed: any change to the compiler must reproduce it exactly. *)
+let test_paper_table_image () =
+  let pset = Perfbench.paper_profiles (Prng.create ~seed:99) in
+  let stats = Stats.create (Decomp.build pset) in
+  let image share =
+    let flat = Flat.compile (Reorder.build ~share stats Perfbench.v1a2) in
+    [ Flat.node_count flat; Flat.edge_count flat; Flat.posting_count flat ]
+  in
+  Alcotest.(check (list int)) "shared" [ 30559; 89036; 98095 ] (image true);
+  Alcotest.(check (list int)) "unshared" [ 111071; 108053; 259952 ]
+    (image false)
+
 let test_packed_guards () =
   let s = schema () in
   let flat_a = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 1)) ] ]) in
@@ -525,6 +540,7 @@ let () =
           Alcotest.test_case "recorder reset and guards" `Quick
             test_recorder_reset_and_guards;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;
+          Alcotest.test_case "paper table image" `Quick test_paper_table_image;
           Alcotest.test_case "packed and relayout guards" `Quick
             test_packed_guards;
         ] );

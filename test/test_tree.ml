@@ -14,6 +14,10 @@ module Order = Genas_filter.Order
 module Naive = Genas_filter.Naive
 module Ops = Genas_filter.Ops
 module Gen = Genas_testlib.Gen
+module Prng = Genas_prng.Prng
+module Stats = Genas_core.Stats
+module Reorder = Genas_core.Reorder
+module Perfbench = Genas_expt.Perfbench
 
 let schema2 () =
   Schema.create_exn
@@ -92,6 +96,51 @@ let test_sharing_smaller () =
      construction visits. *)
   Alcotest.(check bool) "visits not larger" true
     (shared.Tree.stats.Tree.build_visits <= unshared.Tree.stats.Tree.build_visits)
+
+(* The 500-profile paper table the bench times, at its default seed:
+   any change to the builder must reproduce this tree exactly. *)
+let test_paper_table_shape () =
+  let pset = Perfbench.paper_profiles (Prng.create ~seed:99) in
+  let stats = Stats.create (Decomp.build pset) in
+  let shape share =
+    let s = (Reorder.build ~share stats Perfbench.v1a2).Tree.stats in
+    [ s.Tree.nodes; s.leaves; s.edges; s.build_visits ]
+  in
+  Alcotest.(check (list int)) "shared" [ 3498; 27061; 89036; 91723 ]
+    (shape true);
+  Alcotest.(check (list int)) "unshared" [ 4294; 106777; 108053; 111071 ]
+    (shape false)
+
+(* Walking the tree, every reached node's construction id is in range
+   and owned by exactly one physical node, and every id is reached. *)
+let prop_construction_ids =
+  QCheck.Test.make ~name:"construction ids dense and unique per shared node"
+    ~count:60
+    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:15 ()))
+    (fun (_, pset, _) ->
+      let d = Decomp.build pset in
+      List.for_all
+        (fun share ->
+          let tree = Tree.build ~share d (Tree.default_config d) in
+          let n = tree.Tree.stats.Tree.nodes + tree.Tree.stats.Tree.leaves in
+          let owner = Array.make n None in
+          let rec walk node =
+            let id = Tree.id node in
+            id >= 0 && id < n
+            &&
+            match owner.(id) with
+            | Some o -> o == node
+            | None -> (
+              owner.(id) <- Some node;
+              match node with
+              | Tree.Leaf _ -> true
+              | Tree.Node { children; rest; _ } ->
+                Array.for_all walk children
+                && Option.fold ~none:true ~some:walk rest)
+          in
+          Option.fold ~none:true ~some:walk tree.Tree.root
+          && Array.for_all Option.is_some owner)
+        [ true; false ])
 
 let all_strategy_choices =
   [
@@ -309,6 +358,7 @@ let () =
           Alcotest.test_case "determinized don't-cares" `Quick
             test_duplicated_dont_care_profiles;
           Alcotest.test_case "sharing shrinks" `Quick test_sharing_smaller;
+          Alcotest.test_case "paper table shape" `Quick test_paper_table_shape;
           Alcotest.test_case "coords vs events" `Quick
             test_match_coords_equals_match_event;
           Alcotest.test_case "fig-1 style rendering" `Quick
@@ -320,6 +370,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_tree_agrees_with_naive; prop_key_order_agrees_with_naive;
-            prop_ops_counted;
+            prop_ops_counted; prop_construction_ids;
           ] );
     ]
