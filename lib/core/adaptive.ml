@@ -1,6 +1,5 @@
 module Decomp = Genas_filter.Decomp
 module Estimator = Genas_dist.Estimator
-module Dist = Genas_dist.Dist
 module Metrics = Genas_obs.Metrics
 
 type policy = { warmup : int; check_every : int; drift_threshold : float }
@@ -30,15 +29,15 @@ let make_instruments registry =
         ~help:"Drift at the most recent check (L1 distance, clamped to [0,2])";
   }
 
+(* What the current tree was planned for, per attribute: the event
+   distributions on the drift grid, and the observed histograms that
+   are their durable form. *)
+type planned = { grids : float array array; hists : Estimator.Export.t array }
+
 type t = {
   engine : Engine.t;
   policy : policy;
-  mutable planned_for : Dist.t array option;
-      (** per-attribute event distributions the current tree was
-          planned for; [None] until the first adaptive rebuild *)
-  mutable planned_hist : Estimator.Export.t array option;
-      (** observed-histogram snapshot taken at the same rebuild —
-          the durable form of [planned_for] *)
+  mutable planned : planned option;  (** [None] until the first rebuild *)
   mutable since_check : int;
   mutable seen : int;
   mutable checks : int;
@@ -53,8 +52,7 @@ let create ?(policy = default_policy) ?metrics engine =
   {
     engine;
     policy;
-    planned_for = None;
-    planned_hist = None;
+    planned = None;
     since_check = 0;
     seen = 0;
     checks = 0;
@@ -65,32 +63,31 @@ let create ?(policy = default_policy) ?metrics engine =
 
 let engine t = t.engine
 
-let current_dists t =
-  let stats = Engine.stats t.engine in
-  let n = Decomp.arity (Stats.decomp stats) in
-  Array.init n (fun attr -> Stats.event_dist stats ~attr)
-
 let rebuild t =
   (match t.instruments with
   | None -> Engine.rebuild t.engine
   | Some ins ->
     Genas_obs.Span.time ins.rebuild_ns (fun () -> Engine.rebuild t.engine);
     Metrics.Counter.incr ins.rebuilds_total);
-  t.planned_for <- Some (current_dists t);
-  t.planned_hist <- Some (Stats.export (Engine.stats t.engine)).Stats.Export.hists;
+  let stats = Engine.stats t.engine in
+  let hists = (Stats.export stats).Stats.Export.hists in
+  let grid attr _ = Estimator.grid (Stats.event_dist stats ~attr) in
+  let grids = Array.mapi grid hists in
+  t.planned <- Some { grids; hists };
   t.rebuilds <- t.rebuilds + 1
 
+(* The largest per-attribute L1 distance on the drift grid; a loop
+   keeps the running maximum unboxed. *)
 let drift t =
-  match t.planned_for with
+  match t.planned with
   | None -> Float.infinity  (* never planned from data: always stale *)
-  | Some planned ->
-    let now = current_dists t in
+  | Some p ->
+    let stats = Engine.stats t.engine in
     let worst = ref 0.0 in
-    Array.iteri
-      (fun i d ->
-        let dd = Estimator.l1_on_grid d now.(i) in
-        if dd > !worst then worst := dd)
-      planned;
+    for attr = 0 to Array.length p.grids - 1 do
+      let d = Stats.grid_drift stats ~attr p.grids.(attr) in
+      if d > !worst then worst := d
+    done;
     !worst
 
 let force_check t =
@@ -168,32 +165,26 @@ let export t =
     checks = t.checks;
     rebuilds = t.rebuilds;
     last_drift = t.last_drift;
-    planned = Option.map (Array.map copy_hist) t.planned_hist;
+    planned = Option.map (fun p -> Array.map copy_hist p.hists) t.planned;
   }
 
-(* Reconstruct the planned-for distributions exactly as [Stats.event_dist]
-   would have produced them at rebuild time: smoothed estimate when the
-   histogram held observations, uniform otherwise. Assumed (caller-
-   installed) distributions are runtime configuration and are not part
-   of the durable state; a recovered component measures drift against
-   the observed histograms. *)
+(* Restore the planned grids from the observed histograms, exactly as
+   [rebuild] computed them. Assumed (caller-installed) distributions are
+   runtime configuration, not durable state; a recovered component
+   measures drift against the observed histograms. *)
 let restore_planned decomp hx =
   let n = Decomp.arity decomp in
   if Array.length hx <> n then
     Error "Adaptive.import: planned-distribution arity mismatch"
   else
     let rec go i acc =
-      if i = n then Ok (Array.of_list (List.rev acc))
+      if i = n then
+        let grids = Array.of_list (List.rev acc) in
+        Ok { grids; hists = Array.map copy_hist hx }
       else
         match Estimator.of_export decomp.Decomp.axes.(i) hx.(i) with
         | Error msg -> Error msg
-        | Ok est ->
-          let d =
-            if Estimator.count est > 0 then
-              Estimator.estimate ~smoothing:Stats.history_smoothing est
-            else Dist.uniform decomp.Decomp.axes.(i)
-          in
-          go (i + 1) (d :: acc)
+        | Ok est -> go (i + 1) (Estimator.grid (Stats.observed_dist est) :: acc)
     in
     go 0 []
 
@@ -215,8 +206,7 @@ let import t (e : Export.t) =
       Metrics.Counter.add ins.rebuilds_total
         (Stdlib.max 0 (e.Export.rebuilds - t.rebuilds));
       Metrics.Gauge.set ins.last_drift_gauge e.Export.last_drift);
-    t.planned_for <- planned;
-    t.planned_hist <- Option.map (Array.map copy_hist) e.Export.planned;
+    t.planned <- planned;
     t.seen <- e.Export.seen;
     t.since_check <- e.Export.since_check;
     t.checks <- e.Export.checks;

@@ -78,11 +78,11 @@ val note_events : t -> int -> unit
 (** {1 Serialization}
 
     The durable counters plus the observed-histogram snapshot taken at
-    the last rebuild. On import the planned-for distributions are
-    reconstructed from that snapshot exactly as {!Stats.event_dist}
-    would have produced them (smoothed estimate, or uniform when the
-    histogram was empty); assumed distributions — runtime configuration
-    — are not persisted. *)
+    the last rebuild. On import the planned-for grid masses are rebuilt
+    from that snapshot exactly as {!Stats.event_dist} would have
+    produced them (smoothed estimate, or uniform when the histogram was
+    empty); assumed distributions — runtime configuration — are not
+    persisted. *)
 
 module Export : sig
   type t = {

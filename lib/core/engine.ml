@@ -598,16 +598,12 @@ let rec sort_ints (a : int array) lo hi =
   end
 
 (* Resolve the event once into axis coordinates; the lattice checks
-   every candidate node against these. +infinity stands for a value
-   outside its domain, which no constrained attribute accepts. *)
+   every candidate node against these. NaN stands for a value outside
+   its domain, which no constrained attribute accepts. *)
 let resolve agg event =
-  Array.iteri
-    (fun i dom ->
-      Float.Array.set agg.coords i
-        (match Axis.coord dom (Event.value event i) with
-        | Some c -> c
-        | None -> Float.infinity))
-    agg.domains
+  for i = 0 to Array.length agg.domains - 1 do
+    Axis.coord_into agg.domains.(i) (Event.value event i) agg.coords i
+  done
 
 (* Aggregated match: the compiled flat form decides the root
    representatives exactly; covered profiles are then collected by

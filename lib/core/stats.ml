@@ -28,22 +28,13 @@ let create ?(bins = 64) decomp =
 
 let decomp t = t.decomp
 
-let observe_coords t coords =
-  Array.iteri (fun attr c -> Estimator.add t.hists.(attr) c) coords;
-  t.events_seen <- t.events_seen + 1
-
 let observe_event t event =
   let schema = t.decomp.Decomp.schema in
-  let coords =
-    Array.init (Decomp.arity t.decomp) (fun attr ->
-        match
-          Axis.coord (Schema.attribute schema attr).Schema.domain
-            (Event.value event attr)
-        with
-        | Some c -> c
-        | None -> Float.nan)
-  in
-  observe_coords t coords
+  for attr = 0 to Array.length t.hists - 1 do
+    Estimator.add_value t.hists.(attr)
+      (Schema.attribute schema attr).Schema.domain (Event.value event attr)
+  done;
+  t.events_seen <- t.events_seen + 1
 
 let events_seen t = t.events_seen
 
@@ -56,13 +47,22 @@ let clear_assumed t ~attr = t.assumed.(attr) <- None
 
 let history_smoothing = 0.5
 
+let observed_dist h =
+  if Estimator.count h > 0 then
+    Estimator.estimate ~smoothing:history_smoothing h
+  else Dist.uniform (Estimator.axis h)
+
 let event_dist t ~attr =
   match t.assumed.(attr) with
   | Some d -> d
-  | None ->
-    if Estimator.count t.hists.(attr) > 0 then
-      Estimator.estimate ~smoothing:history_smoothing t.hists.(attr)
-    else Dist.uniform t.decomp.Decomp.axes.(attr)
+  | None -> observed_dist t.hists.(attr)
+
+let grid_drift t ~attr g =
+  let h = t.hists.(attr) in
+  match t.assumed.(attr) with
+  | None when Estimator.count h > 0 ->
+    Estimator.l1_to_estimate ~smoothing:history_smoothing g h
+  | Some _ | None -> Estimator.l1 g (Estimator.grid (event_dist t ~attr))
 
 let event_cell_probs t ~attr =
   Dist.cell_probs (event_dist t ~attr) t.decomp.Decomp.overlays.(attr)

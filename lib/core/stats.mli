@@ -25,9 +25,6 @@ val decomp : t -> Genas_filter.Decomp.t
 
 val observe_event : t -> Genas_model.Event.t -> unit
 
-val observe_coords : t -> float array -> unit
-(** Coordinates by natural attribute index. *)
-
 val events_seen : t -> int
 
 val assume_event_dist : t -> attr:int -> Genas_dist.Dist.t -> unit
@@ -41,6 +38,14 @@ val clear_assumed : t -> attr:int -> unit
 val event_dist : t -> attr:int -> Genas_dist.Dist.t
 (** Assumed distribution if installed; otherwise the smoothed observed
     histogram; otherwise (no observations at all) uniform. *)
+
+val observed_dist : Genas_dist.Estimator.t -> Genas_dist.Dist.t
+(** {!event_dist} of a histogram: smoothed by 0.5 per bin, or uniform. *)
+
+val grid_drift : t -> attr:int -> float array -> float
+(** [l1 g (grid (event_dist t ~attr))] ({!Genas_dist.Estimator.l1}),
+    read from the counts without allocating unless the distribution is
+    assumed or the histogram empty. *)
 
 val event_cell_probs : t -> attr:int -> float array
 (** [event_dist] quantized onto the attribute's global cells: the
@@ -69,11 +74,6 @@ val priority : t -> id:int -> float
 val d0_event_prob : t -> attr:int -> float
 (** Pe(D0): probability that an event's value falls in the
     zero-subdomain — the second factor of measure A2. *)
-
-val history_smoothing : float
-(** Pseudo-count applied to the observed histogram when it backs
-    {!event_dist} (0.5). Exposed so recovery code can reconstruct the
-    exact distribution a live statistics object would have produced. *)
 
 val reset_observations : t -> unit
 

@@ -6,6 +6,7 @@ type t = {
   exact : bool;  (** one bin per inhabited discrete point *)
   bins : int;
   counts : float array;
+  slot : Float.Array.t;  (** the coordinate being recorded, unboxed *)
   mutable total : int;
   mutable dropped : int;
 }
@@ -14,29 +15,36 @@ let create ?(bins = 64) axis =
   if bins <= 0 then invalid_arg "Estimator.create: bins must be positive";
   let exact = axis.Axis.discrete && Axis.size axis <= float_of_int bins in
   let bins = if exact then int_of_float (Axis.size axis) else bins in
-  { axis; exact; bins; counts = Array.make bins 0.0; total = 0; dropped = 0 }
+  let counts = Array.make bins 0.0 and slot = Float.Array.make 1 0.0 in
+  { axis; exact; bins; counts; slot; total = 0; dropped = 0 }
 
 let axis t = t.axis
 
-let bin_of t x =
-  if t.exact then int_of_float (x -. t.axis.Axis.lo)
-  else begin
-    let lo = t.axis.Axis.lo and hi = t.axis.Axis.hi in
-    if hi <= lo then 0
-    else
-      let f = (x -. lo) /. (hi -. lo) in
-      Stdlib.min (t.bins - 1) (int_of_float (f *. float_of_int t.bins))
-  end
-
-let add t x =
+(* Inlined into [add_value]: a float passed from another module comes
+   boxed, one through [t.slot] does not. NaN fails both bound tests. *)
+let[@inline] record t x =
+  let lo = t.axis.Axis.lo and hi = t.axis.Axis.hi in
   if
-    x < t.axis.Axis.lo || x > t.axis.Axis.hi
+    (not (lo <= x && x <= hi))
     || (t.axis.Axis.discrete && Float.rem x 1.0 <> 0.0)
   then t.dropped <- t.dropped + 1
   else begin
-    t.counts.(bin_of t x) <- t.counts.(bin_of t x) +. 1.0;
+    let b =
+      if t.exact then int_of_float (x -. lo)
+      else if hi <= lo then 0
+      else
+        Stdlib.min (t.bins - 1)
+          (int_of_float ((x -. lo) /. (hi -. lo) *. float_of_int t.bins))
+    in
+    t.counts.(b) <- t.counts.(b) +. 1.0;
     t.total <- t.total + 1
   end
+
+let add = record
+
+let add_value t dom v =
+  Axis.coord_into dom v t.slot 0;
+  record t (Float.Array.unsafe_get t.slot 0)
 
 let count t = t.total
 
@@ -56,6 +64,15 @@ let merge_into ~from t =
   t.total <- t.total + from.total;
   t.dropped <- t.dropped + from.dropped
 
+(* Cell [i] of [bins] equal cells, the last closed. It ends where the
+   next begins: [a +. width] can round past that and overlap it. *)
+let cell ax bins i =
+  let lo = ax.Axis.lo and hi = ax.Axis.hi in
+  let width = (hi -. lo) /. float_of_int bins in
+  let edge i = lo +. (float_of_int i *. width) in
+  let b = if i = bins - 1 then hi else edge (i + 1) in
+  Interval.make_exn ~hi_closed:(i = bins - 1) ~lo:(edge i) ~hi:b ()
+
 let estimate ?(smoothing = 0.0) t =
   if smoothing < 0.0 then invalid_arg "Estimator.estimate: negative smoothing";
   if t.total = 0 && smoothing = 0.0 then
@@ -64,18 +81,10 @@ let estimate ?(smoothing = 0.0) t =
     Dist.of_atoms t.axis
       (List.init t.bins (fun i ->
            (t.axis.Axis.lo +. float_of_int i, t.counts.(i) +. smoothing)))
-  else begin
-    let lo = t.axis.Axis.lo and hi = t.axis.Axis.hi in
-    let width = (hi -. lo) /. float_of_int t.bins in
-    let pieces =
-      List.init t.bins (fun i ->
-          let a = lo +. (float_of_int i *. width) in
-          let b = if i = t.bins - 1 then hi else a +. width in
-          ( Interval.make_exn ~hi_closed:(i = t.bins - 1) ~lo:a ~hi:b (),
-            t.counts.(i) +. smoothing ))
-    in
-    Dist.of_pieces t.axis pieces
-  end
+  else
+    Dist.of_pieces t.axis
+      (List.init t.bins (fun i ->
+           (cell t.axis t.bins i, t.counts.(i) +. smoothing)))
 
 module Export = struct
   type nonrec t = {
@@ -114,28 +123,42 @@ let of_export axis e =
   | Ok () -> Ok fresh
   | Error _ -> Error "Estimator.of_export: layout does not fit the axis"
 
-let l1_on_grid ?(bins = 64) a b =
+let default_grid = 64
+
+let grid ?(bins = default_grid) d =
+  let ax = Dist.axis d in
+  if ax.Axis.discrete && Axis.size ax <= float_of_int bins then
+    Array.init (int_of_float (Axis.size ax)) (fun i ->
+        Dist.prob_interval d (Interval.point (ax.Axis.lo +. float_of_int i)))
+  else Array.init bins (fun i -> Dist.prob_interval d (cell ax bins i))
+
+let l1 a b =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. Float.abs (a.(i) -. b.(i))
+  done;
+  !acc
+
+let l1_on_grid ?bins a b =
   if not (Axis.equal (Dist.axis a) (Dist.axis b)) then
     invalid_arg "Estimator.l1_on_grid: mismatched axes";
-  let ax = Dist.axis a in
-  if ax.Axis.discrete && Axis.size ax <= float_of_int bins then begin
-    let n = int_of_float (Axis.size ax) in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      let p = Interval.point (ax.Axis.lo +. float_of_int i) in
-      acc := !acc +. Float.abs (Dist.prob_interval a p -. Dist.prob_interval b p)
-    done;
-    !acc
-  end
+  l1 (grid ?bins a) (grid ?bins b)
+
+(* When the bins are the default grid's cells, cell [i] of
+   [estimate ~smoothing t] holds exactly (c_i + smoothing) / z, z the
+   sum of all (c_j + smoothing) in bin order, as [Dist.normalize]
+   computes it. *)
+let l1_to_estimate ~smoothing g t =
+  let on_grid =
+    if t.exact then Axis.size t.axis <= float_of_int default_grid
+    else t.bins = default_grid
+  in
+  if not on_grid then l1 g (grid (estimate ~smoothing t))
   else begin
-    let lo = ax.Axis.lo and hi = ax.Axis.hi in
-    let width = (hi -. lo) /. float_of_int bins in
-    let acc = ref 0.0 in
-    for i = 0 to bins - 1 do
-      let x = lo +. (float_of_int i *. width) in
-      let y = if i = bins - 1 then hi else x +. width in
-      let itv = Interval.make_exn ~hi_closed:(i = bins - 1) ~lo:x ~hi:y () in
-      acc := !acc +. Float.abs (Dist.prob_interval a itv -. Dist.prob_interval b itv)
+    let z = ref 0.0 and acc = ref 0.0 in
+    for i = 0 to t.bins - 1 do z := !z +. (t.counts.(i) +. smoothing) done;
+    for i = 0 to t.bins - 1 do
+      acc := !acc +. Float.abs (g.(i) -. ((t.counts.(i) +. smoothing) /. !z))
     done;
     !acc
   end

@@ -15,8 +15,11 @@ val create : ?bins:int -> Genas_model.Axis.t -> t
 val axis : t -> Genas_model.Axis.t
 
 val add : t -> float -> unit
-(** Record one observed coordinate. Out-of-axis coordinates are
+(** Record one observed coordinate. Out-of-axis coordinates and NaN are
     ignored (counted in [dropped]). *)
+
+val add_value : t -> Genas_model.Domain.t -> Genas_model.Value.t -> unit
+(** [add] of a value's coordinate on [t]'s domain, allocation-free. *)
 
 val count : t -> int
 (** Number of recorded observations. *)
@@ -71,9 +74,19 @@ val of_export : Genas_model.Axis.t -> Export.t -> (t, string) result
     Fails when the export's layout is not the one [create] would derive
     for that axis and bin count. *)
 
+val grid : ?bins:int -> Dist.t -> float array
+(** Mass on each grid cell: one cell per point of a discrete axis with
+    at most [bins] (default 64) points, [bins] equal cells otherwise. *)
+
+val l1 : float array -> float array -> float
+(** L1 distance between two mass vectors of the same grid. *)
+
 val l1_on_grid : ?bins:int -> Dist.t -> Dist.t -> float
-(** L1 distance between two distributions on a common axis, measured
-    on an equal-width grid ([bins] defaults to 64). Ranges over
-    [[0, 2]]; the adaptive engine treats it as the drift signal.
+(** [l1] of the two distributions' {!grid}s. Ranges over [[0, 2]]; the
+    adaptive engine treats it as the drift signal.
 
     @raise Invalid_argument on mismatched axes. *)
+
+val l1_to_estimate : smoothing:float -> float array -> t -> float
+(** [l1 g (grid (estimate ~smoothing t))]; when [t]'s bins are the
+    default grid's cells, read from the counts without allocating. *)

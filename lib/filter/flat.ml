@@ -571,10 +571,9 @@ let target_of_value t attr v =
       if i >= 0 && i < Array.length tbl then Array.unsafe_get tbl i
       else out_of_domain
     | _ -> out_of_domain)
-  | Rank_table tbl -> (
-    match Domain.rank t.domains.(attr) v with
-    | Some r -> tbl.(r)
-    | None -> out_of_domain)
+  | Rank_table tbl ->
+    let r = Domain.rank t.domains.(attr) v in
+    if r < 0 then out_of_domain else tbl.(r)
   | Generic -> generic_target t attr v
 
 let set_event_targets t cur event =

@@ -16,20 +16,27 @@ let of_domain = function
     { discrete = true; lo = 0.0; hi = float_of_int (Array.length vs - 1) }
   | Domain.Bool_dom -> { discrete = true; lo = 0.0; hi = 1.0 }
 
-let coord dom v =
+(* Inlined, so [coord_into] stores an unboxed float: allocation-free. *)
+let[@inline] coord_nan dom v =
   match (dom, v) with
-  | Domain.Int_range { lo; hi }, Value.Int x when lo <= x && x <= hi ->
-    Some (float_of_int x)
-  | Domain.Float_range { lo; hi }, Value.Float x when lo <= x && x <= hi ->
-    Some x
-  | Domain.Float_range { lo; hi }, Value.Int x
-    when lo <= float_of_int x && float_of_int x <= hi ->
-    Some (float_of_int x)
-  | (Domain.Enum _ | Domain.Bool_dom), _ -> (
-    match Domain.rank dom v with
-    | Some r -> Some (float_of_int r)
-    | None -> None)
-  | (Domain.Int_range _ | Domain.Float_range _), _ -> None
+  | Domain.Int_range { lo; hi }, Value.Int x ->
+    if lo <= x && x <= hi then float_of_int x else Float.nan
+  | Domain.Float_range { lo; hi }, Value.Float x ->
+    if lo <= x && x <= hi then x else Float.nan
+  | Domain.Float_range { lo; hi }, Value.Int x ->
+    let x = float_of_int x in
+    if lo <= x && x <= hi then x else Float.nan
+  | (Domain.Enum _ | Domain.Bool_dom), _ ->
+    let r = Domain.rank dom v in
+    if r < 0 then Float.nan else float_of_int r
+  | (Domain.Int_range _ | Domain.Float_range _), _ -> Float.nan
+
+let coord_into dom v dst i = Float.Array.unsafe_set dst i (coord_nan dom v)
+
+(* Not inlined here: a float value's coordinate keeps its own box. *)
+let coord dom v =
+  let c = (coord_nan [@inlined never]) dom v in
+  if Float.is_nan c then None else Some c
 
 let coord_exn dom v =
   match coord dom v with

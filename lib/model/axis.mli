@@ -29,6 +29,10 @@ val coord : Domain.t -> Value.t -> float option
 (** Coordinate of a value on its domain's axis; [None] if the value
     does not belong to the domain. *)
 
+val coord_into : Domain.t -> Value.t -> Float.Array.t -> int -> unit
+(** [coord_into dom v dst i] stores the coordinate of [v] at [dst.(i)],
+    or [nan] if [v] does not belong to the domain. Allocates nothing. *)
+
 val coord_exn : Domain.t -> Value.t -> float
 
 val value : Domain.t -> float -> Value.t

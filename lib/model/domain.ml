@@ -64,15 +64,17 @@ let values = function
   | Bool_dom -> Some [ Value.Bool false; Value.Bool true ]
   | Float_range _ -> None
 
+let rec find_rank vs s i =
+  if i = Array.length vs then -1
+  else if String.equal vs.(i) s then i
+  else find_rank vs s (i + 1)
+
 let rank t v =
   match (t, v) with
-  | Int_range { lo; hi }, Value.Int x when lo <= x && x <= hi -> Some (x - lo)
-  | Enum vs, Value.Str s ->
-    let n = Array.length vs in
-    let rec find i = if i = n then None else if String.equal vs.(i) s then Some i else find (i + 1) in
-    find 0
-  | Bool_dom, Value.Bool b -> Some (if b then 1 else 0)
-  | (Int_range _ | Float_range _ | Enum _ | Bool_dom), _ -> None
+  | Int_range { lo; hi }, Value.Int x when lo <= x && x <= hi -> x - lo
+  | Enum vs, Value.Str s -> find_rank vs s 0
+  | Bool_dom, Value.Bool b -> if b then 1 else 0
+  | (Int_range _ | Float_range _ | Enum _ | Bool_dom), _ -> -1
 
 let bounds = function
   | Int_range { lo; hi } -> Some (float_of_int lo, float_of_int hi)

@@ -43,8 +43,9 @@ val values : t -> Value.t list option
     continuous domains and for int ranges with more than [100_000]
     elements (guard against accidental materialization). *)
 
-val rank : t -> Value.t -> int option
-(** Position of a value in a discrete domain's natural order. *)
+val rank : t -> Value.t -> int
+(** Position of a value in a discrete domain's natural order; [-1] for
+    a value outside the domain. *)
 
 val bounds : t -> (float * float) option
 (** Numeric bounds for [Int_range]/[Float_range]; [None] otherwise. *)

@@ -369,8 +369,8 @@ let seen t (n : node) =
    hull test over the constrained-attribute mask is a necessary
    condition everywhere and the whole answer on exact nodes; the rest
    (open bounds, gaps, attributes past the mask) also take the
-   interval-set walk. A coordinate of +infinity (a value outside its
-   domain) fails every hull and every interval set, as
+   interval-set walk. A NaN coordinate (a value outside its domain)
+   fails every hull and every interval set, as
    [Profile.matches] fails it. *)
 let rec in_hull (n : node) coords i m =
   m = 0

@@ -274,6 +274,51 @@ let test_estimator_dropped_and_reset () =
     (Invalid_argument "Estimator.estimate: no observations") (fun () ->
       ignore (Estimator.estimate e))
 
+let test_estimator_drops_nan () =
+  (* A NaN coordinate is how statistics mark a value outside its domain;
+     it must be dropped on every axis, not counted. Continuous axes
+     used to count it: NaN passes neither [x < lo] nor [x > hi]. *)
+  List.iter
+    (fun (name, axis) ->
+      let e = Estimator.create axis in
+      Estimator.add e Float.nan;
+      Alcotest.(check int) (name ^ ": total") 0 (Estimator.count e);
+      Alcotest.(check int) (name ^ ": dropped") 1 (Estimator.dropped e))
+    [
+      ("continuous", Axis.make ~discrete:false ~lo:0.0 ~hi:1.0);
+      ("discrete exact", Axis.make ~discrete:true ~lo:0.0 ~hi:9.0);
+      ("discrete binned", Axis.make ~discrete:true ~lo:0.0 ~hi:999.0);
+    ];
+  (* The same through [add_value]: an out-of-domain value is dropped. *)
+  let dom = Genas_model.Domain.float_range ~lo:0.0 ~hi:1.0 in
+  let e = Estimator.create (Axis.of_domain dom) in
+  List.iter
+    (Estimator.add_value e dom)
+    Genas_model.Value.[ Float Float.nan; Float 2.0; Int 5; Str "x"; Float 0.5 ];
+  Alcotest.(check int) "add_value: total" 1 (Estimator.count e);
+  Alcotest.(check int) "add_value: dropped" 4 (Estimator.dropped e)
+
+let test_estimator_any_bin_count () =
+  (* Adjacent bins share their boundary exactly. Computing a bin's end
+     as [start +. width] rounds past the next bin's start for some
+     widths (0.2 on [-5, 5]), and the overlapping pieces made [estimate]
+     raise. *)
+  List.iter
+    (fun (lo, hi) ->
+      let axis = Axis.make ~discrete:false ~lo ~hi in
+      List.iter
+        (fun bins ->
+          let e = Estimator.create ~bins axis in
+          for i = 0 to 99 do
+            Estimator.add e (lo +. ((hi -. lo) *. float_of_int i /. 99.0))
+          done;
+          let d = Estimator.estimate ~smoothing:0.5 e in
+          Alcotest.(check bool)
+            (Printf.sprintf "[%g,%g] %d bins normalized" lo hi bins)
+            true (Dist.is_normalized d))
+        [ 7; 33; 50; 64; 100; 128 ])
+    [ (-5.0, 5.0); (0.0, 1.0); (0.1, 0.7); (-3.3, 1e3) ]
+
 let test_estimator_recovers_distribution () =
   let d = Shape.gauss () cont in
   let e = Estimator.create ~bins:32 cont in
@@ -329,6 +374,8 @@ let () =
         [
           Alcotest.test_case "exact discrete" `Quick test_estimator_exact_discrete;
           Alcotest.test_case "dropped/reset" `Quick test_estimator_dropped_and_reset;
+          Alcotest.test_case "NaN dropped" `Quick test_estimator_drops_nan;
+          Alcotest.test_case "any bin count" `Quick test_estimator_any_bin_count;
           Alcotest.test_case "recovers distribution" `Quick
             test_estimator_recovers_distribution;
           Alcotest.test_case "L1 bounds" `Quick test_l1_bounds;

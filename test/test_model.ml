@@ -77,8 +77,8 @@ let test_domain_guards () =
 
 let test_domain_rank_values () =
   let e = Domain.enum [ "x"; "y"; "z" ] in
-  Alcotest.(check (option int)) "rank y" (Some 1) (Domain.rank e (Value.Str "y"));
-  Alcotest.(check (option int)) "rank absent" None (Domain.rank e (Value.Str "q"));
+  Alcotest.(check int) "rank y" 1 (Domain.rank e (Value.Str "y"));
+  Alcotest.(check int) "rank absent" (-1) (Domain.rank e (Value.Str "q"));
   (match Domain.values e with
   | Some [ Value.Str "x"; Value.Str "y"; Value.Str "z" ] -> ()
   | _ -> Alcotest.fail "enum values");
