@@ -2,7 +2,7 @@
 # + the seconds-scale bench smoke).
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
-  shardcheck netcheck meshcheck obscheck bench bench-smoke bench-json \
+  poolcheck netcheck meshcheck obscheck bench bench-smoke bench-json \
   perfsmoke clean
 
 all: build
@@ -16,7 +16,7 @@ test:
 check:
 	dune build @all && dune runtest && $(MAKE) faultcheck \
 	  && $(MAKE) recovercheck && $(MAKE) tracecheck && $(MAKE) scalecheck \
-	  && $(MAKE) shardcheck && $(MAKE) netcheck && $(MAKE) meshcheck \
+	  && $(MAKE) poolcheck && $(MAKE) netcheck && $(MAKE) meshcheck \
 	  && $(MAKE) obscheck && $(MAKE) bench-smoke
 
 # Fault-injection suite: the supervised-delivery unit tests plus the
@@ -56,12 +56,11 @@ scalecheck:
 	  --scaling 1000,10000 --baseline-max 1000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck
 
-# Pool/shard suite: the persistent work-stealing pool determinism,
-# stealing, and teardown tests plus the shard-axis differentials
-# (test_pool), run at a forced 2-domain width so the multi-domain
-# paths are exercised even on 1-core hosts. Alcotest runs the full
-# suite; QCheck properties are skipped under -q, so no -q here.
-shardcheck:
+# Pool suite: the persistent work-stealing pool determinism, stealing,
+# and teardown tests (test_pool), run at a forced 2-domain width so the
+# multi-domain paths are exercised even on 1-core hosts. Alcotest runs
+# the full suite; QCheck properties are skipped under -q, so no -q here.
+poolcheck:
 	dune build test/test_pool.exe
 	GENAS_TEST_DOMAINS=2 ./_build/default/test/test_pool.exe
 

@@ -960,7 +960,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Benchmark every matcher (naive, counting, pointer tree, compiled \
              flat form, batch/packed paths, hotness relayout, persistent \
-             domain pool, profile shards) on the paper's timing workload; \
+             domain pool) on the paper's timing workload; \
              events/sec and comparisons/event per matcher and strategy")
     Term.(const run_bench $ json_arg $ events_arg $ out_arg $ profiles_arg
           $ scaling_arg $ baseline_max_arg $ domains_arg)

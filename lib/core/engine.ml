@@ -141,10 +141,6 @@ type t = {
      twin. Rebuilds allocate a fresh recorder — counters are per
      compiled tree, since node ids change shape. *)
   mutable recorder : Flat.recorder option;
-  (* An attached persistent pool: [match_batch] without an explicit
-     [?pool] argument fans out through it. The engine borrows the pool
-     — the caller owns its lifetime and [Pool.shutdown]. *)
-  mutable pool : Pool.t option;
   ops : Ops.t;
   instruments : instruments option;
   agg : agg option;
@@ -274,7 +270,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       flat;
       cursor = Flat.cursor flat;
       recorder = None;
-      pool = None;
       ops = Ops.create ();
       instruments = Option.map make_instruments metrics;
       agg;
@@ -685,13 +680,17 @@ let match_with t event ~f =
   let n = match_core t event in
   f ~ids:(result_buffer t) ~len:n
 
+(* Aggregated engines match batches sequentially: the pool workers
+   only execute the compiled flat form, which no longer holds the full
+   profile population. *)
+let batch_domains ?pool t ~events =
+  match (pool, t.agg) with
+  | Some p, None when events > 1 -> Pool.domains p
+  | _ -> 1
+
 let match_batch ?pool t events =
   match t.agg with
   | Some agg ->
-    (* Aggregated engines match batches sequentially: the pool workers
-       only execute the compiled flat form, which no longer holds the
-       full profile population. *)
-    ignore pool;
     Array.iter (fun e -> Stats.observe_event t.stats e) events;
     let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
     let results =
@@ -712,10 +711,9 @@ let match_batch ?pool t events =
     refresh_if_stale t;
     Array.iter (fun e -> Stats.observe_event t.stats e) events;
     let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-    let pool = match pool with Some _ -> pool | None -> t.pool in
     let results =
       match pool with
-      | Some p when Pool.domains p > 1 && Array.length events > 1 ->
+      | Some p when batch_domains ?pool t ~events:(Array.length events) > 1 ->
         Pool.match_batch ~ops:t.ops p t.flat events
       | Some _ | None ->
         let out = Array.make (Array.length events) [||] in
@@ -764,12 +762,6 @@ let restore_ops t (o : Ops.t) =
   t.ops.Ops.matches <- o.Ops.matches
 
 let report t = Cost.evaluate_with_stats t.tree t.stats
-
-(* -- Pool attachment ----------------------------------------------- *)
-
-let set_pool t p = t.pool <- p
-
-let pool t = t.pool
 
 (* -- Hotness-guided relayout --------------------------------------- *)
 

@@ -165,22 +165,17 @@ val match_batch :
 (** Filter a batch: one ascending id array per event, index-aligned.
     Statistics, operation counters, and metrics advance exactly as if
     each event had gone through {!match_event}, except that per-event
-    latency histograms are not observed on the batch path. With [pool]
-    (and more than one domain and event) matching fans out across
+    latency histograms are not observed on the batch path. When
+    {!batch_domains} exceeds one, matching fans out across the [pool]'s
     domains; results and counters are identical to the sequential
-    path. Without an explicit [pool] the engine's attached pool (see
-    {!set_pool}) is used, if any. Aggregated engines ignore [pool]:
-    workers execute only the compiled flat form, which no longer holds
-    the full population. *)
+    path. *)
 
-val set_pool : t -> Genas_filter.Pool.t option -> unit
-(** Attach (or detach, with [None]) a persistent domain pool;
-    {!match_batch} calls without an explicit [?pool] fan out through
-    it. The engine borrows the pool — the caller keeps ownership and
-    is responsible for {!Genas_filter.Pool.shutdown}. *)
-
-val pool : t -> Genas_filter.Pool.t option
-(** The currently attached pool. *)
+val batch_domains : ?pool:Genas_filter.Pool.t -> t -> events:int -> int
+(** The number of domains {!match_batch} uses for a batch of [events]
+    events: the [pool]'s width, or [1] without a pool, for a batch of
+    at most one event, and on an aggregated engine (pool workers
+    execute only the compiled flat form, which no longer holds the full
+    population). *)
 
 val rebuild : t -> unit
 (** Re-plan the tree configuration from the current statistics (and

@@ -7,7 +7,6 @@ module Engine = Genas_core.Engine
 module Adaptive = Genas_core.Adaptive
 module Stats = Genas_core.Stats
 module Ops = Genas_filter.Ops
-module Pool = Genas_filter.Pool
 module Flat = Genas_filter.Flat
 module Metrics = Genas_obs.Metrics
 module Trace = Genas_obs.Trace
@@ -65,7 +64,7 @@ let make_instruments registry =
                     4096.; 16384.; 65536. |];
     pool_workers =
       Metrics.gauge registry "genas_broker_pool_workers"
-        ~help:"Domains of the pool used by the most recent publish_batch \
+        ~help:"Domains the most recent publish_batch actually matched on \
                (1 = sequential)";
   }
 
@@ -455,7 +454,7 @@ let publish_batch_core ?pool t events =
     Metrics.Counter.add ins.notifications_total !sent;
     Metrics.Histogram.observe ins.batch_size (float_of_int n);
     Metrics.Gauge.set ins.pool_workers
-      (float_of_int (match pool with Some p -> Pool.domains p | None -> 1)));
+      (float_of_int (Engine.batch_domains ?pool t.engine ~events:n)));
   journal_publish t ~events ~batch:true ~total_before;
   !sent
 

@@ -124,7 +124,8 @@ val publish_batch :
     and composite detection always run on the calling domain, in
     order, so handler-visible behavior is identical to publishing the
     events one by one. Instrumented brokers record the batch size
-    (histogram) and the worker count used (gauge). *)
+    (histogram) and the domains actually used
+    ({!Genas_core.Engine.batch_domains}, gauge). *)
 
 val publish_quenched : t -> Genas_model.Event.t -> int option
 (** Consult the quench table first: [None] if the event provably

@@ -8,7 +8,6 @@ module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
 module Pool = Genas_filter.Pool
-module Shard = Genas_filter.Shard
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Ops = Genas_filter.Ops
@@ -320,8 +319,8 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
   in
   let recommended = Domain.recommended_domain_count () in
   let live_pools = ref [] in
-  let new_pool ?persistent d =
-    let p = Pool.create ~domains:d ?persistent () in
+  let new_pool d =
+    let p = Pool.create ~domains:d () in
     live_pools := p :: !live_pools;
     p
   in
@@ -351,47 +350,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
             ignore (Pool.match_batch ~ops p batch_flat pool_events);
             ops))
       pool_domains
-  in
-  (* The retired spawn-per-batch path, kept one release behind
-     [?persistent:false]: a regression row so the persistent pool's
-     win over fresh-domain spawning stays measured. *)
-  let spawn_entry =
-    let p = new_pool ~persistent:false 2 in
-    entry "pool-spawn/v1+a2/d2" "pool-spawn" "v1+a2" ~domains:2
-      (fun n ->
-        let k = passes n in
-        for _ = 1 to k do
-          ignore (Pool.match_batch p batch_flat pool_events)
-        done;
-        k * pool_size)
-      (fun () ->
-        let ops = Ops.create () in
-        ignore (Pool.match_batch ~ops p batch_flat pool_events);
-        ops)
-  in
-  (* The second parallel axis: profile-partition shards fanned out
-     across one persistent pool. Shards compile their own (natural
-     order) trees, so comparison counts differ from the unsharded
-     matcher by design. *)
-  let shard_pool = new_pool (min 4 (max 2 recommended)) in
-  let shard_entries =
-    List.map
-      (fun s ->
-        let sh = Shard.build ~shards:s pset in
-        entry
-          (Printf.sprintf "shard/natural/s%d" s)
-          "shard" "natural" ~domains:(Pool.domains shard_pool)
-          (fun n ->
-            let k = passes n in
-            for _ = 1 to k do
-              ignore (Pool.match_shards shard_pool sh pool_events)
-            done;
-            k * pool_size)
-          (fun () ->
-            let ops = Ops.create () in
-            ignore (Pool.match_shards ~ops shard_pool sh pool_events);
-            ops))
-      [ 2; 4 ]
   in
   (* Full publish path (matching + supervised delivery to null
      handlers) through a broker: untraced, with a never-sampling
@@ -481,8 +439,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
     List.map (measure ~events)
       (baseline_entries @ tree_entries
       @ [ batch_entry; packed_entry ]
-      @ skew_entries @ publish_entries @ net_publish_entries @ pool_entries
-      @ [ spawn_entry ] @ shard_entries)
+      @ skew_entries @ publish_entries @ net_publish_entries @ pool_entries)
     @ [ plan_row pset ]
   in
   (* Pools own domains; release them before returning (the at_exit
@@ -729,8 +686,6 @@ let to_json ?scale:sc t =
         field "publish_net_traced_off_vs_untraced"
           (speedup t ~num:"publish/net-traced-off" ~den:"publish/net-untraced");
         field "pool_peak_vs_1_domain" pool_speedup;
-        field "pool_persistent_vs_spawn_d2"
-          (speedup t ~num:"pool/v1+a2/d2" ~den:"pool-spawn/v1+a2/d2");
         ( "pool_peak_domains",
           match pool_peak t with
           | Some r -> Json.Int r.domains

@@ -6,10 +6,8 @@
     and its compiled {!Genas_filter.Flat} form per value strategy, the
     flat batch and packed-batch paths, the skewed-workload pair with
     and without the hotness-guided relayout, the persistent
-    {!Genas_filter.Pool} fan-out per domain count (plus the retired
-    spawn-per-batch path as a regression row), and the
-    {!Genas_filter.Shard} profile-partition axis at 2 and 4 shards,
-    and the cost of one full re-plan of the table.
+    {!Genas_filter.Pool} fan-out per domain count, and the cost of one
+    full re-plan of the table.
     Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
@@ -23,7 +21,7 @@ type result = {
   name : string;  (** e.g. ["flat/v1+a2"], ["pool/v1+a2/d2"] *)
   matcher : string;
       (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          flat-skew-layout|publish|publish-net|pool|pool-spawn|shard|plan;
+          flat-skew-layout|publish|publish-net|pool|plan;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -32,7 +30,7 @@ type result = {
           [publish_net_traced_off_vs_untraced] field, the
           disabled-tracing overhead on the networked path *)
   strategy : string;  (** value strategy, or ["n/a"] *)
-  domains : int;  (** 1 except for pool and shard entries *)
+  domains : int;  (** 1 except for pool entries *)
   timed_events : int;
   events_per_sec : float;
   comparisons_per_event : float;
@@ -123,8 +121,7 @@ val to_json : ?scale:scale -> t -> Genas_obs.Json.t
     and host blocks (core count and a scaling note when the host is
     single-core), one result object per entry, and derived speedups
     (flat vs tree, flat batch vs tree, packed vs batch, layout vs
-    default on the skewed workload, persistent vs spawn pool at two
-    domains, pool peak vs one domain). With
+    default on the skewed workload, pool peak vs one domain). With
     [scale], the scaling curve is attached as a ["scaling"] block
     (whose keys deliberately avoid the classic result keys the cram
     suite counts). *)

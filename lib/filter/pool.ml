@@ -1,7 +1,7 @@
 (* Persistent work-stealing domain pool.
 
-   Workers are spawned once at [create] and parked on a condition
-   turnstile; each [match_batch]/[match_shards] posts one job (a bumped
+   Workers are spawned once, on the first parallel batch, and parked on
+   a condition turnstile; each [match_batch] posts one job (a bumped
    generation under the mutex publishes it), every participant drains
    its own contiguous range through an atomic chunk cursor and then
    sweeps the other cursors stealing leftover chunks. Every item index
@@ -38,8 +38,7 @@ type turnstile = {
 
 type t = {
   domains : int;
-  persistent : bool;
-  turnstile : turnstile option;  (* [Some] iff persistent && domains > 1 *)
+  turnstile : turnstile option;  (* [Some] iff domains > 1 *)
   mutable handles : unit Domain.t list;
   mutable spawned : bool;
   mutable shut : bool;
@@ -114,7 +113,7 @@ let worker ts w =
   loop 0
 
 (* Process-exit cleanup: ONE [at_exit] hook over a removable registry,
-   installed lazily on the first persistent pool. Registering a fresh
+   installed lazily on the first multi-domain pool. Registering a fresh
    closure per pool would retain every pool ever created for the life
    of the process (the at_exit list cannot be pruned), which leaks
    under create/shutdown cycling. *)
@@ -168,7 +167,7 @@ let shutdown t =
         t.handles <- []
   end
 
-let create ?domains ?(persistent = true) () =
+let create ?domains () =
   let d =
     match domains with
     | Some d -> d
@@ -176,7 +175,7 @@ let create ?domains ?(persistent = true) () =
   in
   if d < 1 then invalid_arg "Pool.create: need at least one domain";
   let turnstile =
-    if persistent && d > 1 then
+    if d > 1 then
       Some
         {
           mutex = Mutex.create ();
@@ -189,7 +188,7 @@ let create ?domains ?(persistent = true) () =
     else None
   in
   let t =
-    { domains = d; persistent; turnstile; handles = []; spawned = false;
+    { domains = d; turnstile; handles = []; spawned = false;
       shut = false; steals_last = 0; cleanup_key = None }
   in
   (* A process exit with workers still parked would abort on the
@@ -211,7 +210,6 @@ let ensure_workers t ts =
   end
 
 let domains t = t.domains
-let persistent t = t.persistent
 let live_workers t = List.length t.handles
 let last_steals t = t.steals_last
 
@@ -246,115 +244,27 @@ let post_and_run t ts ~n run_item =
   t.steals_last <- Atomic.get job.j_steals;
   match Atomic.get job.j_failed with Some e -> raise e | None -> ()
 
-(* Legacy spawn-per-batch fan-out, kept behind [?persistent:false] for
-   one release: the pre-pool contiguous-chunk split, one fresh domain
-   per chunk, joined before returning. *)
-let legacy_run ~workers ~n run_item =
-  let chunk = (n + workers - 1) / workers in
-  let handles =
-    List.init (workers - 1) (fun k ->
-        let lo = (k + 1) * chunk in
-        let hi = min n (lo + chunk) in
-        Domain.spawn (fun () ->
-            for i = lo to hi - 1 do
-              run_item (k + 1) i
-            done))
-  in
-  for i = 0 to min n chunk - 1 do
-    run_item 0 i
-  done;
-  List.iter Domain.join handles
-
-(* Run [n] items, [run_item w i] with participant index [w] <
-   [participant_count]. Sequential when the pool is effectively
-   single-domain or the job is too small to split. *)
-let participant_count t ~n = if t.turnstile <> None then t.domains else min t.domains (max 1 n)
-
-let run_items t ~who ~n run_item =
-  if t.shut then invalid_arg (who ^ ": pool has been shut down");
-  t.steals_last <- 0;
-  if n > 0 then begin
-    if t.domains <= 1 || n <= 1 then
-      for i = 0 to n - 1 do
-        run_item 0 i
-      done
-    else
-      match t.turnstile with
-      | Some ts -> post_and_run t ts ~n run_item
-      | None -> legacy_run ~workers:(min t.domains n) ~n run_item
-  end
-
 let match_batch ?ops t flat events =
+  if t.shut then invalid_arg "Pool.match_batch: pool has been shut down";
+  t.steals_last <- 0;
   let n = Array.length events in
   let results = Array.make n [||] in
-  let parts = participant_count t ~n in
-  let cursors = Array.init parts (fun _ -> Flat.cursor flat) in
-  let part_ops = Array.init parts (fun _ -> Ops.create ()) in
-  let run_item =
-    if t.turnstile <> None && t.domains > 1 && n > 1 then begin
-      (* Persistent path: resolve the whole batch once into the packed
-         int image; workers then touch only int arrays. *)
-      let packed = Flat.pack_batch flat events in
-      fun w i ->
+  (match t.turnstile with
+  | Some ts when n > 1 ->
+    (* Resolve the whole batch once into the packed int image; workers
+       then touch only int arrays. *)
+    let packed = Flat.pack_batch flat events in
+    let cursors = Array.init t.domains (fun _ -> Flat.cursor flat) in
+    let part_ops = Array.init t.domains (fun _ -> Ops.create ()) in
+    post_and_run t ts ~n (fun w i ->
         let len =
           Flat.match_packed_into ~ops:part_ops.(w) flat cursors.(w) packed i
         in
-        results.(i) <- Array.sub (Flat.matches cursors.(w)) 0 len
-    end
-    else fun w i ->
-      let len = Flat.match_into ~ops:part_ops.(w) flat cursors.(w) events.(i) in
-      results.(i) <- Array.sub (Flat.matches cursors.(w)) 0 len
-  in
-  run_items t ~who:"Pool.match_batch" ~n run_item;
-  (match ops with
-  | Some o -> Array.iter (fun po -> Ops.add po ~into:o) part_ops
-  | None -> ());
+        results.(i) <- Array.sub (Flat.matches cursors.(w)) 0 len);
+    (match ops with
+    | Some o -> Array.iter (fun po -> Ops.add po ~into:o) part_ops
+    | None -> ())
+  | Some _ | None ->
+    Flat.match_batch ?ops flat (Flat.cursor flat) events
+      ~f:(fun i ~ids ~len -> results.(i) <- Array.sub ids 0 len));
   results
-
-let match_shards ?ops t shard events =
-  let flats = Shard.flats shard in
-  let k = Array.length flats in
-  let n = Array.length events in
-  let per_shard = Array.map (fun _ -> Array.make n [||]) flats in
-  let shard_ops = Array.map (fun _ -> Ops.create ()) flats in
-  (* Parallelise over the shard axis: each item is one whole shard's
-     pass over the batch (private cursor + packed image per shard). *)
-  let run_item _w s =
-    let flat = flats.(s) in
-    let cur = Flat.cursor flat in
-    let packed = Flat.pack_batch flat events in
-    let o = shard_ops.(s) in
-    let res = per_shard.(s) in
-    for i = 0 to n - 1 do
-      let len = Flat.match_packed_into ~ops:o flat cur packed i in
-      res.(i) <- Array.sub (Flat.matches cur) 0 len
-    done
-  in
-  run_items t ~who:"Pool.match_shards" ~n:k run_item;
-  (match ops with
-  | Some o ->
-      (* Comparisons/visits/matches sum across shards; the batch is
-         still [n] events, not [k * n]. *)
-      Array.iter
-        (fun so ->
-          o.Ops.comparisons <- o.Ops.comparisons + so.Ops.comparisons;
-          o.Ops.node_visits <- o.Ops.node_visits + so.Ops.node_visits;
-          o.Ops.matches <- o.Ops.matches + so.Ops.matches)
-        shard_ops;
-      o.Ops.events <- o.Ops.events + n
-  | None -> ());
-  (* Shards hold disjoint ascending id ranges in shard order, so plain
-     concatenation per event is already ascending. *)
-  Array.init n (fun i ->
-      let total =
-        Array.fold_left (fun acc res -> acc + Array.length res.(i)) 0 per_shard
-      in
-      let out = Array.make total 0 in
-      let pos = ref 0 in
-      Array.iter
-        (fun res ->
-          let a = res.(i) in
-          Array.blit a 0 out !pos (Array.length a);
-          pos := !pos + Array.length a)
-        per_shard;
-      out)

@@ -21,76 +21,53 @@
     totals also match a single-domain run bit for bit.
 
     Pools own domains: call {!shutdown} when done (tests especially —
-    the runtime caps live domains). An [at_exit] hook shuts persistent
+    the runtime caps live domains). An [at_exit] hook shuts multi-domain
     pools down automatically at process exit. *)
 
 type t
 
-val create : ?domains:int -> ?persistent:bool -> unit -> t
+val create : ?domains:int -> unit -> t
 (** [domains] defaults to [Domain.recommended_domain_count ()] and
     bounds the parallelism of a batch. Values above the host's
     recommended count are allowed — useful for determinism tests — but
-    buy no speedup.
-
-    [persistent] (default [true]) selects the long-lived worker set,
-    spawned on the first multi-domain batch. [~persistent:false] keeps
-    the pre-pool behaviour —
-    fresh domains spawned inside every {!match_batch} call, contiguous
-    chunks, no stealing — and is retained for one release as a
-    regression escape hatch; both modes return identical results.
+    buy no speedup. The [domains - 1] workers are spawned on the first
+    multi-event batch.
 
     @raise Invalid_argument if [domains < 1]. *)
 
 val domains : t -> int
 
-val persistent : t -> bool
-
 val live_workers : t -> int
 (** Long-lived worker domains currently alive: [0] before the first
-    parallel batch, [domains - 1] once a persistent multi-domain pool
-    has fanned out, [0] again after {!shutdown} (and always [0] for
-    non-persistent or single-domain pools). *)
+    parallel batch, [domains - 1] once a multi-domain pool has fanned
+    out, [0] again after {!shutdown} (and always [0] for single-domain
+    pools). *)
 
 val last_steals : t -> int
 (** Chunks stolen (claimed from another participant's cursor) during
-    the most recent {!match_batch}/{!match_shards} on this pool. [0]
-    for sequential and legacy runs. *)
+    the most recent {!match_batch} on this pool. [0] for sequential
+    runs. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Subsequent
-    [match_batch]/[match_shards] calls raise [Invalid_argument].
+    [match_batch] calls raise [Invalid_argument].
     Also removes the pool from the process-exit cleanup registry, so
     cycled pools are not retained for the life of the process. *)
 
 val registered_cleanups : unit -> int
 (** Pools currently registered for automatic shutdown at process exit
-    (persistent multi-domain pools not yet {!shutdown}). A single
-    [at_exit] hook walks this registry; creating and shutting down
-    pools in a loop must leave it — and the at_exit list — flat. *)
+    (multi-domain pools not yet {!shutdown}). A single [at_exit] hook
+    walks this registry; creating and shutting down pools in a loop
+    must leave it — and the at_exit list — flat. *)
 
 val match_batch :
   ?ops:Ops.t -> t -> Flat.t -> Genas_model.Event.t array ->
   Genas_profile.Profile_set.id array array
 (** Match every event of the batch, returning one ascending id array
-    per event (index-aligned with the input). On the persistent
-    multi-domain path the batch is first resolved once into a packed
-    int image ({!Flat.pack_batch}), then distributed as chunked ranges
-    with work-stealing. With one domain (or a batch of [<= 1] events)
+    per event (index-aligned with the input). On the multi-domain path
+    the batch is first resolved once into a packed int image
+    ({!Flat.pack_batch}), then distributed as chunked ranges with
+    work-stealing. With one domain (or a batch of [<= 1] events)
     everything runs on the calling domain and no hand-off happens.
-
-    @raise Invalid_argument after {!shutdown}. *)
-
-val match_shards :
-  ?ops:Ops.t -> t -> Shard.t -> Genas_model.Event.t array ->
-  Genas_profile.Profile_set.id array array
-(** The second parallel axis: match the whole batch against every
-    shard of a {!Shard.t}, shards distributed across the pool (each
-    shard's pass uses a private cursor and packed image). Per-event
-    results are the concatenation of per-shard matches in shard order
-    — ascending, since shards hold disjoint ascending id ranges.
-    [?ops] counters sum comparisons/visits/matches across shards and
-    charge [events] once per event. Best when the profile population
-    is huge and batches are small; for big batches prefer
-    {!match_batch}.
 
     @raise Invalid_argument after {!shutdown}. *)

@@ -310,6 +310,34 @@ let test_raising_composite_handler () =
   (* Only accepted deliveries count as notifications. *)
   Alcotest.(check int) "notifications exclude failures" 4 (Broker.notifications b)
 
+module Pool = Genas_filter.Pool
+
+(* The pool-width gauge reports the domains a batch actually matched
+   on: an aggregated engine and a one-event batch match sequentially
+   whatever pool is passed. *)
+let test_pool_workers_gauge () =
+  let s = schema () in
+  let pool = Pool.create ~domains:2 () in
+  let publish ~aggregate batch =
+    let reg = Metrics.create () in
+    let b = Broker.create ~metrics:reg ~aggregate s in
+    ignore
+      (Result.get_ok
+         (Broker.subscribe_text b ~subscriber:"a" "x >= 5" (fun _ -> ())));
+    let sent = Broker.publish_batch ~pool b batch in
+    (sent, Metrics.Gauge.value (Metrics.gauge reg "genas_broker_pool_workers"))
+  in
+  let many = [| event s 7 "a"; event s 2 "b"; event s 9 "a" |] in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check (pair int (float 0.))) "aggregated: sequential" (2, 1.)
+        (publish ~aggregate:true many);
+      Alcotest.(check (pair int (float 0.))) "one event: sequential" (1, 1.)
+        (publish ~aggregate:false [| event s 7 "a" |]);
+      Alcotest.(check (pair int (float 0.))) "plain batch: two domains" (2, 2.)
+        (publish ~aggregate:false many))
+
 let () =
   Alcotest.run "broker"
     [
@@ -340,6 +368,9 @@ let () =
           Alcotest.test_case "raising composite handler" `Quick
             test_raising_composite_handler;
         ] );
+      ( "batch",
+        [ Alcotest.test_case "pool workers gauge" `Quick test_pool_workers_gauge ]
+      );
       ( "quench",
         [
           Alcotest.test_case "tracks subscriptions" `Quick test_quench_tracks_subscriptions;

@@ -1,5 +1,6 @@
 (* Determinism, stealing, and teardown suite for the persistent
-   work-stealing domain pool and the profile-shard parallel axis.
+   work-stealing domain pool, the one way to run a batch on several
+   domains.
 
    The pool contract is positional bit-identity: whatever the domain
    count, chunk boundaries, or steal interleaving, [Pool.match_batch]
@@ -19,7 +20,6 @@ module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
 module Pool = Genas_filter.Pool
-module Shard = Genas_filter.Shard
 module Ops = Genas_filter.Ops
 module Gen = Genas_testlib.Gen
 
@@ -73,21 +73,6 @@ let prop_pool_equals_sequential =
           let got = Pool.match_batch ~ops:got_ops pool flat batch in
           got = expect && ops_eq seq_ops got_ops)
         probe_sizes)
-
-let prop_persistent_equals_spawn =
-  QCheck.Test.make ~name:"persistent pool = legacy spawn pool" ~count:20
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:50 ()))
-    (fun (_, pset, events) ->
-      let flat = flat_of pset in
-      let batch = Array.of_list events in
-      let spawn = Pool.create ~domains:test_domains ~persistent:false () in
-      let spawn_ops = Ops.create () and pers_ops = Ops.create () in
-      let from_spawn = Pool.match_batch ~ops:spawn_ops spawn flat batch in
-      let from_pers =
-        Pool.match_batch ~ops:pers_ops (Lazy.force shared) flat batch
-      in
-      Pool.shutdown spawn;
-      from_spawn = from_pers && ops_eq spawn_ops pers_ops)
 
 (* Skewed per-event cost: profiles concentrated on a narrow region so
    events inside it walk (and match) far more than events outside, and
@@ -156,18 +141,9 @@ let test_shutdown_no_leak () =
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *);
   Alcotest.(check int) "workers joined" 0 (Pool.live_workers p);
-  (try
-     ignore (Pool.match_batch p flat small);
-     Alcotest.fail "match_batch accepted after shutdown"
-   with Invalid_argument _ -> ());
   try
-    ignore
-      (Pool.match_shards p
-         (Shard.build
-            (Profile_set.create
-               (Schema.create_exn [ ("x", Domain_.int_range ~lo:0 ~hi:9) ])))
-         [||]);
-    Alcotest.fail "match_shards accepted after shutdown"
+    ignore (Pool.match_batch p flat small);
+    Alcotest.fail "match_batch accepted after shutdown"
   with Invalid_argument _ -> ()
 
 let test_single_domain_pool () =
@@ -177,88 +153,17 @@ let test_single_domain_pool () =
   let expect, _ = sequential flat events in
   Alcotest.(check bool) "d1 matches sequential" true
     (Pool.match_batch p flat events = expect);
-  Pool.shutdown p
-
-(* ------------------------------------------------------------------ *)
-(* Profile-partition shards. *)
-
-let prop_shard_equals_flat =
-  QCheck.Test.make
-    ~name:"shards(k) = unsharded matches, events counted once" ~count:30
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:15 ~n_events:15 ()))
-    (fun (_, pset, events) ->
-      let flat = flat_of pset in
-      let batch = Array.of_list events in
-      let expect, _ = sequential flat batch in
-      let pool = Lazy.force shared in
-      List.for_all
-        (fun k ->
-          let sh = Shard.build ~shards:k pset in
-          (* Single-domain axis: Shard.match_list per event. *)
-          let cur = Shard.cursor sh in
-          let list_ops = Ops.create () in
-          let by_list =
-            Array.map
-              (fun e -> Array.of_list (Shard.match_list ~ops:list_ops sh cur e))
-              batch
-          in
-          (* Pool axis: whole batch against every shard. *)
-          let pool_ops = Ops.create () in
-          let by_pool = Pool.match_shards ~ops:pool_ops pool sh batch in
-          by_list = expect && by_pool = expect
-          && list_ops.Ops.events = Array.length batch
-          && pool_ops.Ops.events = Array.length batch
-          && list_ops.Ops.comparisons = pool_ops.Ops.comparisons
-          && list_ops.Ops.matches = pool_ops.Ops.matches)
-        [ 1; 2; 3; 5 ])
-
-let test_shard_edges () =
-  let schema = Schema.create_exn [ ("x", Domain_.int_range ~lo:0 ~hi:9) ] in
-  let empty = Profile_set.create schema in
-  let sh = Shard.build ~shards:4 empty in
-  Alcotest.(check int) "empty set clamps to one shard" 1 (Shard.count sh);
-  let e = Event.create_exn schema [ ("x", Value.Int 3) ] in
-  Alcotest.(check (list int)) "empty shard matches nothing" []
-    (Shard.match_list sh (Shard.cursor sh) e);
-  (try
-     ignore (Shard.build ~shards:0 empty);
-     Alcotest.fail "shards:0 accepted"
-   with Invalid_argument _ -> ());
-  let one = Profile_set.create schema in
-  ignore
-    (Profile_set.add one
-       (Profile.create_exn schema
-          [ ("x", between 2 5) ]));
-  let sh1 = Shard.build ~shards:8 one in
-  Alcotest.(check int) "shards clamp to population" 1 (Shard.count sh1);
-  Alcotest.(check int) "revision captured" (Profile_set.revision one)
-    (Shard.revision sh1);
-  (* Foreign cursor rejected. *)
-  let two = Profile_set.create schema in
-  ignore
-    (Profile_set.add two
-       (Profile.create_exn schema
-          [ ("x", between 0 9) ]));
-  ignore
-    (Profile_set.add two
-       (Profile.create_exn schema
-          [ ("x", between 1 4) ]));
-  let sh2 = Shard.build ~shards:2 two in
+  Pool.shutdown p;
   try
-    ignore (Shard.match_list sh2 (Shard.cursor sh1) e);
-    Alcotest.fail "foreign shard cursor accepted"
+    ignore (Pool.create ~domains:0 ());
+    Alcotest.fail "domains:0 accepted"
   with Invalid_argument _ -> ()
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "pool"
     [
-      ( "determinism",
-        [
-          qt prop_pool_equals_sequential;
-          qt prop_persistent_equals_spawn;
-          qt prop_shard_equals_flat;
-        ] );
+      ("determinism", [ qt prop_pool_equals_sequential ]);
       ( "runtime",
         [
           Alcotest.test_case "stealing under skewed cost" `Quick
@@ -267,6 +172,5 @@ let () =
             test_shutdown_no_leak;
           Alcotest.test_case "single-domain pool" `Quick
             test_single_domain_pool;
-          Alcotest.test_case "shard edges" `Quick test_shard_edges;
         ] );
     ]
