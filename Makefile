@@ -45,13 +45,15 @@ tracecheck:
 # Aggregation suite: the covering/lattice unit tests and the
 # aggregated-vs-plain differentials (test_cover, the engine equivalence
 # property in test_flat), then a 10^3/10^4 profile-count scaling smoke
-# through the CLI, validated by the strict JSON checker. The plain
-# rebuild-per-churn baseline is capped at 10^3 — each sampled baseline
-# op pays a full replan, seconds apiece (docs/SCALING.md).
+# through the CLI, validated by the strict JSON checker. QCheck
+# properties are skipped under -q, so no -q here. The plain baseline
+# is capped at 10^3: its sampled churn ops run on the pending delta,
+# but the first sample folds the whole population into one replan,
+# seconds on this covering-heavy workload (docs/SCALING.md).
 scalecheck:
 	dune build test/test_cover.exe test/test_flat.exe bin/genas_cli.exe
-	./_build/default/test/test_cover.exe -q
-	./_build/default/test/test_flat.exe -q
+	./_build/default/test/test_cover.exe
+	./_build/default/test/test_flat.exe
 	./_build/default/bin/genas_cli.exe bench --json --events 200 \
 	  --scaling 1000,10000 --baseline-max 1000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck

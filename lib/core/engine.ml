@@ -3,6 +3,7 @@ module Event = Genas_model.Event
 module Schema = Genas_model.Schema
 module Profile_set = Genas_profile.Profile_set
 module Lattice = Genas_profile.Lattice
+module Profile = Genas_profile.Profile
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
@@ -23,6 +24,7 @@ type instruments = {
   tree_nodes : Metrics.gauge;
   tree_leaves : Metrics.gauge;
   tree_edges : Metrics.gauge;
+  pending_rebuild : Metrics.gauge;
 }
 
 let make_instruments registry =
@@ -55,15 +57,19 @@ let make_instruments registry =
     tree_edges =
       Metrics.gauge registry "genas_engine_tree_edges"
         ~help:"Edges over unique nodes of the current profile tree";
+    pending_rebuild =
+      Metrics.gauge registry "genas_engine_pending_rebuild"
+        ~help:"Registry changes not yet compiled into the matcher \
+               (uncompiled new profiles or roots + retired compiled \
+               entries)";
   }
 
-(* Aggregation gauges exist only on aggregated engines, so plain
-   engines export exactly the metric set they always did. *)
+(* Lattice gauges exist only on aggregated engines; plain engines do
+   not register them at all. *)
 type agg_instruments = {
   absorbed_profiles : Metrics.gauge;
   lattice_entries : Metrics.gauge;
   lattice_roots : Metrics.gauge;
-  pending_rebuild : Metrics.gauge;
   epoch_swaps_total : Metrics.counter;
 }
 
@@ -79,22 +85,18 @@ let make_agg_instruments registry =
     lattice_roots =
       Metrics.gauge registry "genas_engine_lattice_roots"
         ~help:"Covering-lattice roots (the covering-minimal set)";
-    pending_rebuild =
-      Metrics.gauge registry "genas_engine_pending_rebuild"
-        ~help:"Structural changes accumulated since the last epoch swap \
-               (uncompiled new roots + retired compiled entries)";
     epoch_swaps_total =
       Metrics.counter registry "genas_engine_epoch_swaps_total"
         ~help:"Epoch swaps: atomic installs of a recompiled root matcher";
   }
 
 (* Aggregated mode: the flat matcher is compiled over the covering
-   lattice's roots only, and churn between epoch swaps is tracked as
-   deltas against that compiled snapshot. Invariant: every root
-   equivalence class has at least one live member id in
-   [compiled \ dead ∪ delta], so every live profile stays reachable
-   from the match path (roots directly, absorbed profiles through
-   covering-link expansion). *)
+   lattice's roots only, and churn between epoch swaps is tracked in
+   the engine's delta/dead tables against that compiled snapshot.
+   Invariant: every root equivalence class has at least one live member
+   id in [compiled \ dead ∪ delta], so every live profile stays
+   reachable from the match path (roots directly, absorbed profiles
+   through covering-link expansion). *)
 (* A background recompile in flight: the compile-heavy phase (decompose,
    restat, reorder, flat-compile) runs on its own domain over an
    immutable snapshot of the lattice roots; [ps_ready] flips once the
@@ -111,12 +113,8 @@ type agg = {
   mutable cset : Profile_set.t;
       (** root representatives compiled into the current flat matcher *)
   compiled : (int, unit) Hashtbl.t;  (** ids present in the flat form *)
-  dead : (int, unit) Hashtbl.t;  (** compiled ids removed since the swap *)
-  delta : (int, unit) Hashtbl.t;  (** uncompiled root member ids *)
   mutable epoch : int;
   delta_cap : int;
-  mutable scratch : int array;  (** reusable sorted-match buffer *)
-  mutable fill : int;  (** ids written to [scratch] for the current event *)
   domains : Genas_model.Domain.t array;  (** per attribute, for [coords] *)
   coords : Float.Array.t;  (** the current event's axis coordinates *)
   mutable async : bool;  (** recompile on a background domain *)
@@ -141,6 +139,26 @@ type t = {
      twin. Rebuilds allocate a fresh recorder — counters are per
      compiled tree, since node ids change shape. *)
   mutable recorder : Flat.recorder option;
+  (* Pending churn, shared by both modes: profiles registered since the
+     matcher was compiled ([delta]; plain engines verify them directly,
+     aggregated ones hold uncompiled root members) and compiled ids
+     removed since, with the profile compiled for each ([dead], filtered
+     from the flat hits). A plain
+     engine folds them into a full re-plan once the rent they cost the
+     match path, [rent] — the sum over the events observed since churn
+     last became pending of [|delta| + |dead|] — exceeds [rent_limit],
+     the compiled tree's size times [fold_rent]. [synced] is the
+     registry revision the compiled form plus pending churn accounts
+     for; any other revision means the registry was edited behind the
+     engine's back. *)
+  delta : (int, unit) Hashtbl.t;
+  dead : (int, Profile.t) Hashtbl.t;
+  mutable synced : int;
+  mutable rent : int;
+  mutable rent_limit : int;
+  mutable scratch : int array;  (** reusable sorted-match buffer *)
+  mutable fill : int;  (** ids written to [scratch] for the current event *)
+  mutable batch_width : int;  (** domains the last [match_batch] used *)
   ops : Ops.t;
   instruments : instruments option;
   agg : agg option;
@@ -155,9 +173,16 @@ let observe_tree t =
     Metrics.Gauge.set ins.tree_leaves (float_of_int s.Tree.leaves);
     Metrics.Gauge.set ins.tree_edges (float_of_int s.Tree.edges)
 
-let pending_of agg = Hashtbl.length agg.delta + Hashtbl.length agg.dead
+let pending_of t = Hashtbl.length t.delta + Hashtbl.length t.dead
 
-let observe_agg agg =
+let observe_pending t =
+  match t.instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.Gauge.set ins.pending_rebuild (float_of_int (pending_of t))
+
+let observe_agg t agg =
+  observe_pending t;
   match agg.agg_ins with
   | None -> ()
   | Some ins ->
@@ -166,8 +191,7 @@ let observe_agg agg =
     Metrics.Gauge.set ins.lattice_entries
       (float_of_int (Lattice.size agg.lat));
     Metrics.Gauge.set ins.lattice_roots
-      (float_of_int (Lattice.root_count agg.lat));
-    Metrics.Gauge.set ins.pending_rebuild (float_of_int (pending_of agg))
+      (float_of_int (Lattice.root_count agg.lat))
 
 let install t tree flat =
   t.tree <- tree;
@@ -190,8 +214,23 @@ let count_rebuild t =
    [Restart] from fresh statistics. *)
 type history = Keep | Absorb | Restart
 
+(* Rent a plain engine's pending churn may accrue, per node and edge of
+   the compiled tree, before it is folded into a re-plan: the measured
+   cost of one re-plan per node + edge over the cost of one pending
+   check on the match path (docs/PERFORMANCE.md). Folding then costs
+   about as much as the checks it ends, the ski-rental break-even. *)
+let fold_rent = 3
+
+(* Forget pending churn: the matcher just compiled accounts for it. *)
+let reset_pending t =
+  Hashtbl.reset t.delta;
+  Hashtbl.reset t.dead;
+  t.rent <- 0;
+  let s = t.tree.Tree.stats in
+  t.rent_limit <- fold_rent * (s.Tree.nodes + s.Tree.edges)
+
 (* The one re-plan path: decompose [pset], build statistics, reorder,
-   compile, install, and count the rebuild. *)
+   compile and install. *)
 let replan t pset history =
   let decomp = Decomp.build pset in
   let stats =
@@ -210,7 +249,15 @@ let replan t pset history =
   (* Drop the old tree before compiling: it would widen the peak. *)
   t.tree <- tree;
   install t tree (Flat.compile tree);
-  count_rebuild t
+  reset_pending t
+
+(* Plain engines: re-plan over the whole registry, which leaves nothing
+   pending. *)
+let replan_plain t history =
+  replan t t.pset history;
+  t.synced <- Profile_set.revision t.pset;
+  count_rebuild t;
+  observe_pending t
 
 (* Snapshot the lattice roots into a registry under their own ids; the
    flat matcher compiled from it reports root representatives. *)
@@ -234,12 +281,8 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
           lat;
           cset = Profile_set.create schema;
           compiled = Hashtbl.create 256;
-          dead = Hashtbl.create 64;
-          delta = Hashtbl.create 64;
           epoch = 0;
           delta_cap = Stdlib.max 1 delta_cap;
-          scratch = Array.make 64 0;
-          fill = 0;
           domains =
             Array.map (fun a -> a.Schema.domain) (Schema.attributes schema);
           coords = Float.Array.make (Schema.arity schema) 0.0;
@@ -270,13 +313,24 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       flat;
       cursor = Flat.cursor flat;
       recorder = None;
+      (* A plain engine walks [delta] on every event while churn is
+         pending; fewer buckets keep that walk short. *)
+      delta = Hashtbl.create (if aggregate then 64 else 16);
+      dead = Hashtbl.create 64;
+      synced = Profile_set.revision pset;
+      rent = 0;
+      rent_limit = 0;
+      scratch = Array.make 64 0;
+      fill = 0;
+      batch_width = 1;
       ops = Ops.create ();
       instruments = Option.map make_instruments metrics;
       agg;
     }
   in
+  reset_pending t;
   observe_tree t;
-  Option.iter observe_agg agg;
+  (match agg with Some a -> observe_agg t a | None -> observe_pending t);
   t
 
 let spec t = t.spec
@@ -295,11 +349,12 @@ let aggregated t = Option.is_some t.agg
 
 let epoch t = match t.agg with Some a -> a.epoch | None -> 0
 
-let pending_rebuild t =
-  match t.agg with Some a -> pending_of a | None -> 0
+let pending_rebuild t = pending_of t
 
+(* A plain engine folds as soon as its rent crosses the limit, so no
+   fold is ever left due between two calls. *)
 let swap_due t =
-  match t.agg with Some a -> pending_of a > a.delta_cap | None -> false
+  match t.agg with Some a -> pending_of t > a.delta_cap | None -> false
 
 let absorbed_profiles t =
   match t.agg with Some a -> Lattice.absorbed a.lat | None -> 0
@@ -311,12 +366,12 @@ let lattice_roots t =
 
 let lattice t = Option.map (fun a -> a.lat) t.agg
 
-let swap_metrics agg =
+let swap_metrics t agg =
   agg.epoch <- agg.epoch + 1;
   (match agg.agg_ins with
   | None -> ()
   | Some ins -> Metrics.Counter.incr ins.epoch_swaps_total);
-  observe_agg agg
+  observe_agg t agg
 
 (* Drop an in-flight background compile (joining its domain): the
    caller is about to recompile synchronously over fresher state, so
@@ -338,23 +393,29 @@ let swap_agg t agg =
   let cset = root_snapshot agg (Profile_set.schema t.pset) in
   agg.cset <- cset;
   replan t cset Absorb;
+  count_rebuild t;
   Hashtbl.reset agg.compiled;
-  Hashtbl.reset agg.dead;
-  Hashtbl.reset agg.delta;
   Profile_set.iter cset (fun id _ -> Hashtbl.replace agg.compiled id ());
-  swap_metrics agg
+  swap_metrics t agg
+
+(* Fold pending churn into a re-plan over the full population, keeping
+   the learned history: an epoch swap on aggregated engines. *)
+let fold t =
+  match t.agg with
+  | Some agg -> swap_agg t agg
+  | None -> replan_plain t Absorb
 
 (* Keep the reachability invariant for one root equivalence class:
    some member must sit in the compiled-live or delta set. *)
-let ensure_reachable agg members =
+let ensure_reachable t agg members =
   let live m =
-    (Hashtbl.mem agg.compiled m && not (Hashtbl.mem agg.dead m))
-    || Hashtbl.mem agg.delta m
+    (Hashtbl.mem agg.compiled m && not (Hashtbl.mem t.dead m))
+    || Hashtbl.mem t.delta m
   in
   if not (List.exists live members) then
     match members with
     | [] -> ()
-    | m :: _ -> Hashtbl.replace agg.delta m ()
+    | m :: _ -> Hashtbl.replace t.delta m ()
 
 (* Launch the compile-heavy phase on a background domain. Everything
    the domain touches is private to it: the root snapshot is built
@@ -395,20 +456,20 @@ let install_pending t agg ps =
   install t tree flat;
   count_rebuild t;
   Hashtbl.reset agg.compiled;
-  Hashtbl.reset agg.dead;
-  Hashtbl.reset agg.delta;
+  reset_pending t;
   Profile_set.iter ps.ps_cset (fun id _ -> Hashtbl.replace agg.compiled id ());
   Hashtbl.iter
     (fun id () ->
-      if not (Lattice.mem agg.lat id) then Hashtbl.replace agg.dead id ())
+      if not (Lattice.mem agg.lat id) then
+        Hashtbl.replace t.dead id (Profile_set.find_exn ps.ps_cset id))
     agg.compiled;
   List.iter
     (fun (id, _) ->
       match Lattice.node_of agg.lat id with
-      | Some node -> ensure_reachable agg (Lattice.node_members node)
+      | Some node -> ensure_reachable t agg (Lattice.node_members node)
       | None -> ())
     (Lattice.minimal_cover agg.lat);
-  swap_metrics agg
+  swap_metrics t agg
 
 (* Opportunistic install point, polled from churn and match entries:
    one atomic load when a compile is in flight, nothing otherwise. *)
@@ -417,17 +478,22 @@ let poll_pending t agg =
   | Some ps when Atomic.get ps.ps_ready -> install_pending t agg ps
   | Some _ | None -> ()
 
+let in_sync t = Profile_set.revision t.pset = t.synced
+
 let rebuild t =
   match t.agg with
   | Some agg -> swap_agg t agg
   | None ->
-    (* Keep the statistics when the profile set is unchanged (the
-       normal re-optimization path); refresh the decomposition
-       otherwise. *)
-    replan t t.pset Keep
+    (* Keep the statistics when they describe the current registry (the
+       normal re-optimization path); absorb them across engine-mediated
+       churn, pending or drained; restart them after an edit behind the
+       engine's back. *)
+    let churned =
+      (Stats.decomp t.stats).Decomp.revision <> Profile_set.revision t.pset
+    in
+    replan_plain t (if in_sync t && churned then Absorb else Keep)
 
-let swap_now t =
-  match t.agg with Some agg -> swap_agg t agg | None -> rebuild t
+let swap_now t = rebuild t
 
 (* -- Background (asynchronous) epoch swaps ------------------------- *)
 
@@ -455,27 +521,33 @@ let set_spec t spec =
   t.spec <- spec;
   rebuild t
 
-let refresh_if_stale t =
-  match t.agg with
-  | Some _ -> ()  (* churn goes through add/remove_profile; never stale *)
-  | None ->
-    if Tree.revision t.tree <> Profile_set.revision t.pset then
-      (* Profiles changed: rebuild decomposition and statistics. The
-         observed history refers to stale cells, so it is restarted. *)
-      replan t t.pset Restart
-
 let refresh_keeping_history t =
   match t.agg with
-  | Some agg -> if pending_of agg > 0 then swap_agg t agg
-  | None ->
-    if Tree.revision t.tree <> Profile_set.revision t.pset then
-      replan t t.pset Absorb
+  | Some _ -> if pending_of t > 0 then fold t
+  | None -> if pending_of t > 0 || not (in_sync t) then fold t
 
-(* -- Aggregated registry churn ------------------------------------- *)
+(* Before a plain engine observes an event: a registry edited behind
+   its back restarts the plan (the observed history refers to stale
+   cells); otherwise pending churn pays one unit of rent per entry and
+   is folded once the rent crosses the limit. Journal replay runs the
+   same step, so fold points are identical live and on replay. *)
+let prepare t =
+  match t.agg with
+  | Some _ -> ()
+  | None ->
+    if not (in_sync t) then replan_plain t Restart
+    else
+      let p = pending_of t in
+      if p > 0 then begin
+        t.rent <- t.rent + p;
+        if t.rent > t.rent_limit then fold t
+      end
+
+(* -- Registry churn ------------------------------------------------ *)
 
 let maybe_swap t agg =
   poll_pending t agg;
-  if agg.pending = None && pending_of agg > agg.delta_cap then
+  if agg.pending = None && pending_of t > agg.delta_cap then
     if agg.async then start_async_swap t agg else swap_agg t agg
 
 let agg_added t agg id profile =
@@ -488,40 +560,70 @@ let agg_added t agg id profile =
     (* Former roots now live under the new one: their members no
        longer need a delta slot of their own. *)
     List.iter
-      (List.iter (fun m -> Hashtbl.remove agg.delta m))
+      (List.iter (fun m -> Hashtbl.remove t.delta m))
       demoted;
-    Hashtbl.replace agg.delta id ());
+    Hashtbl.replace t.delta id ());
   maybe_swap t agg;
-  observe_agg agg
+  observe_agg t agg
 
-let agg_removed t agg id =
+let agg_removed t agg id profile =
   (match Lattice.remove agg.lat id with
   | None -> ()
   | Some r ->
-    if Hashtbl.mem agg.compiled id then Hashtbl.replace agg.dead id ();
-    Hashtbl.remove agg.delta id;
+    if Hashtbl.mem agg.compiled id then Hashtbl.replace t.dead id profile;
+    Hashtbl.remove t.delta id;
     (match r with
-    | Lattice.Shrunk { root = true; members } -> ensure_reachable agg members
+    | Lattice.Shrunk { root = true; members } ->
+      ensure_reachable t agg members
     | Lattice.Shrunk { root = false; _ } -> ()
     | Lattice.Dissolved { promoted; _ } ->
-      List.iter (ensure_reachable agg) promoted));
+      List.iter (ensure_reachable t agg) promoted));
   maybe_swap t agg;
-  observe_agg agg
+  observe_agg t agg
+
+(* Plain churn joins the pending tables only while the engine is in
+   sync with its registry; after an edit behind its back, the next
+   match re-plans everything anyway. Rent is charged per pending
+   window: once unsubscribes drain the tables, a fold would buy
+   nothing, and the next window starts from zero. So a state with
+   nothing pending carries no rent. *)
+let plain_churn t ~was_synced f =
+  if was_synced then begin
+    f ();
+    t.synced <- Profile_set.revision t.pset;
+    if pending_of t = 0 then t.rent <- 0;
+    observe_pending t
+  end
+
+let added t ~was_synced id profile =
+  match t.agg with
+  | Some agg -> agg_added t agg id profile
+  | None -> plain_churn t ~was_synced (fun () -> Hashtbl.replace t.delta id ())
 
 let add_profile t profile =
+  let was_synced = in_sync t in
   let id = Profile_set.add t.pset profile in
-  (match t.agg with None -> () | Some agg -> agg_added t agg id profile);
+  added t ~was_synced id profile;
   id
 
 let add_profile_with_id t ~id profile =
+  let was_synced = in_sync t in
   Profile_set.add_with_id t.pset ~id profile;
-  match t.agg with None -> () | Some agg -> agg_added t agg id profile
+  added t ~was_synced id profile
 
 let remove_profile t id =
-  let present = Profile_set.remove t.pset id in
-  (if present then
-     match t.agg with None -> () | Some agg -> agg_removed t agg id);
-  present
+  let was_synced = in_sync t in
+  match Profile_set.find t.pset id with
+  | None -> false
+  | Some profile ->
+    ignore (Profile_set.remove t.pset id);
+    (match t.agg with
+    | Some agg -> agg_removed t agg id profile
+    | None ->
+      plain_churn t ~was_synced (fun () ->
+          if Hashtbl.mem t.delta id then Hashtbl.remove t.delta id
+          else Hashtbl.replace t.dead id profile));
+    true
 
 (* -- Matching ------------------------------------------------------ *)
 
@@ -535,15 +637,15 @@ let match_flat t event =
 
 (* Append one matched id, doubling the buffer (filled prefix kept) when
    it is full. *)
-let push_scratch agg id =
-  let n = agg.fill in
-  if n = Array.length agg.scratch then begin
+let push_scratch t id =
+  let n = t.fill in
+  if n = Array.length t.scratch then begin
     let bigger = Array.make (2 * n) 0 in
-    Array.blit agg.scratch 0 bigger 0 n;
-    agg.scratch <- bigger
+    Array.blit t.scratch 0 bigger 0 n;
+    t.scratch <- bigger
   end;
-  agg.scratch.(n) <- id;
-  agg.fill <- n + 1
+  t.scratch.(n) <- id;
+  t.fill <- n + 1
 
 let swap_ints (a : int array) i j =
   let x = a.(i) in
@@ -612,16 +714,16 @@ let match_agg t agg event =
   let nflat = match_flat t event in
   let out = Flat.matches t.cursor in
   resolve agg event;
-  agg.fill <- 0;
+  t.fill <- 0;
   Lattice.begin_visit agg.lat;
   let on_check () = t.ops.Ops.comparisons <- t.ops.Ops.comparisons + 1 in
-  let emit id = push_scratch agg id in
+  let emit id = push_scratch t id in
   let expand ~verified node =
     Lattice.expand agg.lat ~coords:agg.coords ~verified node ~on_check ~emit
   in
   for i = 0 to nflat - 1 do
     let id = out.(i) in
-    if not (Hashtbl.mem agg.dead id) then
+    if not (Hashtbl.mem t.dead id) then
       match Lattice.node_of agg.lat id with
       | Some node -> expand ~verified:true node
       | None -> ()
@@ -631,27 +733,54 @@ let match_agg t agg event =
       match Lattice.node_of agg.lat id with
       | Some node -> expand ~verified:false node
       | None -> ())
-    agg.delta;
-  let n = agg.fill in
-  sort_ints agg.scratch 0 (n - 1);
+    t.delta;
+  let n = t.fill in
+  sort_ints t.scratch 0 (n - 1);
   (* The flat form counted its own matches (the root hits); align the
      cumulative pair counter with what the caller actually receives. *)
   t.ops.Ops.matches <- t.ops.Ops.matches + (n - nflat);
   n
 
+(* Plain match with churn pending: the flat hits minus [dead], plus
+   every [delta] profile verified directly — one comparison per check,
+   the aggregated engine's accounting rule. *)
+let match_pending t event =
+  let nflat = match_flat t event in
+  let out = Flat.matches t.cursor in
+  t.fill <- 0;
+  for i = 0 to nflat - 1 do
+    let id = out.(i) in
+    if not (Hashtbl.mem t.dead id) then push_scratch t id
+  done;
+  let schema = Profile_set.schema t.pset in
+  Hashtbl.iter
+    (fun id () ->
+      t.ops.Ops.comparisons <- t.ops.Ops.comparisons + 1;
+      if Profile.matches schema (Profile_set.find_exn t.pset id) event then
+        push_scratch t id)
+    t.delta;
+  let n = t.fill in
+  (* Flat hits arrive ascending; only verified delta ids break order. *)
+  if Hashtbl.length t.delta > 0 then sort_ints t.scratch 0 (n - 1);
+  t.ops.Ops.matches <- t.ops.Ops.matches + (n - nflat);
+  n
+
 let match_dispatch t event =
   match t.agg with
-  | None -> match_flat t event
+  | None when pending_of t = 0 -> match_flat t event
+  | None -> match_pending t event
   | Some agg -> match_agg t agg event
 
-(* The buffer holding the current match ids (first [len] slots). *)
+(* The buffer holding the current match ids (first [len] slots); the
+   flat path and the pending path are told apart after the fact,
+   because nothing between a match and this call edits the tables. *)
 let result_buffer t =
   match t.agg with
-  | None -> Flat.matches t.cursor
-  | Some agg -> agg.scratch
+  | None when pending_of t = 0 -> Flat.matches t.cursor
+  | None | Some _ -> t.scratch
 
 let match_core t event =
-  refresh_if_stale t;
+  prepare t;
   Stats.observe_event t.stats event;
   match t.instruments with
   | None -> match_dispatch t event
@@ -680,71 +809,100 @@ let match_with t event ~f =
   let n = match_core t event in
   f ~ids:(result_buffer t) ~len:n
 
-(* Aggregated engines match batches sequentially: the pool workers
-   only execute the compiled flat form, which no longer holds the full
-   profile population. *)
-let batch_domains ?pool t ~events =
-  match (pool, t.agg) with
-  | Some p, None when events > 1 -> Pool.domains p
-  | _ -> 1
-
 let match_batch ?pool t events =
-  match t.agg with
-  | Some agg ->
-    Array.iter (fun e -> Stats.observe_event t.stats e) events;
-    let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-    let results =
+  (* The whole batch is observed first, event by event as
+     [replay_observe] sees it, so a fold lands where the rent crosses
+     and the matching below runs on one plan. *)
+  Array.iter
+    (fun e ->
+      prepare t;
+      Stats.observe_event t.stats e)
+    events;
+  let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
+  (* Aggregated engines, and plain engines with churn pending, match
+     batches sequentially: the pool workers only execute the compiled
+     flat form, which then does not hold the full profile population. *)
+  t.batch_width <-
+    (match (pool, t.agg) with
+    | Some p, None when Array.length events > 1 && pending_of t = 0 ->
+      Pool.domains p
+    | _ -> 1);
+  let results =
+    match pool with
+    | Some p when t.batch_width > 1 ->
+      Pool.match_batch ~ops:t.ops p t.flat events
+    | Some _ | None when t.agg = None && pending_of t = 0 ->
+      let out = Array.make (Array.length events) [||] in
+      (match t.recorder with
+      | None ->
+        Flat.match_batch ~ops:t.ops t.flat t.cursor events
+          ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len)
+      | Some r ->
+        Array.iteri
+          (fun i e ->
+            let len = Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r e in
+            out.(i) <- Array.sub (Flat.matches t.cursor) 0 len)
+          events);
+      out
+    | Some _ | None ->
       Array.map
         (fun e ->
-          let n = match_agg t agg e in
-          Array.sub agg.scratch 0 n)
+          let n = match_dispatch t e in
+          Array.sub t.scratch 0 n)
         events
-    in
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.add ins.events_total (Array.length events);
-      Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-      Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-    results
-  | None ->
-    refresh_if_stale t;
-    Array.iter (fun e -> Stats.observe_event t.stats e) events;
-    let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-    let results =
-      match pool with
-      | Some p when batch_domains ?pool t ~events:(Array.length events) > 1 ->
-        Pool.match_batch ~ops:t.ops p t.flat events
-      | Some _ | None ->
-        let out = Array.make (Array.length events) [||] in
-        (match t.recorder with
-        | None ->
-          Flat.match_batch ~ops:t.ops t.flat t.cursor events
-            ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len)
-        | Some r ->
-          Array.iteri
-            (fun i e ->
-              let len =
-                Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r e
-              in
-              out.(i) <- Array.sub (Flat.matches t.cursor) 0 len)
-            events);
-        out
-    in
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.add ins.events_total (Array.length events);
-      Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-      Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-    results
+  in
+  (match t.instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.Counter.add ins.events_total (Array.length events);
+    Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
+    Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
+  results
+
+let last_batch_domains t = t.batch_width
 
 let replay_observe t event =
   (* Journal replay: feed the statistics exactly as [match_core] would —
-     including the history reset a stale profile set triggers — without
-     matching or delivering anything. *)
-  refresh_if_stale t;
+     including a stale registry's history reset and a pending-churn
+     fold — without matching or delivering anything. *)
+  prepare t;
   Stats.observe_event t.stats event
+
+type churn = {
+  delta : int list;
+  dead : (int * Profile.t) list;
+  rent : int;
+}
+
+let sorted_bindings tbl =
+  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let pending_churn t =
+  match t.agg with
+  | None when in_sync t ->
+    {
+      delta = List.map fst (sorted_bindings t.delta);
+      dead = sorted_bindings t.dead;
+      rent = t.rent;
+    }
+  | None | Some _ -> { delta = []; dead = []; rent = 0 }
+
+(* Recompile the set the churn was recorded against — the live profiles
+   without [delta], plus [dead] — then record the churn against it
+   through the ordinary churn calls. *)
+let restore_churn t c =
+  if t.agg = None && (c.delta <> [] || c.dead <> []) then begin
+    let delta = List.map (fun id -> (id, Profile_set.find_exn t.pset id)) c.delta in
+    List.iter (fun (id, _) -> ignore (Profile_set.remove t.pset id)) delta;
+    List.iter (fun (id, p) -> Profile_set.add_with_id t.pset ~id p) c.dead;
+    replan t t.pset Restart;
+    t.synced <- Profile_set.revision t.pset;
+    observe_tree t;
+    List.iter (fun (id, _) -> ignore (remove_profile t id)) c.dead;
+    List.iter (fun (id, p) -> add_profile_with_id t ~id p) delta;
+    t.rent <- c.rent
+  end
 
 let restore_ops t (o : Ops.t) =
   (match t.instruments with

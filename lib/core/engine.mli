@@ -2,11 +2,13 @@
     a facade.
 
     Owns a profile registry, a decomposition snapshot, statistics
-    objects, and the (possibly reordered) profile tree; re-snapshots
-    automatically when profiles were added or removed since the last
-    build. Every filtered event is recorded in the statistics, so a
-    later [rebuild] re-optimizes for the observed distribution (use
-    {!Adaptive} for automatic re-optimization). *)
+    objects, and the (possibly reordered) profile tree. Churn through
+    {!add_profile}/{!remove_profile} is matched incrementally until it
+    is folded into a re-plan; a registry edited directly is
+    re-snapshotted on the next match. Every filtered event is recorded
+    in the statistics, so a later [rebuild] re-optimizes for the
+    observed distribution (use {!Adaptive} for automatic
+    re-optimization). *)
 
 type t
 
@@ -22,11 +24,11 @@ val create :
 
     [metrics] attaches the engine to an observability registry: match
     latency and comparisons-per-event histograms, event/match/
-    comparison/rebuild counters, and tree-size gauges (all names in
-    docs/OBSERVABILITY.md). Without it ([?metrics:None], the default)
-    the match path performs no observability work at all — handles are
-    resolved once at construction and the hot loop stays
-    allocation-free.
+    comparison/rebuild counters, tree-size gauges, and the pending
+    churn gauge (all names in docs/OBSERVABILITY.md). Without it
+    ([?metrics:None], the default) the match path performs no
+    observability work at all — handles are resolved once at
+    construction and the hot loop stays allocation-free.
 
     [aggregate] (default [false]) turns on subscription aggregation:
     the registry is indexed by a {!Genas_profile.Lattice} and the flat
@@ -50,17 +52,31 @@ val profiles : t -> Genas_profile.Profile_set.t
 
 (** {1 Registry churn}
 
-    The engine-mediated subscribe/unsubscribe path. On a plain engine
-    these are the registry operations followed by the usual lazy
-    stale-refresh on the next match; on an aggregated engine they also
-    maintain the covering lattice and the epoch-swap delta sets. *)
+    The engine-mediated subscribe/unsubscribe path. Neither call
+    re-plans. Both modes record churn against the compiled matcher in
+    a pending [delta] (uncompiled ids, verified directly by the match
+    path, one comparison per check) and [dead] (removed compiled ids,
+    filtered from its hits); an aggregated engine also maintains the
+    covering lattice.
+
+    A plain engine folds pending churn into a re-plan of the full set,
+    absorbing the learned event history, on {!rebuild}, {!set_spec},
+    {!swap_now}, {!refresh_keeping_history}, and once the rent the
+    pending entries cost the match path — one unit per entry per
+    observed event, summed while anything is pending — exceeds three
+    times the compiled tree's nodes + edges (the measured ratio of a
+    re-plan's cost to a pending check's; docs/PERFORMANCE.md). The
+    rule is deterministic, so journal replay folds at the same
+    events, and a snapshot records pending churn ({!pending_churn})
+    instead of folding it. Mutating the profile set directly instead still works: the
+    next match re-plans everything from fresh statistics. *)
 
 val add_profile : t -> Genas_profile.Profile.t -> Genas_profile.Profile_set.id
-(** Register a profile. Aggregated engines: an insertion into a
-    covered region touches only the lattice (no recompilation, ever);
-    a structural insertion (new covering root) joins the pending delta
-    and is matched by linear scan until the next epoch swap installs a
-    recompiled matcher. *)
+(** Register a profile. Plain engines: the id joins the pending delta.
+    Aggregated engines: an insertion into a covered region touches only
+    the lattice (no recompilation, ever); a structural insertion (new
+    covering root) joins the pending delta and is matched by linear
+    scan until the next epoch swap installs a recompiled matcher. *)
 
 val add_profile_with_id :
   t -> id:Genas_profile.Profile_set.id -> Genas_profile.Profile.t -> unit
@@ -68,9 +84,9 @@ val add_profile_with_id :
     ({!Genas_profile.Profile_set.add_with_id} semantics). *)
 
 val remove_profile : t -> Genas_profile.Profile_set.id -> bool
-(** Remove a registration; [true] if the id was live. Aggregated
-    engines retire compiled entries by marking them dead (filtered at
-    match time) until the next epoch swap. *)
+(** Remove a registration; [true] if the id was live. An id still in
+    the pending delta just leaves it; a compiled entry is marked dead
+    (filtered at match time) until the next fold or epoch swap. *)
 
 (** {1 Aggregation} *)
 
@@ -81,19 +97,22 @@ val epoch : t -> int
     installed ([0] on plain engines and before the first swap). *)
 
 val pending_rebuild : t -> int
-(** Structural changes accumulated since the last swap (uncompiled
-    delta roots + dead compiled entries); [0] on plain engines. *)
+(** Pending churn: uncompiled delta entries + dead compiled entries
+    (new profiles on plain engines, new roots on aggregated ones).
+    [0] right after {!swap_now}. *)
 
 val swap_due : t -> bool
-(** Whether the pending churn exceeds the engine's [delta_cap] — the
-    next churn operation (or {!swap_now}) will swap. *)
+(** Whether pending churn is over the engine's [delta_cap], so the next
+    churn operation swaps (aggregated). Always [false] on a plain
+    engine: it folds on the very event whose rent crosses the limit. *)
 
 val swap_now : t -> unit
-(** Force an epoch swap: recompile the flat matcher over the current
-    covering-minimal roots and install it, absorbing the learned
-    event-distribution history. On a plain engine this is {!rebuild}.
-    Any background compile in flight is discarded first, so the result
-    is deterministic regardless of {!set_async_swaps}. *)
+(** Fold all pending churn now. Aggregated: an epoch swap, which
+    recompiles the flat matcher over the current covering-minimal roots
+    and installs it, absorbing the learned event-distribution history;
+    any background compile in flight is discarded first, so the result
+    is deterministic regardless of {!set_async_swaps}. On a plain
+    engine this is {!rebuild}. *)
 
 val set_async_swaps : t -> bool -> unit
 (** Run epoch-swap recompiles on a background domain instead of the
@@ -142,9 +161,10 @@ val ops : t -> Genas_filter.Ops.t
 
 val match_event :
   t -> Genas_model.Event.t -> Genas_profile.Profile_set.id list
-(** Filter one event: refreshes the tree if the profile set changed,
-    records the event in the statistics, counts operations, and
-    returns the matched profile ids (ascending).
+(** Filter one event: re-plans if the profile set was edited directly
+    or pending churn is due to fold, records the event in the
+    statistics, counts operations, and returns the matched profile ids
+    (ascending).
 
     Matching runs through the engine's reusable flat cursor, so the
     steady-state path allocates no per-event match lists beyond the
@@ -163,33 +183,37 @@ val match_batch :
   Genas_model.Event.t array ->
   Genas_profile.Profile_set.id array array
 (** Filter a batch: one ascending id array per event, index-aligned.
-    Statistics, operation counters, and metrics advance exactly as if
-    each event had gone through {!match_event}, except that per-event
-    latency histograms are not observed on the batch path. When
-    {!batch_domains} exceeds one, matching fans out across the [pool]'s
-    domains; results and counters are identical to the sequential
-    path. *)
+    Statistics, operation counters, and metrics advance as if each
+    event had gone through {!match_event}, except that per-event
+    latency histograms are not observed on the batch path, and that
+    the whole batch is observed before any of it is matched: a fold
+    of pending churn that the batch's rent triggers applies to every
+    event of the batch. Matching then fans out across the [pool]'s
+    domains when {!last_batch_domains} allows it; results and counters
+    are identical to the sequential path. *)
 
-val batch_domains : ?pool:Genas_filter.Pool.t -> t -> events:int -> int
-(** The number of domains {!match_batch} uses for a batch of [events]
-    events: the [pool]'s width, or [1] without a pool, for a batch of
-    at most one event, and on an aggregated engine (pool workers
-    execute only the compiled flat form, which no longer holds the full
-    population). *)
+val last_batch_domains : t -> int
+(** The number of domains the most recent {!match_batch} matched on
+    ([1] before the first): the [pool]'s width, or [1] without a pool,
+    for a batch of at most one event, on an aggregated engine, and on a
+    plain engine with churn pending once the batch was observed (pool
+    workers execute only the compiled flat form, which then does not
+    hold the full population). Churn or folds after the batch do not
+    change it. *)
 
 val rebuild : t -> unit
 (** Re-plan the tree configuration from the current statistics (and
-    current profiles) under the engine's spec. *)
+    current profiles) under the engine's spec, folding any pending
+    churn (its history absorbed). *)
 
 val refresh_keeping_history : t -> unit
-(** Refresh a stale engine (profiles changed since the last build) like
-    the implicit refresh on the next match, except that the observed
-    event history of the previous statistics is absorbed into the fresh
-    ones ({!Stats.absorb}) before the tree is re-planned — learned
-    event distributions survive the profile change instead of being
-    restarted. No-op when the engine is not stale. The router uses this
-    so one subscription retraction does not reset distribution-based
-    reordering network-wide. *)
+(** Compile everything now: fold pending churn, or re-plan a registry
+    edited behind the engine's back, absorbing the observed event
+    history of the previous statistics ({!Stats.absorb}) either way —
+    learned event distributions survive the profile change instead of
+    being restarted. No-op when nothing is pending and the registry is
+    unchanged. Call it after bulk subscription, so the first publishes
+    run on a fully compiled matcher. *)
 
 val report : t -> Cost.report
 (** Analytic expectation for the current tree under the current
@@ -242,10 +266,34 @@ val relayout_now : t -> bool
 
 val replay_observe : t -> Genas_model.Event.t -> unit
 (** Record one event in the statistics exactly as the match path would
-    — including the implicit stale-refresh (and its history reset) when
-    the profile set changed — without matching or counting operations.
-    Journal replay uses this to regrow the learned distributions from
-    the logged event stream. *)
+    — including the pending-churn rent and fold, and the implicit
+    re-plan (with its history reset) of a profile set edited directly —
+    without matching or counting operations. Journal replay uses this
+    to regrow the learned distributions and reach the same fold points
+    from the logged event stream. *)
+
+type churn = {
+  delta : Genas_profile.Profile_set.id list;
+      (** registered since the last fold, ascending *)
+  dead : (Genas_profile.Profile_set.id * Genas_profile.Profile.t) list;
+      (** compiled, removed since, with their profiles; ascending *)
+  rent : int;  (** rent accrued by the current pending window *)
+}
+(** A plain engine's pending churn, as a snapshot records it. *)
+
+val pending_churn : t -> churn
+(** The pending churn of a plain engine whose registry went through
+    the churn calls only; empty otherwise (aggregated engines, a
+    registry edited directly), where recovery rebuilds a fully
+    compiled engine. *)
+
+val restore_churn : t -> churn -> unit
+(** Re-establish [churn] on a plain engine just created over the live
+    profile set: recompile the set it was recorded against (without
+    [delta], with [dead]), then record [delta] and [dead] as pending
+    with [rent] accrued, so fold points and comparison counts continue
+    exactly as in the engine that recorded it. No-op on aggregated
+    engines and for empty churn. *)
 
 val restore_ops : t -> Genas_filter.Ops.t -> unit
 (** Overwrite the cumulative operation counters with a journaled

@@ -68,6 +68,8 @@ let make_instruments registry =
                (1 = sequential)";
   }
 
+(* Each subscription holds its subscriber's delivery series; the
+   series is freed when the name's last subscription goes. *)
 let delivery_counter instruments subscriber =
   match instruments with
   | None -> None
@@ -76,6 +78,13 @@ let delivery_counter instruments subscriber =
       (Metrics.counter ins.registry "genas_broker_deliveries_total"
          ~help:"Notifications delivered, per subscriber"
          ~labels:[ ("subscriber", subscriber) ])
+
+let release_delivery instruments subscriber =
+  match instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.release ins.registry "genas_broker_deliveries_total"
+      ~labels:[ ("subscriber", subscriber) ]
 
 type t = {
   schema : Schema.t;
@@ -173,6 +182,7 @@ let snapshot_data t last_op =
     notifications = t.notifications;
     ops = Engine.ops t.engine;
     stats = Stats.export (Engine.stats t.engine);
+    churn = Engine.pending_churn t.engine;
     adaptive = Option.map Adaptive.export t.adaptive;
     supervise = Supervise.export t.super;
     dlq_entries = Deadletter.entries dlq;
@@ -249,22 +259,36 @@ let subscribe_composite t ~subscriber expr handler =
     journal_op t (Journal.Subscribe_composite { id; subscriber; expr });
     Ok (Comp_sub id)
 
+(* The registry side of an unsubscription, shared with journal
+   replay; [true] if the subscription was live. *)
+let drop_prim t id =
+  let present = Engine.remove_profile t.engine id in
+  if present then begin
+    (match Hashtbl.find_opt t.handlers id with
+    | Some s -> release_delivery t.instruments s.p_subscriber
+    | None -> ());
+    Hashtbl.remove t.handlers id;
+    invalidate_quench t
+  end;
+  present
+
+let drop_comp t id =
+  match Hashtbl.find_opt t.composites id with
+  | None -> false
+  | Some c ->
+    release_delivery t.instruments c.subscriber;
+    Hashtbl.remove t.composites id;
+    invalidate_quench t;
+    true
+
 let unsubscribe t = function
   | Prim_sub id ->
-    let present = Engine.remove_profile t.engine id in
-    if present then begin
-      Hashtbl.remove t.handlers id;
-      invalidate_quench t;
-      journal_op t (Journal.Unsubscribe_prim { id })
-    end;
+    let present = drop_prim t id in
+    if present then journal_op t (Journal.Unsubscribe_prim { id });
     present
   | Comp_sub id ->
-    let present = Hashtbl.mem t.composites id in
-    if present then begin
-      Hashtbl.remove t.composites id;
-      invalidate_quench t;
-      journal_op t (Journal.Unsubscribe_comp { id })
-    end;
+    let present = drop_comp t id in
+    if present then journal_op t (Journal.Unsubscribe_comp { id });
     present
 
 let quench t =
@@ -454,7 +478,7 @@ let publish_batch_core ?pool t events =
     Metrics.Counter.add ins.notifications_total !sent;
     Metrics.Histogram.observe ins.batch_size (float_of_int n);
     Metrics.Gauge.set ins.pool_workers
-      (float_of_int (Engine.batch_domains ?pool t.engine ~events:n)));
+      (float_of_int (Engine.last_batch_domains t.engine)));
   journal_publish t ~events ~batch:true ~total_before;
   !sent
 
@@ -569,16 +593,10 @@ let apply_op t resolve op =
       invalidate_quench t;
       Ok ())
   | Journal.Unsubscribe_prim { id } ->
-    if Engine.remove_profile t.engine id then begin
-      Hashtbl.remove t.handlers id;
-      invalidate_quench t
-    end;
+    ignore (drop_prim t id);
     Ok ()
   | Journal.Unsubscribe_comp { id } ->
-    if Hashtbl.mem t.composites id then begin
-      Hashtbl.remove t.composites id;
-      invalidate_quench t
-    end;
+    ignore (drop_comp t id);
     Ok ()
   | Journal.Publish
       {
@@ -650,6 +668,14 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
       | exception Invalid_argument msg -> Error msg)
   in
   let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
+  let* () =
+    match recovered.Journal.snapshot with
+    | None -> Ok ()
+    | Some snap -> (
+      match Engine.restore_churn engine snap.Snapshot.churn with
+      | () -> Ok ()
+      | exception Invalid_argument msg -> Error msg)
+  in
   (match tracer with
   | Some tr when Genas_obs.Trace.sample_rate tr > 0.0 ->
     Engine.set_profiling engine true

@@ -52,8 +52,10 @@ val create :
     is appended to a write-ahead journal in [journal.dir] (a {e fresh}
     journal — any previous contents of the directory are discarded; use
     {!recover} to resume them), and a {!Snapshot} is taken every
-    [journal.snapshot_every] operations. See docs/ROBUSTNESS.md,
-    "Durability & recovery".
+    [journal.snapshot_every] operations. A plain broker's snapshot
+    records the subscription churn pending in its engine instead of
+    folding it, so journaling never moves a fold. See
+    docs/ROBUSTNESS.md, "Durability & recovery".
 
     [metrics] instruments the broker (publish/notification counters,
     per-subscriber delivery counters, quench-cache churn, delivery
@@ -106,7 +108,9 @@ val unsubscribe : t -> sub_id -> bool
     the same id again (primitive or composite) is a no-op returning
     [false], and the quench cache is invalidated exactly once per
     actual removal — a repeat unsubscribe never invalidates a fresh
-    cache. *)
+    cache. With [metrics], removing a subscriber name's last
+    subscription also drops its [genas_broker_deliveries_total]
+    series. *)
 
 val publish : t -> Genas_model.Event.t -> int
 (** Filter one event and deliver notifications; returns the number of
@@ -125,7 +129,7 @@ val publish_batch :
     order, so handler-visible behavior is identical to publishing the
     events one by one. Instrumented brokers record the batch size
     (histogram) and the domains actually used
-    ({!Genas_core.Engine.batch_domains}, gauge). *)
+    ({!Genas_core.Engine.last_batch_domains}, gauge). *)
 
 val publish_quenched : t -> Genas_model.Event.t -> int option
 (** Consult the quench table first: [None] if the event provably

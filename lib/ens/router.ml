@@ -267,10 +267,11 @@ let unsubscribe t handle =
        neighbor's routing obligation is unchanged, so no message need
        cross the wire. In particular retracting a profile while an
        equivalent (or broader) one remains live costs nothing. The
-       nodes themselves (and their engines) are kept: each engine
-       re-plans against the replayed profile set while absorbing its
-       learned event history, so one churn event does not reset
-       distribution-based reordering network-wide. *)
+       nodes themselves (and their engines) are kept: the replayed
+       churn joins each engine's pending delta, which folds into a
+       re-plan that absorbs the learned event history, so one churn
+       event does not reset distribution-based reordering
+       network-wide. *)
     let before =
       Array.map
         (fun node ->
@@ -297,7 +298,6 @@ let unsubscribe t handle =
         add_interest t ~count:false t.nodes.(s.at) s.profile
           (Local (s.subscriber, s.handler)))
       handles;
-    Array.iter (fun node -> Engine.refresh_keeping_history node.engine) t.nodes;
     let charged = ref 0 in
     Array.iteri
       (fun i links ->

@@ -3,6 +3,7 @@ module Profile = Genas_profile.Profile
 module Ops = Genas_filter.Ops
 module Stats = Genas_core.Stats
 module Adaptive = Genas_core.Adaptive
+module Engine = Genas_core.Engine
 
 type data = {
   last_op : int;
@@ -15,6 +16,7 @@ type data = {
   notifications : int;
   ops : Ops.t;
   stats : Stats.Export.t;
+  churn : Engine.churn;
   adaptive : Adaptive.Export.t option;
   supervise : Supervise.Export.t;
   dlq_entries : Deadletter.entry list;
@@ -22,7 +24,13 @@ type data = {
   dlq_dropped : int;
 }
 
-let magic = "GSNAP01\n"
+(* Version 2 appended the engine's pending churn; a version-1 snapshot
+   was always taken with nothing pending. *)
+let magic = "GSNAP02\n"
+
+let magic_v1 = "GSNAP01\n"
+
+let no_churn = { Engine.delta = []; dead = []; rent = 0 }
 
 let file dir = Filename.concat dir "snapshot.bin"
 
@@ -55,9 +63,16 @@ let encode schema d =
   Codec.w_list Codec.w_deadletter b d.dlq_entries;
   Codec.w_int b d.dlq_total;
   Codec.w_int b d.dlq_dropped;
+  Codec.w_list Codec.w_int b d.churn.Engine.delta;
+  Codec.w_list
+    (fun b (id, p) ->
+      Codec.w_int b id;
+      Codec.w_profile schema b p)
+    b d.churn.Engine.dead;
+  Codec.w_int b d.churn.Engine.rent;
   Buffer.contents b
 
-let decode schema payload =
+let decode ~version schema payload =
   let r = Codec.reader payload in
   let last_op = Codec.r_int r in
   let fingerprint = Codec.r_string r in
@@ -90,6 +105,21 @@ let decode schema payload =
   let dlq_entries = Codec.r_list (Codec.r_deadletter schema) r in
   let dlq_total = Codec.r_int r in
   let dlq_dropped = Codec.r_int r in
+  let churn =
+    if version = 1 then no_churn
+    else
+      let delta = Codec.r_list Codec.r_int r in
+      let dead =
+        Codec.r_list
+          (fun r ->
+            let id = Codec.r_int r in
+            let p = Codec.r_profile schema r in
+            (id, p))
+          r
+      in
+      let rent = Codec.r_int r in
+      { Engine.delta; dead; rent }
+  in
   Codec.r_end r;
   {
     last_op;
@@ -102,6 +132,7 @@ let decode schema payload =
     notifications;
     ops;
     stats;
+    churn;
     adaptive;
     supervise;
     dlq_entries;
@@ -167,9 +198,14 @@ let read ~dir ~seed schema =
         (fun () -> really_input_string ic (in_channel_length ic))
     in
     let hlen = String.length (header seed) in
+    let version () =
+      match String.sub contents 0 8 with
+      | m when String.equal m magic -> 2
+      | m when String.equal m magic_v1 -> 1
+      | _ -> 0
+    in
     if String.length contents < hlen then Error "snapshot: truncated header"
-    else if not (String.equal (String.sub contents 0 8) magic) then
-      Error "snapshot: bad magic"
+    else if version () = 0 then Error "snapshot: bad magic"
     else begin
       let stored_seed =
         Int64.to_int (String.get_int64_le contents (String.length magic))
@@ -181,7 +217,7 @@ let read ~dir ~seed schema =
       else
         match Codec.parse_frames ~seed contents ~pos:hlen with
         | [ payload ], _, false -> (
-          match decode schema payload with
+          match decode ~version:(version ()) schema payload with
           | exception Codec.Corrupt msg -> Error ("snapshot: " ^ msg)
           | data ->
             if

@@ -1,7 +1,8 @@
 (** Durable broker snapshots.
 
     A snapshot captures the full recoverable state of a {!Broker} at a
-    journal position: the profile set (with exact ids), composite
+    journal position: the profile set (with exact ids) and a plain
+    engine's pending subscription churn, composite
     subscriptions, learned statistics ({!Genas_core.Stats.Export} —
     the estimator histograms of §5's event history), the adaptive
     component's warmup counters and planned-for distributions, the
@@ -28,6 +29,9 @@ type data = {
   notifications : int;
   ops : Genas_filter.Ops.t;
   stats : Genas_core.Stats.Export.t;
+  churn : Genas_core.Engine.churn;
+      (** a plain engine's pending churn ({!Genas_core.Engine.pending_churn});
+          empty in a version-1 snapshot, which is still read *)
   adaptive : Genas_core.Adaptive.Export.t option;
   supervise : Supervise.Export.t;
   dlq_entries : Deadletter.entry list;

@@ -460,7 +460,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
 (* ------------------------------------------------------------------ *)
 (* Profile-count scaling: subscribe/unsubscribe latency and publish
    throughput on the covering-heavy workload, aggregation on vs the
-   plain rebuild-per-churn engine.                                     *)
+   plain engine.                                                       *)
 
 type scale_point = {
   population : int;
@@ -523,10 +523,12 @@ let scale ?(points = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 99)
       Engine.create ~aggregate ~delta_cap:64 (Profile_set.create schema)
     in
     (* Subscribe latency, sampled during growth. Each sampled op is a
-       subscribe followed by one matched event — on the plain engine
-       the event realizes the full replan a rebuild-per-churn service
-       pays, on the aggregated engine it exercises whatever the churn
-       actually left pending (usually nothing). *)
+       subscribe followed by one matched event, which exercises
+       whatever the churn actually left pending: on the aggregated
+       engine usually nothing; on the plain engine the pending delta,
+       checked directly, or folded into a full replan when the
+       subscriptions since the last sample outweigh the compiled tree
+       (always at the first sample). *)
     let stride = max 1 (population / samples) in
     let sub_ns = ref 0.0 and sub_n = ref 0 in
     Array.iteri
@@ -555,6 +557,11 @@ let scale ?(points = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 99)
       incr unsub_n;
       ignore (Engine.add_profile engine profs.(victim))
     done;
+    (* Settle before timing publishes. A plain engine folds the churn
+       left pending, as its rent rule would early in a long stream; an
+       aggregated engine below its cap keeps matching its delta, which
+       is its steady state. *)
+    if not aggregate then Engine.refresh_keeping_history engine;
     Array.iter (fun e -> ignore (Engine.match_event engine e)) pool_events;
     let t0 = Clock.now_ns () in
     for _ = 1 to events do
@@ -577,9 +584,10 @@ let scale ?(points = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 99)
       (fun population ->
         let agg = measure_point ~population ~samples ~aggregate:true in
         if population <= baseline_max then
-          (* Each sampled baseline op realizes a full replan — seconds
-             of wall clock on the covering-heavy workload even at 10^3 —
-             so the plain engine gets only [baseline_samples] of them. *)
+          (* The first sampled baseline op folds the population into a
+             full replan — seconds of wall clock on the covering-heavy
+             workload even at 10^3 — so the plain engine gets only
+             [baseline_samples] of them. *)
           [
             agg;
             measure_point ~population ~samples:baseline_samples

@@ -75,7 +75,8 @@ val run : ?profiles:int -> ?seed:int -> ?events:int -> ?domains:int list ->
     covering-heavy {!Workload.gen_covering_profiles} population grown
     point by point through {!Genas_core.Engine.add_profile}, churned,
     and published through, once with aggregation and once against the
-    plain rebuild-per-churn engine. *)
+    plain engine, whose churn waits in a pending delta until a fold
+    re-plans the full set. *)
 
 type scale_point = {
   population : int;  (** live profiles at this point *)
@@ -83,7 +84,10 @@ type scale_point = {
   subscribe_ns : float;
       (** mean sampled latency of one subscribe followed by one
           matched event — the event realizes whatever the churn left
-          pending (a full replan on the plain engine) *)
+          pending: on the plain engine a delta-path check, or a fold
+          into a full replan once the pending churn outweighs the
+          compiled tree (the first sample, which meets a whole stride
+          of pending subscriptions) *)
   unsubscribe_ns : float;  (** same protocol for removals *)
   publish_eps : float;  (** steady-state single-event match throughput *)
   absorbed : int;  (** {!Genas_core.Engine.absorbed_profiles} *)
@@ -96,11 +100,12 @@ type scale = {
   sc_samples : int;  (** latency samples per phase (aggregated engine) *)
   sc_baseline_samples : int;
       (** latency samples per phase on the plain engine — kept tiny
-          because every sampled op realizes a full replan *)
+          because the first sample folds the population into a full
+          replan *)
   sc_events : int;  (** timed events per publish measurement *)
   sc_baseline_max : int;
       (** largest population the plain baseline is run at — beyond it
-          the rebuild-per-churn protocol is infeasible and only the
+          one full replan of the population is infeasible and only the
           aggregated point is recorded *)
   sc_points : scale_point list;
 }
@@ -111,8 +116,8 @@ val scale :
 (** [points] defaults to 10³, 10⁴, 10⁵, 10⁶; [baseline_max] to 2×10³
     (the plain replan's tree grows combinatorially on this workload —
     gigabytes of nodes and minutes of build by 10⁴);
-    [baseline_samples] to 2 (a sampled baseline op costs a full
-    replan, seconds each even at 10³). *)
+    [baseline_samples] to 2 (the first sampled baseline op folds the
+    population into a full replan, seconds even at 10³). *)
 
 val scale_to_json : scale -> Genas_obs.Json.t
 

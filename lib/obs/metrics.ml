@@ -28,6 +28,7 @@ type metric = {
   labels : (string * string) list;  (** sorted by key *)
   help : string;
   inst : instrument;
+  mutable holders : int;  (** registrations not yet released; 0 = removed *)
 }
 
 (* The list keeps registration order for the exporters; the index finds
@@ -37,19 +38,34 @@ type metric = {
    themselves, linear probing, at most half full: two or three words a
    series, where a [Hashtbl] keyed by the identity costs eight and, at
    10^4 series, measurably more peak heap. Both are guarded by
-   [t_mu]. *)
+   [t_mu]. A released series leaves the index at once and the list
+   lazily: it is skipped by the exporters and filtered out once the
+   removed outnumber the live, so removal stays O(1) amortized. *)
 type t = {
   mutable metrics : metric list; (* reverse registration order *)
   mutable slots : metric array;  (** power-of-two length *)
   mutable used : int;
+  mutable removed : int;  (** dead entries still in [metrics] *)
   t_mu : Mutex.t;
 }
 
 let vacant =
-  { name = ""; labels = []; help = ""; inst = Gauge_i { g_value = Atomic.make 0.0 } }
+  {
+    name = "";
+    labels = [];
+    help = "";
+    inst = Gauge_i { g_value = Atomic.make 0.0 };
+    holders = 0;
+  }
 
 let create () =
-  { metrics = []; slots = Array.make 64 vacant; used = 0; t_mu = Mutex.create () }
+  {
+    metrics = [];
+    slots = Array.make 64 vacant;
+    used = 0;
+    removed = 0;
+    t_mu = Mutex.create ();
+  }
 
 (* Folds in every label, where the generic hash would stop after a few. *)
 let identity_hash name labels =
@@ -64,6 +80,29 @@ let slot_of slots name labels =
     else probe ((i + 1) land mask)
   in
   probe (identity_hash name labels land mask)
+
+let home slots m =
+  identity_hash m.name m.labels land (Array.length slots - 1)
+
+(* Empty slot [i] by backward shifting: every later entry of the probe
+   run whose home does not lie cyclically in (i, j] moves into the
+   hole, so each remaining identity stays reachable from its home. *)
+let delete_slot slots i =
+  let mask = Array.length slots - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  slots.(i) <- vacant;
+  while slots.(!j) != vacant do
+    let k = home slots slots.(!j) in
+    let stays =
+      if !hole <= !j then k > !hole && k <= !j else k > !hole || k <= !j
+    in
+    if not stays then begin
+      slots.(!hole) <- slots.(!j);
+      slots.(!j) <- vacant;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done
 
 let grow t =
   let old = t.slots in
@@ -84,16 +123,22 @@ let kind_name = function
   | Gauge_i _ -> "gauge"
   | Histogram_i _ -> "histogram"
 
-let register t ~help ~labels name make =
+(* A registration of the same kind holds the found series once more; a
+   kind clash raises in the caller and holds nothing. *)
+let register t ~kind ~help ~labels name make =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics: malformed metric name %S" name);
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   Mutex.protect t.t_mu @@ fun () ->
   let i = slot_of t.slots name labels in
   let found = t.slots.(i) in
-  if found != vacant then found.inst
+  if found != vacant then begin
+    if String.equal kind (kind_name found.inst) then
+      found.holders <- found.holders + 1;
+    found.inst
+  end
   else begin
-    let m = { name; labels; help; inst = make () } in
+    let m = { name; labels; help; inst = make (); holders = 1 } in
     t.slots.(i) <- m;
     t.used <- t.used + 1;
     if 2 * t.used > Array.length t.slots then grow t;
@@ -103,7 +148,7 @@ let register t ~help ~labels name make =
 
 let counter t ?(help = "") ?(labels = []) name =
   match
-    register t ~help ~labels name (fun () ->
+    register t ~kind:"counter" ~help ~labels name (fun () ->
         Counter_i { c_value = Atomic.make 0 })
   with
   | Counter_i c -> c
@@ -113,12 +158,31 @@ let counter t ?(help = "") ?(labels = []) name =
 
 let gauge t ?(help = "") ?(labels = []) name =
   match
-    register t ~help ~labels name (fun () -> Gauge_i { g_value = Atomic.make 0.0 })
+    register t ~kind:"gauge" ~help ~labels name (fun () ->
+        Gauge_i { g_value = Atomic.make 0.0 })
   with
   | Gauge_i g -> g
   | other ->
     invalid_arg
       (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
+
+let release t ?(labels = []) name =
+  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
+  Mutex.protect t.t_mu @@ fun () ->
+  let i = slot_of t.slots name labels in
+  let m = t.slots.(i) in
+  if m != vacant then begin
+    m.holders <- m.holders - 1;
+    if m.holders = 0 then begin
+      delete_slot t.slots i;
+      t.used <- t.used - 1;
+      t.removed <- t.removed + 1;
+      if t.removed > t.used then begin
+        t.metrics <- List.filter (fun m -> m.holders > 0) t.metrics;
+        t.removed <- 0
+      end
+    end
+  end
 
 let exponential_buckets ~start ~factor ~count =
   if start <= 0.0 || factor <= 1.0 || count < 1 then
@@ -157,7 +221,7 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
         h_mu = Mutex.create ();
       }
   in
-  match register t ~help ~labels name make with
+  match register t ~kind:"histogram" ~help ~labels name make with
   | Histogram_i h -> h
   | other ->
     invalid_arg
@@ -273,7 +337,9 @@ end
 (* ------------------------------------------------------------------ *)
 (* Exporters.                                                          *)
 
-let snapshot t = Mutex.protect t.t_mu (fun () -> List.rev t.metrics)
+let snapshot t =
+  Mutex.protect t.t_mu (fun () ->
+      List.rev (List.filter (fun m -> m.holders > 0) t.metrics))
 
 let json_labels labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)

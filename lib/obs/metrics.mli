@@ -63,6 +63,15 @@ val histogram :
     registration: a second registration of the same identity returns
     the existing histogram and ignores [buckets]. *)
 
+val release : t -> ?labels:(string * string) list -> string -> unit
+(** Every registration of an identity ({!counter}, {!gauge},
+    {!histogram}) counts one holder; [release] drops one. When the last
+    holder releases, the series is removed: the exporters no longer
+    print it, and a later registration of the same identity starts a
+    fresh instrument. Handles already resolved keep working but update
+    nothing any exporter reads. No-op on an unregistered identity.
+    O(1) amortized; lookups of the remaining series stay O(1). *)
+
 val default_latency_buckets : float array
 (** Exponential nanosecond bounds, 100 ns … 1 s. *)
 

@@ -336,7 +336,98 @@ let test_pool_workers_gauge () =
       Alcotest.(check (pair int (float 0.))) "one event: sequential" (1, 1.)
         (publish ~aggregate:false [| event s 7 "a" |]);
       Alcotest.(check (pair int (float 0.))) "plain batch: two domains" (2, 2.)
-        (publish ~aggregate:false many))
+        (publish ~aggregate:false many);
+      (* The gauge reports the width the batch ran on, not one decided
+         afterwards: pending churn keeps a batch sequential, and a
+         handler subscribing during a pooled batch does not rewrite
+         it. *)
+      let reg = Metrics.create () in
+      let b = Broker.create ~metrics:reg s in
+      let gauge () =
+        Metrics.Gauge.value (Metrics.gauge reg "genas_broker_pool_workers")
+      in
+      let sub who src handler =
+        ignore (Result.get_ok (Broker.subscribe_text b ~subscriber:who src handler))
+      in
+      sub "a" "x >= 5" (fun _ -> ());
+      ignore (Broker.publish b (event s 7 "a"));
+      sub "b" "k = a" (fun _ -> ());
+      Alcotest.(check int) "churn pending" 1
+        (Genas_core.Engine.pending_rebuild (Broker.engine b));
+      Alcotest.(check int) "pending batch delivers" 4 (Broker.publish_batch ~pool b many);
+      Alcotest.(check (float 0.)) "pending churn: sequential" 1. (gauge ());
+      Genas_core.Engine.swap_now (Broker.engine b);
+      let once = ref true in
+      sub "c" "x <= 2" (fun _ ->
+          if !once then begin
+            once := false;
+            sub "d" "x = 9" (fun _ -> ())
+          end);
+      Genas_core.Engine.swap_now (Broker.engine b);
+      ignore (Broker.publish_batch ~pool b many);
+      Alcotest.(check int) "handler subscribed" 1
+        (Genas_core.Engine.pending_rebuild (Broker.engine b));
+      Alcotest.(check (float 0.)) "subscribed mid-batch: still two" 2. (gauge ()))
+
+(* A subscriber name's delivery series lives exactly as long as one of
+   its subscriptions, live and after journal replay. *)
+let delivery_series name = Printf.sprintf {|genas_broker_deliveries_total{subscriber="%s"}|} name
+
+let has_series reg name = List.mem_assoc (delivery_series name) (Metrics.counters reg)
+
+let test_delivery_series_freed () =
+  let s = schema () in
+  let reg = Metrics.create () in
+  let b = Broker.create ~metrics:reg s in
+  let sub who src = Result.get_ok (Broker.subscribe_text b ~subscriber:who src (fun _ -> ())) in
+  let a1 = sub "alice" "x >= 5" and a2 = sub "alice" "k = a" in
+  let c =
+    Result.get_ok
+      (Broker.subscribe_composite b ~subscriber:"bob"
+         (Composite.Prim (Result.get_ok (Genas_profile.Lang.parse_profile s "x >= 8")))
+         (fun _ -> ()))
+  in
+  ignore (Broker.publish b (event s 9 "a"));
+  Alcotest.(check bool) "alice series" true (has_series reg "alice");
+  Alcotest.(check bool) "bob series" true (has_series reg "bob");
+  ignore (Broker.unsubscribe b a1);
+  Alcotest.(check bool) "alice still subscribed" true (has_series reg "alice");
+  ignore (Broker.unsubscribe b a2);
+  Alcotest.(check bool) "alice freed" false (has_series reg "alice");
+  ignore (Broker.unsubscribe b a2);
+  ignore (Broker.unsubscribe b c);
+  Alcotest.(check bool) "bob freed" false (has_series reg "bob");
+  let prom = Metrics.to_prometheus reg in
+  Alcotest.(check bool) "scrape drops the series" false
+    (List.exists
+       (fun l -> String.length l > 29 && String.sub l 0 29 = "genas_broker_deliveries_total")
+       (String.split_on_char '\n' prom));
+  let a3 = sub "alice" "x >= 5" in
+  Alcotest.(check bool) "back again" true (has_series reg "alice");
+  ignore (Broker.unsubscribe b a3)
+
+let test_delivery_series_replay () =
+  let s = schema () in
+  let dir = Filename.temp_file "genas_broker" ".d" in
+  Sys.remove dir;
+  let b = Broker.create ~journal:(Genas_ens.Journal.config ~snapshot_every:3 dir) s in
+  let sub who src = Result.get_ok (Broker.subscribe_text b ~subscriber:who src (fun _ -> ())) in
+  ignore (sub "alice" "x >= 5");
+  let c1 = sub "carol" "k = a" in
+  let c2 = sub "carol" "x <= 2" in
+  ignore (Broker.unsubscribe b c1);
+  ignore (Broker.publish b (event s 9 "a"));
+  ignore (Broker.unsubscribe b c2);
+  Broker.close b;
+  let reg = Metrics.create () in
+  match
+    Broker.recover ~metrics:reg ~journal:(Genas_ens.Journal.config ~snapshot_every:3 dir) s
+  with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Alcotest.(check bool) "alice recovered" true (has_series reg "alice");
+    Alcotest.(check bool) "carol freed on replay" false (has_series reg "carol");
+    Broker.close r
 
 let () =
   Alcotest.run "broker"
@@ -371,6 +462,12 @@ let () =
       ( "batch",
         [ Alcotest.test_case "pool workers gauge" `Quick test_pool_workers_gauge ]
       );
+      ( "metrics",
+        [
+          Alcotest.test_case "delivery series freed" `Quick test_delivery_series_freed;
+          Alcotest.test_case "delivery series freed on replay" `Quick
+            test_delivery_series_replay;
+        ] );
       ( "quench",
         [
           Alcotest.test_case "tracks subscriptions" `Quick test_quench_tracks_subscriptions;

@@ -175,6 +175,42 @@ let test_snapshot_cadence () =
     Alcotest.(check int) "op counter continues" 8 (Journal.ops_logged j2);
     Broker.close b2
 
+(* A version-1 snapshot (written before snapshots recorded pending
+   churn) is the version-2 payload without the trailing churn section,
+   which is three zero ints when nothing is pending; it still loads. *)
+let test_snapshot_v1_loads () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let cfg = Journal.config ~snapshot_every:4 dir in
+  let b = Broker.create ~journal:cfg s in
+  ignore (Broker.subscribe b ~subscriber:"a" ~profile:(profile_of s "x >= 5")
+            (fun _ -> ()));
+  for i = 0 to 4 do
+    ignore (Broker.publish b (event ~time:(float_of_int i) s (i mod 10) "a"))
+  done;
+  Broker.close b;
+  let path = Filename.concat dir "snapshot.bin" in
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  let seed = cfg.Journal.seed in
+  let payload =
+    match Codec.parse_frames ~seed contents ~pos:16 with
+    | [ p ], _, false -> p
+    | _ -> Alcotest.fail "snapshot frame"
+  in
+  let n = String.length payload - 24 in
+  Alcotest.(check string) "nothing pending" (String.make 24 '\000')
+    (String.sub payload n 24);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "GSNAP01\n";
+      output_string oc (String.sub contents 8 8);
+      output_string oc (Codec.frame ~seed (String.sub payload 0 n)));
+  match Broker.recover ~journal:cfg s with
+  | Error e -> Alcotest.fail e
+  | Ok b2 ->
+    Alcotest.(check int) "published restored" 5 (Broker.published b2);
+    Alcotest.(check int) "still matching" 1 (Broker.publish b2 (event s 7 "a"));
+    Broker.close b2
+
 (* --- dead-letter replay (supervised path) --------------------------- *)
 
 let test_deadletter_replay_exactly_once () =
@@ -240,7 +276,11 @@ let () =
           Alcotest.test_case "missing dir" `Quick test_refuses_missing_dir;
         ] );
       ( "snapshots",
-        [ Alcotest.test_case "cadence" `Quick test_snapshot_cadence ] );
+        [
+          Alcotest.test_case "cadence" `Quick test_snapshot_cadence;
+          Alcotest.test_case "version-1 snapshot loads" `Quick
+            test_snapshot_v1_loads;
+        ] );
       ( "deadletter-replay",
         [
           Alcotest.test_case "exactly once" `Quick

@@ -407,6 +407,65 @@ let test_clock_monotonic () =
   let b = Clock.now_ns () in
   Alcotest.(check bool) "non-decreasing" true (Int64.compare b a >= 0)
 
+(* Every registration holds the series; the last release removes it
+   from the index and from every exporter. *)
+let test_registry_release () =
+  let reg = Metrics.create () in
+  let labels = [ ("subscriber", "alice") ] in
+  let c = Metrics.counter reg "deliveries" ~labels in
+  Metrics.Counter.add c 3;
+  ignore (Metrics.counter reg "deliveries" ~labels);
+  let keep = Metrics.counter reg "kept" in
+  Metrics.Counter.incr keep;
+  let series = {|deliveries{subscriber="alice"}|} in
+  Metrics.release reg "deliveries" ~labels;
+  Alcotest.(check (option int)) "one holder left" (Some 3)
+    (List.assoc_opt series (Metrics.counters reg));
+  Metrics.release reg "deliveries" ~labels;
+  Alcotest.(check (option int)) "released" None
+    (List.assoc_opt series (Metrics.counters reg));
+  let prom = Metrics.to_prometheus reg in
+  Alcotest.(check bool) "not scraped" false
+    (List.exists
+       (fun l -> String.length l >= 10 && String.sub l 0 10 = "deliveries")
+       (String.split_on_char '\n' prom));
+  Metrics.release reg "deliveries" ~labels;
+  Alcotest.(check int) "other series intact" 1
+    (Metrics.Counter.value (Metrics.counter reg "kept"));
+  Alcotest.(check int) "re-registration starts fresh" 0
+    (Metrics.Counter.value (Metrics.counter reg "deliveries" ~labels))
+
+(* Random register/release churn over a small table (long probe runs,
+   wraparound, growth) against a model: the live series, in
+   registration order, and every live handle still found by lookup. *)
+let test_registry_release_churn () =
+  let reg = Metrics.create () in
+  let rng = Random.State.make [| 7 |] in
+  let live = ref [] in
+  for step = 1 to 4000 do
+    let k = Random.State.int rng 150 in
+    let name = Printf.sprintf "s%d" k in
+    if List.mem_assoc name !live && Random.State.bool rng then begin
+      Metrics.release reg name;
+      live := List.remove_assoc name !live
+    end
+    else if not (List.mem_assoc name !live) then begin
+      Metrics.Counter.add (Metrics.counter reg name) step;
+      live := !live @ [ (name, step) ]
+    end;
+    if step mod 97 = 0 then begin
+      Alcotest.(check (list (pair string int))) "live series, in order" !live
+        (Metrics.counters reg);
+      List.iter
+        (fun (name, v) ->
+          let c = Metrics.counter reg name in
+          Alcotest.(check int) "lookup finds the live handle" v
+            (Metrics.Counter.value c);
+          Metrics.release reg name)
+        !live
+    end
+  done
+
 let () =
   Alcotest.run "obs"
     [
@@ -427,6 +486,8 @@ let () =
           Alcotest.test_case "family order" `Quick test_registry_family_order;
           Alcotest.test_case "concurrent registration" `Quick
             test_registry_concurrent_register;
+          Alcotest.test_case "release" `Quick test_registry_release;
+          Alcotest.test_case "release churn" `Quick test_registry_release_churn;
         ] );
       ( "histogram",
         [

@@ -25,6 +25,8 @@ module Lang = Genas_profile.Lang
 module Adaptive = Genas_core.Adaptive
 module Broker = Genas_ens.Broker
 module Journal = Genas_ens.Journal
+module Snapshot = Genas_ens.Snapshot
+module Engine = Genas_core.Engine
 module Fault = Genas_ens.Fault
 module Supervise = Genas_ens.Supervise
 module Deadletter = Genas_ens.Deadletter
@@ -124,6 +126,35 @@ let script_b =
      ]
     @ List.init 25 (fun i -> Pub i))
 
+(* Plain-engine churn script: subscribes and unsubscribes land between
+   snapshots, so a crash inside a window of pending (not yet compiled)
+   churn must recover to the same fold points — the rent that drives a
+   fold advances on replay exactly as on the live match path. *)
+let script_c =
+  Array.of_list
+    ([ Sub ("ops", "k = a"); Sub ("flaky", "x >= 5"); Pub 0; Pub 1 ]
+    @ [ Sub ("late", "x <= 3"); Pub 2; Pub 3; Pub 4; Unsub "late" ]
+    @ [ Pub 5; Pub 6; Sub ("mid", "x = 4"); Pub 7; Unsub "flaky" ]
+    @ [ Pub 8; Pub 9; Batch [ 10; 11; 12 ]; Pub 13; Pub 14; Pub 15 ]
+    @ [ Sub ("late", "x <= 3"); Pub 16; Sub ("flaky", "x >= 5") ]
+    @ [ Pub 17; Unsub "late"; Pub 18; Pub 19; Unsub "mid"; Unsub "ops" ]
+    @ List.init 6 (fun i -> Pub (20 + i))
+    @ [ Sub ("ops", "k = a"); Batch [ 26; 27 ]; Pub 28; Unsub "ops" ]
+    @ List.init 4 (fun i -> Pub (29 + i)))
+
+(* A pending window far longer than the snapshot cadence: snapshots
+   land inside it and must record the churn rather than fold it, and a
+   crash mid-snapshot must recover to the same fold points. *)
+let script_d =
+  Array.of_list
+    ([ Sub ("ops", "k = a"); Sub ("flaky", "x >= 5"); Pub 0; Pub 1 ]
+    @ [ Sub ("late", "x <= 3") ]
+    @ List.init 10 (fun i -> Pub (2 + i))
+    @ [ Unsub "flaky" ]
+    @ List.init 10 (fun i -> Pub (12 + i))
+    @ [ Batch [ 22; 23; 24 ]; Unsub "late" ]
+    @ List.init 4 (fun i -> Pub (25 + i)))
+
 let retry () =
   Supervise.retry_policy ~max_attempts:2 ~jitter_seed:1 ~trip_after:3
     ~cooldown:4 ()
@@ -176,7 +207,8 @@ let fresh_dir () =
   Sys.remove path;
   path
 
-let run_case ~script ~snapshot_every ~spec ~seed ~expect_crash () =
+let run_case ?(expect_pending = false) ?(expect_snapshot_churn = false)
+    ~script ~snapshot_every ~spec ~seed ~expect_crash () =
   let s = schema () in
   let reference = Broker.create ~retry:(retry ()) ~adaptive s in
   (match run_script s reference script ~from:0 with
@@ -191,6 +223,19 @@ let run_case ~script ~snapshot_every ~spec ~seed ~expect_crash () =
   in
   let outcome = run_script s b script ~from:0 in
   (match outcome with `Done -> Broker.close b | `Crashed _ -> ());
+  if expect_pending then
+    Alcotest.(check bool) "crashed with churn pending" true
+      (Engine.pending_rebuild (Broker.engine b) > 0);
+  if expect_snapshot_churn then begin
+    let cfg = Journal.config ~snapshot_every dir in
+    match Snapshot.read ~dir ~seed:cfg.Journal.seed s with
+    | Ok (Some snap) ->
+      let c = snap.Snapshot.churn in
+      Alcotest.(check bool) "snapshot records pending churn" true
+        (c.Engine.delta <> [] || c.Engine.dead <> [])
+    | Ok None -> Alcotest.fail "no snapshot written"
+    | Error e -> Alcotest.fail ("snapshot: " ^ e)
+  end;
   Alcotest.(check bool)
     (Printf.sprintf "crash fired as scheduled (seed %d)" seed)
     expect_crash (Fault.crashed faults);
@@ -227,10 +272,27 @@ let after_journal p = { Fault.none with Fault.crash_after_journal = p }
 
 let mid_snapshot p = { Fault.none with Fault.crash_mid_snapshot = p }
 
+(* Fault seeds whose crash lands inside a pending window of script_c;
+   each case asserts that it does. *)
+let pending_seeds_before_fsync = [ 4; 5; 6; 8; 11; 14 ]
+
+let pending_seeds_after_journal = [ 16; 18; 21; 23; 24; 26 ]
+
 let cases =
   let a ~name ~spec ~seed ~expect_crash =
     Alcotest.test_case (Printf.sprintf "%s seed %d" name seed) `Quick
       (run_case ~script:script_a ~snapshot_every:8 ~spec ~seed ~expect_crash)
+  and c ~name ~spec ~seed ~expect_crash =
+    Alcotest.test_case (Printf.sprintf "pending churn %s seed %d" name seed)
+      `Quick
+      (run_case ~expect_pending:expect_crash ~script:script_c
+         ~snapshot_every:8 ~spec ~seed ~expect_crash)
+  and d ~name ~spec ~seed ~expect_crash =
+    Alcotest.test_case
+      (Printf.sprintf "long pending window %s seed %d" name seed)
+      `Quick
+      (run_case ~expect_pending:expect_crash ~expect_snapshot_churn:true
+         ~script:script_d ~snapshot_every:8 ~spec ~seed ~expect_crash)
   and b ~name ~spec ~seed ~expect_crash =
     Alcotest.test_case (Printf.sprintf "composite %s seed %d" name seed) `Quick
       (run_case ~script:script_b ~snapshot_every:10_000 ~spec ~seed
@@ -259,5 +321,25 @@ let cases =
     b ~name:"after-journal" ~spec:(after_journal 0.08) ~seed:11
       ~expect_crash:true;
   ]
+  @ [ c ~name:"clean shutdown" ~spec:(before_fsync 0.0) ~seed:3 ~expect_crash:false ]
+  @ List.map
+      (fun seed ->
+        c ~name:"before-fsync" ~spec:(before_fsync 0.08) ~seed ~expect_crash:true)
+      pending_seeds_before_fsync
+  @ List.map
+      (fun seed ->
+        c ~name:"after-journal" ~spec:(after_journal 0.08) ~seed
+          ~expect_crash:true)
+      pending_seeds_after_journal
+  @ [
+      d ~name:"clean shutdown" ~spec:(before_fsync 0.0) ~seed:3
+        ~expect_crash:false;
+      (* Seeds whose crash hits a later snapshot: recovery starts from
+         an earlier one that recorded pending churn. *)
+      d ~name:"mid-snapshot" ~spec:(mid_snapshot 0.5) ~seed:2
+        ~expect_crash:true;
+      d ~name:"mid-snapshot" ~spec:(mid_snapshot 0.5) ~seed:3
+        ~expect_crash:true;
+    ]
 
 let () = Alcotest.run "recover" [ ("differential", cases) ]
