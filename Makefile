@@ -2,7 +2,7 @@
 # + the seconds-scale bench smoke).
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
-  poolcheck netcheck meshcheck obscheck bench bench-smoke bench-json \
+  netcheck meshcheck obscheck bench bench-smoke bench-json \
   perfsmoke clean
 
 all: build
@@ -16,7 +16,7 @@ test:
 check:
 	dune build @all && dune runtest && $(MAKE) faultcheck \
 	  && $(MAKE) recovercheck && $(MAKE) tracecheck && $(MAKE) scalecheck \
-	  && $(MAKE) poolcheck && $(MAKE) netcheck && $(MAKE) meshcheck \
+	  && $(MAKE) netcheck && $(MAKE) meshcheck \
 	  && $(MAKE) obscheck && $(MAKE) bench-smoke
 
 # Fault-injection suite: the supervised-delivery unit tests plus the
@@ -57,14 +57,6 @@ scalecheck:
 	./_build/default/bin/genas_cli.exe bench --json --events 200 \
 	  --scaling 1000,10000 --baseline-max 1000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck
-
-# Pool suite: the persistent work-stealing pool determinism, stealing,
-# and teardown tests (test_pool), run at a forced 2-domain width so the
-# multi-domain paths are exercised even on 1-core hosts. Alcotest runs
-# the full suite; QCheck properties are skipped under -q, so no -q here.
-poolcheck:
-	dune build test/test_pool.exe
-	GENAS_TEST_DOMAINS=2 ./_build/default/test/test_pool.exe
 
 # Networking suite: wire-codec bounds, socket round trips, covering
 # propagation on the wire, fault-driven reconnect + WAL catch-up, the

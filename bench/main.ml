@@ -18,7 +18,6 @@ module Shape = Genas_dist.Shape
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Stats = Genas_core.Stats
@@ -194,67 +193,7 @@ let run_timing () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Multicore throughput: the compiled flat matcher and the packed
-   event image are immutable, so the persistent pool's workers share
-   them with zero coordination; work-stealing keeps every domain busy
-   on skewed batches.                                                  *)
-
-let run_parallel () =
-  let _, _, decomp, stats, events = timing_workload () in
-  let tree =
-    Reorder.build stats
-      { Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
-        value_choice = `Measure Selectivity.V1 }
-  in
-  ignore decomp;
-  let flat = Flat.compile tree in
-  let batches = 200 in
-  let measure pool =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batches do
-      ignore (Pool.match_batch pool flat events)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    ( float_of_int (batches * Array.length events) /. dt,
-      Pool.last_steals pool )
-  in
-  let cores = Domain.recommended_domain_count () in
-  let candidates = List.sort_uniq Int.compare [ 1; min 2 cores; min 4 cores ] in
-  let rates =
-    List.map
-      (fun d ->
-        let p = Pool.create ~domains:d () in
-        let rate, steals = measure p in
-        Pool.shutdown p;
-        (d, rate, steals))
-      candidates
-  in
-  let base =
-    match rates with (_, r, _) :: _ -> r | [] -> 1.0
-  in
-  let rows =
-    List.map
-      (fun (d, rate, steals) ->
-        [
-          string_of_int d;
-          Printf.sprintf "%.2fM" (rate /. 1e6);
-          Printf.sprintf "%.2fx" (rate /. base);
-          string_of_int steals;
-        ])
-      rates
-  in
-  Report.table ~title:"Multicore throughput — persistent work-stealing pool"
-    ~columns:[ "domains"; "events/s"; "speedup"; "last-batch steals" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "500 profiles, 3 attributes, V1+A2 flat matcher; 200 batches of \
-           1024 packed events; host reports %d available core(s)" cores;
-      ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Perfbench: the flat-vs-pointer and 1-vs-N-domain throughput suite,
+(* Perfbench: the matcher and publish-path throughput suite,
    as a table ("perf") or as the BENCH_*.json document ("json").      *)
 
 let perf_events () =
@@ -305,7 +244,6 @@ let tables_of_target = function
   | "orderings8" -> [ Figures.orderings8 () ]
   | "fragility" -> [ Figures.fragility () ]
   | "timing" -> [ run_timing () ]
-  | "parallel" -> [ run_parallel () ]
   | "perf" -> [ run_perf () ]
   | other ->
     Printf.eprintf "unknown bench target %S\n" other;
@@ -334,7 +272,7 @@ let run_figure ?csv_dir target =
 
 let all_targets =
   [ "fig3"; "fig4a"; "fig4b"; "fig5"; "fig6a"; "fig6b"; "tv"; "ablation";
-    "baselines"; "outlook"; "quench"; "routing"; "adaptive"; "correlated"; "dontcare"; "queueing"; "orderings8"; "fragility"; "timing"; "parallel"; "perf"; "metrics" ]
+    "baselines"; "outlook"; "quench"; "routing"; "adaptive"; "correlated"; "dontcare"; "queueing"; "orderings8"; "fragility"; "timing"; "perf"; "metrics" ]
 
 let () =
   let rest =

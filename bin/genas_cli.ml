@@ -347,27 +347,12 @@ let parse_scaling spec =
       Error "scaling populations must be positive"
     else Ok points
 
-let parse_domains spec =
-  match
-    String.split_on_char ',' spec
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s -> int_of_string_opt (String.trim s))
-  with
-  | [] -> Error "empty --domains list"
-  | l when List.exists Option.is_none l -> Error ("bad --domains list: " ^ spec)
-  | l ->
-    let ds = List.filter_map Fun.id l in
-    if List.exists (fun d -> d <= 0) ds then
-      Error "domain counts must be positive"
-    else Ok ds
-
-let run_bench json events out profiles scaling baseline_max domains =
+let run_bench json events out profiles scaling baseline_max =
   if events <= 0 then or_die (Error "need a positive --events count");
   if profiles <= 0 then or_die (Error "need a positive --profiles count");
   if baseline_max < 0 then
     or_die (Error "need a non-negative --baseline-max population");
-  let domains = Option.map (fun spec -> or_die (parse_domains spec)) domains in
-  let t = Genas_expt.Perfbench.run ~profiles ~events ?domains () in
+  let t = Genas_expt.Perfbench.run ~profiles ~events () in
   let scale =
     Option.map
       (fun spec ->
@@ -948,22 +933,14 @@ let bench_cmd =
                    replan, seconds each on the covering workload, and the \
                    replanned tree grows combinatorially with population).")
   in
-  let domains_arg =
-    Arg.(value & opt (some string) None
-         & info [ "domains" ] ~docv:"D,D,..."
-             ~doc:"Domain counts for the persistent-pool rows \
-                   (comma-separated; default 1,2 and the host \
-                   recommendation capped at 4). Forcing a fixed list \
-                   keeps BENCH_*.json shape identical across hosts.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Benchmark every matcher (naive, counting, pointer tree, compiled \
-             flat form, batch/packed paths, hotness relayout, persistent \
-             domain pool) on the paper's timing workload; \
+             flat form, batch/packed paths, hotness relayout, publish \
+             paths) on the paper's timing workload; \
              events/sec and comparisons/event per matcher and strategy")
     Term.(const run_bench $ json_arg $ events_arg $ out_arg $ profiles_arg
-          $ scaling_arg $ baseline_max_arg $ domains_arg)
+          $ scaling_arg $ baseline_max_arg)
 
 let faults_cmd =
   let seed_arg =

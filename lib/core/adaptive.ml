@@ -130,8 +130,8 @@ let match_event t event =
   note_events t 1;
   result
 
-let match_batch ?pool t events =
-  let results = Engine.match_batch ?pool t.engine events in
+let match_batch t events =
+  let results = Engine.match_batch t.engine events in
   (* The whole batch is observed before at most one drift check runs:
      a check mid-batch would re-plan the tree under the feet of the
      batch's own statistics, for no measurable gain. *)

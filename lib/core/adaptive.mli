@@ -45,7 +45,6 @@ val match_event :
     [check_every] events. *)
 
 val match_batch :
-  ?pool:Genas_filter.Pool.t ->
   t ->
   Genas_model.Event.t array ->
   Genas_profile.Profile_set.id array array

@@ -7,7 +7,6 @@ module Profile = Genas_profile.Profile
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Ops = Genas_filter.Ops
 module Metrics = Genas_obs.Metrics
 
@@ -158,7 +157,6 @@ type t = {
   mutable rent_limit : int;
   mutable scratch : int array;  (** reusable sorted-match buffer *)
   mutable fill : int;  (** ids written to [scratch] for the current event *)
-  mutable batch_width : int;  (** domains the last [match_batch] used *)
   ops : Ops.t;
   instruments : instruments option;
   agg : agg option;
@@ -322,7 +320,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       rent_limit = 0;
       scratch = Array.make 64 0;
       fill = 0;
-      batch_width = 1;
       ops = Ops.create ();
       instruments = Option.map make_instruments metrics;
       agg;
@@ -809,57 +806,12 @@ let match_with t event ~f =
   let n = match_core t event in
   f ~ids:(result_buffer t) ~len:n
 
-let match_batch ?pool t events =
-  (* The whole batch is observed first, event by event as
-     [replay_observe] sees it, so a fold lands where the rent crosses
-     and the matching below runs on one plan. *)
-  Array.iter
+let match_batch t events =
+  Array.map
     (fun e ->
-      prepare t;
-      Stats.observe_event t.stats e)
-    events;
-  let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-  (* Aggregated engines, and plain engines with churn pending, match
-     batches sequentially: the pool workers only execute the compiled
-     flat form, which then does not hold the full profile population. *)
-  t.batch_width <-
-    (match (pool, t.agg) with
-    | Some p, None when Array.length events > 1 && pending_of t = 0 ->
-      Pool.domains p
-    | _ -> 1);
-  let results =
-    match pool with
-    | Some p when t.batch_width > 1 ->
-      Pool.match_batch ~ops:t.ops p t.flat events
-    | Some _ | None when t.agg = None && pending_of t = 0 ->
-      let out = Array.make (Array.length events) [||] in
-      (match t.recorder with
-      | None ->
-        Flat.match_batch ~ops:t.ops t.flat t.cursor events
-          ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len)
-      | Some r ->
-        Array.iteri
-          (fun i e ->
-            let len = Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r e in
-            out.(i) <- Array.sub (Flat.matches t.cursor) 0 len)
-          events);
-      out
-    | Some _ | None ->
-      Array.map
-        (fun e ->
-          let n = match_dispatch t e in
-          Array.sub t.scratch 0 n)
-        events
-  in
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.events_total (Array.length events);
-    Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-    Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-  results
-
-let last_batch_domains t = t.batch_width
+      let n = match_core t e in
+      Array.sub (result_buffer t) 0 n)
+    events
 
 let replay_observe t event =
   (* Journal replay: feed the statistics exactly as [match_core] would —

@@ -178,28 +178,12 @@ val match_with :
     match — copy inside [f] if the ids must outlive the call. *)
 
 val match_batch :
-  ?pool:Genas_filter.Pool.t ->
-  t ->
-  Genas_model.Event.t array ->
-  Genas_profile.Profile_set.id array array
+  t -> Genas_model.Event.t array -> Genas_profile.Profile_set.id array array
 (** Filter a batch: one ascending id array per event, index-aligned.
-    Statistics, operation counters, and metrics advance as if each
-    event had gone through {!match_event}, except that per-event
-    latency histograms are not observed on the batch path, and that
-    the whole batch is observed before any of it is matched: a fold
-    of pending churn that the batch's rent triggers applies to every
-    event of the batch. Matching then fans out across the [pool]'s
-    domains when {!last_batch_domains} allows it; results and counters
-    are identical to the sequential path. *)
-
-val last_batch_domains : t -> int
-(** The number of domains the most recent {!match_batch} matched on
-    ([1] before the first): the [pool]'s width, or [1] without a pool,
-    for a batch of at most one event, on an aggregated engine, and on a
-    plain engine with churn pending once the batch was observed (pool
-    workers execute only the compiled flat form, which then does not
-    hold the full population). Churn or folds after the batch do not
-    change it. *)
+    Exactly a sequence of {!match_with} calls, one per event in order,
+    each result copied out of the borrowed buffer: statistics, pending
+    churn folds, operation counters and metrics (the per-event
+    histograms included) advance as they would for those calls. *)
 
 val rebuild : t -> unit
 (** Re-plan the tree configuration from the current statistics (and
@@ -221,13 +205,12 @@ val report : t -> Cost.report
 
 (** {1 Hotness profiling}
 
-    When enabled, single-event and sequential-batch matching run
+    When enabled, matching (single events and batches alike) runs
     through {!Genas_filter.Flat.match_into_recorded}, accumulating
     per-node and per-level visit counters and keeping the last
     traversal path. Disabled (the default), matching dispatches the
     plain loop, which takes no recorder argument at all — zero
-    profiling cost by construction. Pool-parallel batches are never
-    recorded (workers use private cursors). *)
+    profiling cost by construction. *)
 
 val set_profiling : t -> bool -> unit
 (** Enable/disable hotness recording. Enabling allocates a fresh

@@ -36,7 +36,6 @@ type instruments = {
   quench_rebuilds_total : Metrics.counter;
   quench_suppressed_total : Metrics.counter;
   batch_size : Metrics.histogram;
-  pool_workers : Metrics.gauge;
 }
 
 let make_instruments registry =
@@ -62,10 +61,6 @@ let make_instruments registry =
         ~help:"Events per publish_batch call"
         ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.;
                     4096.; 16384.; 65536. |];
-    pool_workers =
-      Metrics.gauge registry "genas_broker_pool_workers"
-        ~help:"Domains the most recent publish_batch actually matched on \
-               (1 = sequential)";
   }
 
 (* Each subscription holds its subscriber's delivery series; the
@@ -442,16 +437,13 @@ let publish_core t event =
 let publish t event =
   with_publish_trace t ~name:"broker.publish" (fun () -> publish_core t event)
 
-let publish_batch_core ?pool t events =
+let publish_batch_core t events =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   let n = Array.length events in
-  (* Matching fans out across the pool's domains; delivery stays on the
-     calling domain, in batch order, because handlers are arbitrary
-     user code and composite detection is stateful over the stream. *)
   let do_match () =
     match t.adaptive with
-    | Some a -> Adaptive.match_batch ?pool a events
-    | None -> Engine.match_batch ?pool t.engine events
+    | Some a -> Adaptive.match_batch a events
+    | None -> Engine.match_batch t.engine events
   in
   let results =
     match t.tracer with
@@ -476,15 +468,13 @@ let publish_batch_core ?pool t events =
   | Some ins ->
     Metrics.Counter.add ins.published_total n;
     Metrics.Counter.add ins.notifications_total !sent;
-    Metrics.Histogram.observe ins.batch_size (float_of_int n);
-    Metrics.Gauge.set ins.pool_workers
-      (float_of_int (Engine.last_batch_domains t.engine)));
+    Metrics.Histogram.observe ins.batch_size (float_of_int n));
   journal_publish t ~events ~batch:true ~total_before;
   !sent
 
-let publish_batch ?pool t events =
+let publish_batch t events =
   with_publish_trace t ~name:"broker.publish_batch" (fun () ->
-      publish_batch_core ?pool t events)
+      publish_batch_core t events)
 
 let publish_quenched t event =
   if Quench.wanted_event (quench t) event then Some (publish t event)

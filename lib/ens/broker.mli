@@ -120,16 +120,14 @@ val publish : t -> Genas_model.Event.t -> int
     [notifications], and the broker metrics stay mutually consistent
     whatever the handlers do. *)
 
-val publish_batch :
-  ?pool:Genas_filter.Pool.t -> t -> Genas_model.Event.t array -> int
-(** Filter a whole batch, then deliver notifications in batch order;
-    returns the total notifications sent. With [pool] (on a host with
-    more than one domain) matching fans out across domains; delivery
-    and composite detection always run on the calling domain, in
-    order, so handler-visible behavior is identical to publishing the
-    events one by one. Instrumented brokers record the batch size
-    (histogram) and the domains actually used
-    ({!Genas_core.Engine.last_batch_domains}, gauge). *)
+val publish_batch : t -> Genas_model.Event.t array -> int
+(** Filter a whole batch ({!Genas_core.Engine.match_batch}), then
+    deliver notifications in batch order; returns the total
+    notifications sent. Delivery and composite detection run in
+    order, so handler-visible behavior is that of publishing the
+    events one by one, except that a subscription made by a handler
+    during the batch sees none of the batch's events. Instrumented
+    brokers record the batch size (histogram). *)
 
 val publish_quenched : t -> Genas_model.Event.t -> int option
 (** Consult the quench table first: [None] if the event provably

@@ -7,7 +7,6 @@ module Shape = Genas_dist.Shape
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Ops = Genas_filter.Ops
@@ -28,7 +27,6 @@ type result = {
   name : string;
   matcher : string;
   strategy : string;
-  domains : int;
   timed_events : int;
   events_per_sec : float;
   comparisons_per_event : float;
@@ -46,10 +44,9 @@ type t = {
   results : result list;
 }
 
-(* Host core count, so BENCH_*.json scaling claims are interpretable:
-   a pool row that shows no speedup on a 1-core host is expected, not
-   a regression. Linux exposes it in /proc/cpuinfo; elsewhere fall
-   back to the runtime's recommendation. *)
+(* Host core count, so BENCH_*.json figures can be compared across
+   hosts. Linux exposes it in /proc/cpuinfo; elsewhere fall back to the
+   runtime's recommendation. *)
 let host_cpu_count () =
   match open_in "/proc/cpuinfo" with
   | exception Sys_error _ -> Domain.recommended_domain_count ()
@@ -77,7 +74,6 @@ type entry = {
   e_name : string;
   e_matcher : string;
   e_strategy : string;
-  e_domains : int;
   timed : int -> int;
   counted : unit -> Ops.t;
 }
@@ -92,7 +88,6 @@ let measure ~events entry =
     name = entry.e_name;
     matcher = entry.e_matcher;
     strategy = entry.e_strategy;
-    domains = entry.e_domains;
     timed_events = n;
     events_per_sec = (if dt > 0.0 then float_of_int n /. dt else 0.0);
     comparisons_per_event =
@@ -136,12 +131,12 @@ let plan_row pset =
         Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e6)
   in
   Array.sort Float.compare ms;
-  { name = "plan/v1+a2"; matcher = "plan"; strategy = "v1+a2"; domains = 1;
+  { name = "plan/v1+a2"; matcher = "plan"; strategy = "v1+a2";
     timed_events = 5; events_per_sec = 1e3 /. ms.(2);
     comparisons_per_event = 0.0; matches_per_event = 0.0;
     plan_ms = Some ms.(2) }
 
-let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
+let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
   let rng = Prng.create ~seed in
   let pset = paper_profiles ~profiles rng in
   let decomp = Decomp.build pset in
@@ -186,12 +181,11 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
   (* Whole-pool passes for the batch entries: ~n events rounded up to
      full passes so each pass matches the same 1024 events. *)
   let passes n = (n + pool_size - 1) / pool_size in
-  let entry ?(domains = 1) name matcher strategy timed counted =
+  let entry name matcher strategy timed counted =
     {
       e_name = name;
       e_matcher = matcher;
       e_strategy = strategy;
-      e_domains = domains;
       timed;
       counted;
     }
@@ -317,40 +311,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
         ("flat-skew-layout/v1+a2", skew_layout_flat);
       ]
   in
-  let recommended = Domain.recommended_domain_count () in
-  let live_pools = ref [] in
-  let new_pool d =
-    let p = Pool.create ~domains:d () in
-    live_pools := p :: !live_pools;
-    p
-  in
-  (* Always record 1- and 2-domain rows — on a 1-core host they show
-     (honestly) no speedup, but the perf-trajectory file keeps the same
-     shape across hosts. [?domains] overrides the whole list. *)
-  let pool_domains =
-    match domains with
-    | Some ds -> List.sort_uniq Int.compare ds
-    | None -> List.sort_uniq Int.compare [ 1; 2; min 4 (max 2 recommended) ]
-  in
-  let pool_entries =
-    List.map
-      (fun d ->
-        let p = new_pool d in
-        entry
-          (Printf.sprintf "pool/v1+a2/d%d" d)
-          "pool" "v1+a2" ~domains:d
-          (fun n ->
-            let k = passes n in
-            for _ = 1 to k do
-              ignore (Pool.match_batch p batch_flat pool_events)
-            done;
-            k * pool_size)
-          (fun () ->
-            let ops = Ops.create () in
-            ignore (Pool.match_batch ~ops p batch_flat pool_events);
-            ops))
-      pool_domains
-  in
   (* Full publish path (matching + supervised delivery to null
      handlers) through a broker: untraced, with a never-sampling
      tracer attached ("traced-off" — the disabled-tracing cost the
@@ -439,20 +399,16 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
     List.map (measure ~events)
       (baseline_entries @ tree_entries
       @ [ batch_entry; packed_entry ]
-      @ skew_entries @ publish_entries @ net_publish_entries @ pool_entries)
+      @ skew_entries @ publish_entries @ net_publish_entries)
     @ [ plan_row pset ]
   in
-  (* Pools own domains; release them before returning (the at_exit
-     hook would catch them anyway, but a long-lived caller should not
-     keep benchmark workers parked). *)
   List.iter (fun f -> f ()) !live_net;
-  List.iter Pool.shutdown !live_pools;
   {
     profiles;
     attributes = attrs;
     event_pool = pool_size;
     seed;
-    recommended_domains = recommended;
+    recommended_domains = Domain.recommended_domain_count ();
     cpu_count = host_cpu_count ();
     results;
   }
@@ -643,15 +599,6 @@ let speedup t ~num ~den =
   | Some a, Some b when b > 0.0 -> Some (a /. b)
   | _ -> None
 
-let pool_peak t =
-  List.filter (fun r -> r.matcher = "pool") t.results
-  |> List.fold_left
-       (fun acc r ->
-         match acc with
-         | Some best when best.events_per_sec >= r.events_per_sec -> acc
-         | _ -> Some r)
-       None
-
 let to_json ?scale:sc t =
   let result_json r =
     Json.Obj
@@ -659,7 +606,6 @@ let to_json ?scale:sc t =
         ("name", Json.Str r.name);
         ("matcher", Json.Str r.matcher);
         ("strategy", Json.Str r.strategy);
-        ("domains", Json.Int r.domains);
         ("timed_events", Json.Int r.timed_events);
         ("events_per_sec", Json.number r.events_per_sec);
         ("comparisons_per_event", Json.number r.comparisons_per_event);
@@ -672,11 +618,6 @@ let to_json ?scale:sc t =
   let derived =
     let field name v =
       (name, match v with Some s -> Json.number s | None -> Json.Null)
-    in
-    let pool_speedup =
-      match (pool_peak t, find_eps t "pool/v1+a2/d1") with
-      | Some peak, Some d1 when d1 > 0.0 -> Some (peak.events_per_sec /. d1)
-      | _ -> None
     in
     Json.Obj
       [
@@ -693,11 +634,6 @@ let to_json ?scale:sc t =
           (speedup t ~num:"publish/traced" ~den:"publish/untraced");
         field "publish_net_traced_off_vs_untraced"
           (speedup t ~num:"publish/net-traced-off" ~den:"publish/net-untraced");
-        field "pool_peak_vs_1_domain" pool_speedup;
-        ( "pool_peak_domains",
-          match pool_peak t with
-          | Some r -> Json.Int r.domains
-          | None -> Json.Null );
       ]
   in
   Json.Obj
@@ -717,13 +653,6 @@ let to_json ?scale:sc t =
            [
              ("recommended_domains", Json.Int t.recommended_domains);
              ("cpu_count", Json.Int t.cpu_count);
-             ( "scaling_note",
-               if t.cpu_count <= 1 then
-                 Json.Str
-                   "single-core host: multi-domain rows cannot show \
-                    wall-clock scaling; per-domain entries recorded for \
-                    cross-host comparison"
-               else Json.Null );
            ] );
        ("results", Json.List (List.map result_json t.results));
        ("derived", derived);
@@ -736,7 +665,6 @@ let table t =
       (fun r ->
         [
           r.name;
-          string_of_int r.domains;
           Printf.sprintf "%.0f" r.events_per_sec;
           Report.f2 r.comparisons_per_event;
           Report.f2 r.matches_per_event;
@@ -744,7 +672,7 @@ let table t =
       t.results
   in
   Report.table ~title:"Matcher throughput (wall clock)"
-    ~columns:[ "matcher"; "domains"; "events/s"; "cmp/event"; "match/event" ]
+    ~columns:[ "matcher"; "events/s"; "cmp/event"; "match/event" ]
     ~notes:
       [
         Printf.sprintf

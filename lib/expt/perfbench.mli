@@ -5,9 +5,8 @@
     pool: the naive and counting baselines, the pointer profile tree
     and its compiled {!Genas_filter.Flat} form per value strategy, the
     flat batch and packed-batch paths, the skewed-workload pair with
-    and without the hotness-guided relayout, the persistent
-    {!Genas_filter.Pool} fan-out per domain count, and the cost of one
-    full re-plan of the table.
+    and without the hotness-guided relayout, the publish paths, and the
+    cost of one full re-plan of the table.
     Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
@@ -18,10 +17,10 @@
     docs/PERFORMANCE.md). *)
 
 type result = {
-  name : string;  (** e.g. ["flat/v1+a2"], ["pool/v1+a2/d2"] *)
+  name : string;  (** e.g. ["flat/v1+a2"], ["publish/untraced"] *)
   matcher : string;
       (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          flat-skew-layout|publish|publish-net|pool|plan;
+          flat-skew-layout|publish|publish-net|plan;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -30,7 +29,6 @@ type result = {
           [publish_net_traced_off_vs_untraced] field, the
           disabled-tracing overhead on the networked path *)
   strategy : string;  (** value strategy, or ["n/a"] *)
-  domains : int;  (** 1 except for pool entries *)
   timed_events : int;
   events_per_sec : float;
   comparisons_per_event : float;
@@ -62,12 +60,9 @@ val paper_profiles :
 val v1a2 : Genas_core.Reorder.spec
 (** The V1 + A2 (descending) spec of every [v1+a2] row. *)
 
-val run : ?profiles:int -> ?seed:int -> ?events:int -> ?domains:int list ->
-  unit -> t
+val run : ?profiles:int -> ?seed:int -> ?events:int -> unit -> t
 (** [events] (default 50_000) is the per-entry timing budget; batch
-    and pool entries round it up to whole event-pool passes.
-    [domains] overrides the pool-row domain counts (default [1; 2] and
-    the host recommendation capped at 4). *)
+    entries round it up to whole event-pool passes. *)
 
 (** {1 Profile-count scaling}
 
@@ -123,10 +118,10 @@ val scale_to_json : scale -> Genas_obs.Json.t
 
 val to_json : ?scale:scale -> t -> Genas_obs.Json.t
 (** The `BENCH_*.json` document: bench/schema_version header, workload
-    and host blocks (core count and a scaling note when the host is
-    single-core), one result object per entry, and derived speedups
-    (flat vs tree, flat batch vs tree, packed vs batch, layout vs
-    default on the skewed workload, pool peak vs one domain). With
+    and host blocks (core count and the runtime's recommended domain
+    count), one result object per entry, and derived speedups (flat vs
+    tree, flat batch vs tree, packed vs batch, layout vs default on the
+    skewed workload, and the tracing ratios of the publish rows). With
     [scale], the scaling curve is attached as a ["scaling"] block
     (whose keys deliberately avoid the classic result keys the cram
     suite counts). *)

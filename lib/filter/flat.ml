@@ -584,9 +584,7 @@ let set_event_targets t cur event =
 (* ------------------------------------------------------------------ *)
 (* Packed batches: every event of a batch resolved once into a dense
    row-major [int array] of lookup targets. The traversal then touches
-   only int arrays — no boxed values, no model-layer lookups — which is
-   what the pool workers share across domains: the packed image is
-   immutable, so a stolen chunk costs two array reads per attribute. *)
+   only int arrays — no boxed values, no model-layer lookups. *)
 
 type packed = { pk_owner : t; pk_targets : int array; pk_events : int }
 

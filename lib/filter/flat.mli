@@ -23,8 +23,7 @@
     that dedups matched ids without clearing between events: the
     steady-state path performs no per-event allocation of match lists
     or arrays. A cursor belongs to one compiled matcher and one thread
-    of control; for cross-domain batch matching give each worker its
-    own cursor (see {!Pool}). *)
+    of control. *)
 
 type t
 
@@ -134,8 +133,7 @@ val match_into_recorded :
     A batch of events resolved once into a dense row-major [int array]
     of per-attribute lookup targets. Matching from the packed form
     touches only int arrays — no boxed values, no model-layer lookups —
-    and the packed image is immutable, so pool workers on other domains
-    share it with zero coordination. Match results and operation
+    and the packed image is immutable. Match results and operation
     counters are bit-identical to {!match_into} on the source
     events. *)
 

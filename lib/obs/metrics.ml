@@ -1,5 +1,5 @@
 (* Instruments are hit concurrently: server tx threads, the monitor
-   thread, client tickers, and pool domains all share one registry.
+   thread and client tickers all share one registry.
    Counters and gauges are single atomics (a CAS loop keeps the
    max_int saturation exact under contention); histograms update five
    fields per observation, so each carries its own mutex. *)

@@ -310,64 +310,59 @@ let test_raising_composite_handler () =
   (* Only accepted deliveries count as notifications. *)
   Alcotest.(check int) "notifications exclude failures" 4 (Broker.notifications b)
 
-module Pool = Genas_filter.Pool
-
-(* The pool-width gauge reports the domains a batch actually matched
-   on: an aggregated engine and a one-event batch match sequentially
-   whatever pool is passed. *)
-let test_pool_workers_gauge () =
+(* Pending churn and a handler that subscribes mid-batch: the batch is
+   matched before any of it is delivered, so the new subscription waits
+   pending for the next publish. *)
+let test_batch_pending_churn () =
   let s = schema () in
-  let pool = Pool.create ~domains:2 () in
-  let publish ~aggregate batch =
-    let reg = Metrics.create () in
-    let b = Broker.create ~metrics:reg ~aggregate s in
-    ignore
-      (Result.get_ok
-         (Broker.subscribe_text b ~subscriber:"a" "x >= 5" (fun _ -> ())));
-    let sent = Broker.publish_batch ~pool b batch in
-    (sent, Metrics.Gauge.value (Metrics.gauge reg "genas_broker_pool_workers"))
-  in
+  let b = Broker.create s in
   let many = [| event s 7 "a"; event s 2 "b"; event s 9 "a" |] in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check (pair int (float 0.))) "aggregated: sequential" (2, 1.)
-        (publish ~aggregate:true many);
-      Alcotest.(check (pair int (float 0.))) "one event: sequential" (1, 1.)
-        (publish ~aggregate:false [| event s 7 "a" |]);
-      Alcotest.(check (pair int (float 0.))) "plain batch: two domains" (2, 2.)
-        (publish ~aggregate:false many);
-      (* The gauge reports the width the batch ran on, not one decided
-         afterwards: pending churn keeps a batch sequential, and a
-         handler subscribing during a pooled batch does not rewrite
-         it. *)
+  let sub who src handler =
+    ignore (Result.get_ok (Broker.subscribe_text b ~subscriber:who src handler))
+  in
+  sub "a" "x >= 5" (fun _ -> ());
+  ignore (Broker.publish b (event s 7 "a"));
+  sub "b" "k = a" (fun _ -> ());
+  Alcotest.(check int) "churn pending" 1
+    (Genas_core.Engine.pending_rebuild (Broker.engine b));
+  Alcotest.(check int) "pending batch delivers" 4 (Broker.publish_batch b many);
+  Genas_core.Engine.swap_now (Broker.engine b);
+  let once = ref true in
+  sub "c" "x <= 2" (fun _ ->
+      if !once then begin
+        once := false;
+        sub "d" "x = 9" (fun _ -> ())
+      end);
+  Genas_core.Engine.swap_now (Broker.engine b);
+  Alcotest.(check int) "subscribed mid-batch: not yet delivered" 5
+    (Broker.publish_batch b many);
+  Alcotest.(check int) "handler subscribed" 1
+    (Genas_core.Engine.pending_rebuild (Broker.engine b))
+
+(* Batched events feed the per-event engine histograms exactly as
+   single publishes do. *)
+let test_batch_histograms () =
+  let s = schema () in
+  List.iter
+    (fun aggregate ->
       let reg = Metrics.create () in
-      let b = Broker.create ~metrics:reg s in
-      let gauge () =
-        Metrics.Gauge.value (Metrics.gauge reg "genas_broker_pool_workers")
+      let b = Broker.create ~metrics:reg ~aggregate s in
+      ignore
+        (Result.get_ok
+           (Broker.subscribe_text b ~subscriber:"a" "x >= 5" (fun _ -> ())));
+      ignore (Broker.publish b (event s 1 "b"));
+      let batch = Array.init 9 (fun i -> event s i (if i mod 2 = 0 then "a" else "b")) in
+      ignore (Broker.publish_batch b batch);
+      let events =
+        Metrics.Counter.value (Metrics.counter reg "genas_engine_events_total")
       in
-      let sub who src handler =
-        ignore (Result.get_ok (Broker.subscribe_text b ~subscriber:who src handler))
-      in
-      sub "a" "x >= 5" (fun _ -> ());
-      ignore (Broker.publish b (event s 7 "a"));
-      sub "b" "k = a" (fun _ -> ());
-      Alcotest.(check int) "churn pending" 1
-        (Genas_core.Engine.pending_rebuild (Broker.engine b));
-      Alcotest.(check int) "pending batch delivers" 4 (Broker.publish_batch ~pool b many);
-      Alcotest.(check (float 0.)) "pending churn: sequential" 1. (gauge ());
-      Genas_core.Engine.swap_now (Broker.engine b);
-      let once = ref true in
-      sub "c" "x <= 2" (fun _ ->
-          if !once then begin
-            once := false;
-            sub "d" "x = 9" (fun _ -> ())
-          end);
-      Genas_core.Engine.swap_now (Broker.engine b);
-      ignore (Broker.publish_batch ~pool b many);
-      Alcotest.(check int) "handler subscribed" 1
-        (Genas_core.Engine.pending_rebuild (Broker.engine b));
-      Alcotest.(check (float 0.)) "subscribed mid-batch: still two" 2. (gauge ()))
+      Alcotest.(check int) "events counted" 10 events;
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (name ^ " count = events_total") events
+            (Metrics.Histogram.count (Metrics.histogram reg name)))
+        [ "genas_engine_match_comparisons"; "genas_engine_match_duration_ns" ])
+    [ false; true ]
 
 (* A subscriber name's delivery series lives exactly as long as one of
    its subscriptions, live and after journal replay. *)
@@ -460,8 +455,11 @@ let () =
             test_raising_composite_handler;
         ] );
       ( "batch",
-        [ Alcotest.test_case "pool workers gauge" `Quick test_pool_workers_gauge ]
-      );
+        [
+          Alcotest.test_case "pending churn and mid-batch subscribe" `Quick
+            test_batch_pending_churn;
+          Alcotest.test_case "per-event histograms" `Quick test_batch_histograms;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "delivery series freed" `Quick test_delivery_series_freed;

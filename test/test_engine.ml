@@ -120,7 +120,6 @@ let test_report_reflects_tree () =
 (* -- Plain-engine churn: pending delta instead of a rebuild --------- *)
 
 module Naive = Genas_filter.Naive
-module Pool = Genas_filter.Pool
 module Metrics = Genas_obs.Metrics
 module Broker = Genas_ens.Broker
 module Workload = Genas_expt.Workload
@@ -274,7 +273,6 @@ let test_rebuild_after_drained_window () =
    match entry point, rebuilds and spec changes, checked against Naive
    over the live set: ascending ids, and exact event/match counters. *)
 let prop_plain_churn_equals_naive =
-  let pool = lazy (Pool.create ~domains:2 ()) in
   QCheck.Test.make ~name:"plain engine under churn = Naive" ~count:60
     (QCheck.make
        QCheck.Gen.(
@@ -289,7 +287,7 @@ let prop_plain_churn_equals_naive =
                 (1, int_bound 1000 >|= fun i -> `Direct_remove i);
                 (4, Gen.event s >|= fun e -> `Match e);
                 (2, Gen.event s >|= fun e -> `Match_with e);
-                (2, pair bool (Gen.events ~n:5 s) >|= fun (p, es) -> `Batch (p, es));
+                (2, Gen.events ~n:5 s >|= fun es -> `Batch es);
                 (1, return `Rebuild);
                 (1, bool >|= fun b -> `Spec b);
               ])
@@ -330,10 +328,9 @@ let prop_plain_churn_equals_naive =
           Engine.match_with engine e ~f:(fun ~ids ~len ->
               got := Array.to_list (Array.sub ids 0 len));
           ascending !got && !got = naive e
-        | `Batch (with_pool, es) ->
+        | `Batch es ->
           let arr = Array.of_list es in
-          let pool = if with_pool then Some (Lazy.force pool) else None in
-          let got = Engine.match_batch ?pool engine arr in
+          let got = Engine.match_batch engine arr in
           Array.for_all2
             (fun g e ->
               let g = Array.to_list g in

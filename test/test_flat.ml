@@ -14,7 +14,6 @@ module Profile_set = Genas_profile.Profile_set
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Ops = Genas_filter.Ops
@@ -202,50 +201,66 @@ let prop_batch_equals_sequential =
           got.(i) <- Array.sub ids 0 len);
       got = seq)
 
-(* Persistent pools own live domains, so tests share one instance per
-   size instead of creating one per QCheck iteration (the runtime caps
-   live domains); Pool's at_exit hook joins them at process end. *)
-let shared_pool4 = lazy (Pool.create ~domains:4 ())
-let shared_pool3 = lazy (Pool.create ~domains:3 ())
-
-let prop_pool_equals_one_domain =
-  QCheck.Test.make ~name:"pool d4 = pool d1 = sequential (matches and ops)"
-    ~count:25
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:40 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-      let events = Array.of_list events in
-      let run pool =
-        let ops = Ops.create () in
-        let r = Pool.match_batch ~ops pool flat events in
-        (r, ops)
-      in
-      let r1, ops1 = run (Pool.create ~domains:1 ()) in
-      let r4, ops4 = run (Lazy.force shared_pool4) in
-      r1 = r4 && ops_eq ops1 ops4)
-
+(* A batch is exactly a sequence of [match_with] calls: after every
+   batch, a twin engine driven event by event agrees on the ids, the
+   operation counters, the statistics and the pending churn. Churn
+   lands between batches on both twins, so plain engines carry pending
+   churn whose rent crosses the fold limit mid-batch; aggregated
+   engines take the same steps. *)
 let prop_engine_batch_equals_match_event =
   QCheck.Test.make ~name:"Engine.match_batch = Engine.match_event loop"
-    ~count:25
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:10 ~n_events:20 ()))
-    (fun (_, pset, events) ->
-      let events = Array.of_list events in
-      let seq =
-        let engine = Engine.create pset in
-        Array.map
-          (fun e -> Array.of_list (Engine.match_event engine e))
-          events
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         Gen.schema ~max_attrs:3 () >>= fun s ->
+         bool >>= fun aggregate ->
+         list_size (int_range 1 10) (Gen.profile s) >>= fun initial ->
+         list_size (int_range 1 6)
+           (triple
+              (list_size (int_range 0 4) (Gen.profile s))
+              (list_size (int_range 0 2) (int_bound 100))
+              (Gen.events ~n:12 s))
+         >|= fun steps -> (s, aggregate, initial, steps)))
+    (fun (s, aggregate, initial, steps) ->
+      let twin () =
+        let pset = Profile_set.create s in
+        List.iter (fun pr -> ignore (Profile_set.add pset pr)) initial;
+        (pset, Engine.create ~aggregate pset)
       in
-      let batched =
-        let engine = Engine.create pset in
-        Engine.match_batch engine events
+      let pset, batched = twin () in
+      let _, single = twin () in
+      let both f = f batched; f single in
+      let churn (adds, removes, _) =
+        List.iter (fun pr -> both (fun e -> ignore (Engine.add_profile e pr))) adds;
+        List.iter
+          (fun i ->
+            match Profile_set.ids pset with
+            | [] -> ()
+            | ids ->
+              let id = List.nth ids (i mod List.length ids) in
+              both (fun e -> ignore (Engine.remove_profile e id)))
+          removes
       in
-      let pooled =
-        let engine = Engine.create pset in
-        Engine.match_batch ~pool:(Lazy.force shared_pool3) engine events
-      in
-      seq = batched && seq = pooled)
+      List.for_all
+        (fun ((_, _, events) as step) ->
+          churn step;
+          let events = Array.of_list events in
+          let got = Engine.match_batch batched events in
+          let expect =
+            Array.map
+              (fun ev ->
+                let r = ref [||] in
+                Engine.match_with single ev ~f:(fun ~ids ~len ->
+                    r := Array.sub ids 0 len);
+                !r)
+              events
+          in
+          got = expect
+          && ops_eq (Engine.ops batched) (Engine.ops single)
+          && Stats.events_seen (Engine.stats batched)
+             = Stats.events_seen (Engine.stats single)
+          && Engine.pending_rebuild batched = Engine.pending_rebuild single)
+        steps)
 
 (* An aggregated engine compiles only the covering-minimal roots and
    expands absorbed profiles at match time; its decisions must be
@@ -522,7 +537,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_flat_equals_baselines;
           QCheck_alcotest.to_alcotest prop_recorded_equals_plain;
           QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
-          QCheck_alcotest.to_alcotest prop_pool_equals_one_domain;
           QCheck_alcotest.to_alcotest prop_engine_batch_equals_match_event;
           QCheck_alcotest.to_alcotest prop_engine_aggregated_equals_plain;
           QCheck_alcotest.to_alcotest prop_relayout_equals_default;
