@@ -13,6 +13,8 @@ module Trace = Genas_obs.Trace
 
 type sub_id = Prim_sub of int | Comp_sub of int
 
+module Ids = Map.Make (Int)
+
 type prim_sub = {
   p_subscriber : string;
   p_handler : Notification.handler;
@@ -88,6 +90,10 @@ type t = {
   adaptive : Adaptive.t option;
   handlers : (int, prim_sub) Hashtbl.t;
       (** primitive subscriptions, by profile id *)
+  mutable records : string Ids.t;
+      (** each primitive's {!Codec.prim} bytes, encoded once for the
+          journal and every snapshot, which copies them in this map's id
+          order; empty unless journaled *)
   composites : (int, comp_sub) Hashtbl.t;
   mutable next_comp : int;
   mutable quench : Quench.t option;  (** cache; [None] = stale *)
@@ -120,6 +126,7 @@ let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
     engine;
     adaptive;
     handlers = Hashtbl.create 64;
+    records = Ids.empty;
     composites = Hashtbl.create 8;
     next_comp = 0;
     quench = None;
@@ -148,16 +155,19 @@ let invalidate_quench t =
 
 (* -- Durability ---------------------------------------------------- *)
 
+let prim_sub t ~subscriber handler =
+  {
+    p_subscriber = subscriber;
+    p_handler = handler;
+    p_delivered = delivery_counter t.instruments subscriber;
+  }
+
 let snapshot_data t last_op =
   let profiles =
-    List.rev
-      (Profile_set.fold t.pset ~init:[] ~f:(fun acc id p ->
-           let sub =
-             match Hashtbl.find_opt t.handlers id with
-             | Some s -> s.p_subscriber
-             | None -> ""
-           in
-           (id, sub, p) :: acc))
+    {
+      Snapshot.count = Ids.cardinal t.records;
+      iter = (fun emit -> Ids.iter (fun _ r -> emit r) t.records);
+    }
   in
   let composites =
     Hashtbl.fold
@@ -185,15 +195,16 @@ let snapshot_data t last_op =
     dlq_dropped = Deadletter.dropped dlq;
   }
 
+(* Timed whole: the stall the op that crossed the cadence pays. *)
 let take_snapshot t j =
   let cfg = Journal.configuration j in
   let t0 = Genas_obs.Clock.now_ns () in
   Snapshot.write ?faults:t.faults ?tracer:t.tracer ~dir:cfg.Journal.dir
     ~seed:cfg.Journal.seed ~op:(Journal.ops_logged j) t.schema
     (snapshot_data t (Journal.ops_logged j - 1));
+  Journal.wrote_snapshot j;
   let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
-  Journal.observe_snapshot_install j ~ns:dt;
-  Journal.wrote_snapshot j
+  Journal.observe_snapshot_install j ~ns:dt
 
 let snapshot_now t =
   match t.journal with None -> () | Some j -> take_snapshot t j
@@ -213,14 +224,13 @@ let wal t = t.journal
 
 let subscribe t ~subscriber ~profile handler =
   let id = Engine.add_profile t.engine profile in
-  Hashtbl.replace t.handlers id
-    {
-      p_subscriber = subscriber;
-      p_handler = handler;
-      p_delivered = delivery_counter t.instruments subscriber;
-    };
+  Hashtbl.replace t.handlers id (prim_sub t ~subscriber handler);
   invalidate_quench t;
-  journal_op t (Journal.Subscribe { id; subscriber; profile });
+  if Option.is_some t.journal then begin
+    let prim = Codec.prim t.schema ~id ~subscriber profile in
+    t.records <- Ids.add id prim.Codec.record t.records;
+    journal_op t (Journal.Subscribe prim)
+  end;
   Prim_sub id
 
 let subscribe_text t ~subscriber src handler =
@@ -263,6 +273,7 @@ let drop_prim t id =
     | Some s -> release_delivery t.instruments s.p_subscriber
     | None -> ());
     Hashtbl.remove t.handlers id;
+    t.records <- Ids.remove id t.records;
     invalidate_quench t
   end;
   present
@@ -554,15 +565,12 @@ let set_notifications t n =
 let apply_op t resolve op =
   let ( let* ) = Result.bind in
   match op with
-  | Journal.Subscribe { id; subscriber; profile } -> (
+  | Journal.Subscribe { id; subscriber; profile; record } -> (
     match Engine.add_profile_with_id t.engine ~id profile with
     | () ->
       Hashtbl.replace t.handlers id
-        {
-          p_subscriber = subscriber;
-          p_handler = resolve ~subscriber;
-          p_delivered = delivery_counter t.instruments subscriber;
-        };
+        (prim_sub t ~subscriber (resolve ~subscriber));
+      t.records <- Ids.add id record t.records;
       invalidate_quench t;
       Ok ()
     | exception Invalid_argument msg -> Error msg)
@@ -649,7 +657,8 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
     | Some snap -> (
       match
         List.iter
-          (fun (id, _, p) -> Profile_set.add_with_id pset ~id p)
+          (fun (p : Codec.prim) ->
+            Profile_set.add_with_id pset ~id:p.id p.profile)
           snap.Snapshot.profiles
       with
       | () ->
@@ -680,6 +689,7 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
       engine;
       adaptive;
       handlers = Hashtbl.create 64;
+      records = Ids.empty;
       composites = Hashtbl.create 8;
       next_comp = 0;
       quench = None;
@@ -701,13 +711,10 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
     | None -> Ok ()
     | Some snap ->
       List.iter
-        (fun (id, subscriber, _) ->
+        (fun { Codec.id; subscriber; record; _ } ->
           Hashtbl.replace t.handlers id
-            {
-              p_subscriber = subscriber;
-              p_handler = resolve ~subscriber;
-              p_delivered = delivery_counter t.instruments subscriber;
-            })
+            (prim_sub t ~subscriber (resolve ~subscriber));
+          t.records <- Ids.add id record t.records)
         snap.Snapshot.profiles;
       let* () = Stats.import (Engine.stats engine) snap.Snapshot.stats in
       Engine.restore_ops engine snap.Snapshot.ops;

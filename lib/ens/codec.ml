@@ -22,13 +22,20 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let checksum ~seed s =
-  let h = ref (Int64.logxor fnv_offset (Int64.of_int seed)) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+(* An indexed loop over a local [ref]: the compiler keeps the running
+   state unboxed, where a [String.iter] closure would box it per byte. *)
+let checksum_continue h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
+
+let checksum ~seed s =
+  checksum_continue (Int64.logxor fnv_offset (Int64.of_int seed)) s
 
 (* {1 Primitive writers (into a Buffer)} *)
 
@@ -116,19 +123,21 @@ let frame_header_len = 12
 
 (* A frame's length prefix is attacker-controlled on a socket (and
    bit-rot-controlled on disk): it must be bounds-checked *before* any
-   allocation is sized from it. 16 MiB comfortably holds every record
-   the codec produces while keeping a hostile header from demanding a
-   multi-GiB buffer. *)
+   allocation is sized from it. 16 MiB comfortably holds every wire
+   message while keeping a hostile header from demanding a multi-GiB
+   buffer. *)
 let default_max_frame = 1 lsl 24
 
-let frame ~seed payload =
-  if String.length payload > 0x7fff_ffff then
+let frame_header ~len sum =
+  if len > 0x7fff_ffff then
     invalid_arg "Codec.frame: payload exceeds the u32 length prefix";
-  let b = Buffer.create (String.length payload + frame_header_len) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  w_i64 b (checksum ~seed payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Bytes.create frame_header_len in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int64_le b 4 sum;
+  Bytes.unsafe_to_string b
+
+let frame ~seed payload =
+  frame_header ~len:(String.length payload) (checksum ~seed payload) ^ payload
 
 (* Decode a header's length field defensively: [Error] rather than
    trusting a negative or oversized value. *)
@@ -144,8 +153,9 @@ let frame_length ~max_frame header ~pos =
 (* Parse consecutive frames from [buf] starting at [pos]; stops at the
    first torn or corrupt frame. Returns the payloads, the byte offset
    of the valid prefix's end, and whether bytes were left over (a
-   truncation-worthy tail). *)
-let parse_frames ?(max_frame = default_max_frame) ~seed buf ~pos =
+   truncation-worthy tail). By default only [buf]'s length bounds a
+   frame: a durable record past the wire's limit is not a torn tail. *)
+let parse_frames ?(max_frame = max_int) ~seed buf ~pos =
   let len = String.length buf in
   let payloads = ref [] in
   let ok_end = ref pos in
@@ -287,6 +297,23 @@ let r_profile schema r =
   match Lang.parse_profile ?name schema body with
   | Ok p -> p
   | Error msg -> corrupt "profile: %s" msg
+
+type prim = { id : int; subscriber : string; profile : Profile.t; record : string }
+
+let prim schema ~id ~subscriber profile =
+  let b = Buffer.create 64 in
+  w_int b id;
+  w_string b subscriber;
+  w_profile schema b profile;
+  { id; subscriber; profile; record = Buffer.contents b }
+
+(* The record is the slice just decoded, not a re-rendering of it. *)
+let r_prim schema r =
+  let start = r.pos in
+  let id = r_int r in
+  let subscriber = r_string r in
+  let profile = r_profile schema r in
+  { id; subscriber; profile; record = String.sub r.buf start (r.pos - start) }
 
 let rec w_expr schema b = function
   | Composite.Prim p ->

@@ -17,6 +17,10 @@ exception Corrupt of string
 val checksum : seed:int -> string -> int64
 (** Seeded FNV-1a 64 over the payload bytes. *)
 
+val checksum_continue : int64 -> string -> int64
+(** Fold more bytes into a running checksum:
+    [checksum_continue (checksum ~seed a) b = checksum ~seed (a ^ b)]. *)
+
 (** {1 Writers} (append to a [Buffer.t]) *)
 
 val w_u8 : Buffer.t -> int -> unit
@@ -52,21 +56,26 @@ val frame_header_len : int
 (** Bytes of framing overhead per record (length + checksum). *)
 
 val default_max_frame : int
-(** Default payload-size ceiling (16 MiB). A frame's length prefix is
-    untrusted input — on a socket an adversarial peer controls it, on
-    disk bit rot does — so every reader validates it against a bound
-    {e before} sizing an allocation from it. *)
+(** The wire's payload-size ceiling (16 MiB), {!read_frame}'s default.
+    A frame's length prefix is untrusted input — on a socket an
+    adversarial peer controls it, on disk bit rot does — so every reader
+    validates it against a bound {e before} sizing an allocation. *)
 
 val frame : seed:int -> string -> string
 (** Wrap a payload as [u32 LE length | i64 LE checksum | payload].
     @raise Invalid_argument if the payload exceeds the u32 prefix. *)
 
+val frame_header : len:int -> int64 -> string
+(** The header {!frame} puts before a [len]-byte payload with this
+    checksum, for a writer that streams the payload itself. *)
+
 val parse_frames :
   ?max_frame:int -> seed:int -> string -> pos:int -> string list * int * bool
 (** [parse_frames ~seed buf ~pos] decodes consecutive frames starting
     at [pos]; stops at the first torn or checksum-failing frame (or one
-    whose declared length is negative or exceeds [max_frame], default
-    {!default_max_frame}). Returns [(payloads, valid_end,
+    whose declared length is negative or exceeds [max_frame]; by
+    default only [buf]'s own length bounds a frame, so on-disk records
+    past {!default_max_frame} still decode). Returns [(payloads, valid_end,
     tail_corrupt)]: the decoded payloads in order, the byte offset one
     past the last valid frame, and whether undecodable bytes remain
     after it. *)
@@ -102,6 +111,22 @@ val w_profile :
     contract: the body re-parses to an equivalent profile). *)
 
 val r_profile : Genas_model.Schema.t -> reader -> Genas_profile.Profile.t
+
+type prim = {
+  id : int;
+  subscriber : string;
+  profile : Genas_profile.Profile.t;
+  record : string;
+      (** [id | subscriber | profile] as encoded: the tail of a journal
+          [Subscribe] record and a snapshot's profile entry alike *)
+}
+
+val prim :
+  Genas_model.Schema.t -> id:int -> subscriber:string ->
+  Genas_profile.Profile.t -> prim
+
+val r_prim : Genas_model.Schema.t -> reader -> prim
+(** [record] is the slice of the input the entry spans. *)
 
 val w_expr : Genas_model.Schema.t -> Buffer.t -> Composite.expr -> unit
 val r_expr : Genas_model.Schema.t -> reader -> Composite.expr

@@ -1,6 +1,5 @@
 module Schema = Genas_model.Schema
 module Event = Genas_model.Event
-module Profile = Genas_profile.Profile
 module Ops = Genas_filter.Ops
 module Metrics = Genas_obs.Metrics
 
@@ -18,7 +17,7 @@ let config ?(snapshot_every = 512) ?(fsync = true) ?(seed = default_seed) dir =
   { dir; snapshot_every; fsync; seed }
 
 type op =
-  | Subscribe of { id : int; subscriber : string; profile : Profile.t }
+  | Subscribe of Codec.prim
   | Subscribe_composite of {
       id : int;
       subscriber : string;
@@ -206,11 +205,9 @@ let encode_op schema opi op =
   let b = Buffer.create 256 in
   Codec.w_int b opi;
   (match op with
-  | Subscribe { id; subscriber; profile } ->
+  | Subscribe prim ->
     Codec.w_u8 b 0;
-    Codec.w_int b id;
-    Codec.w_string b subscriber;
-    Codec.w_profile schema b profile
+    Buffer.add_string b prim.Codec.record
   | Subscribe_composite { id; subscriber; expr } ->
     Codec.w_u8 b 1;
     Codec.w_int b id;
@@ -261,11 +258,7 @@ let decode_op schema payload =
   let opi = Codec.r_int r in
   let op =
     match Codec.r_u8 r with
-    | 0 ->
-      let id = Codec.r_int r in
-      let subscriber = Codec.r_string r in
-      let profile = Codec.r_profile schema r in
-      Subscribe { id; subscriber; profile }
+    | 0 -> Subscribe (Codec.r_prim schema r)
     | 1 ->
       let id = Codec.r_int r in
       let subscriber = Codec.r_string r in

@@ -39,11 +39,8 @@ val config : ?snapshot_every:int -> ?fsync:bool -> ?seed:int -> string -> config
     @raise Invalid_argument if [snapshot_every < 1]. *)
 
 type op =
-  | Subscribe of {
-      id : int;
-      subscriber : string;
-      profile : Genas_profile.Profile.t;
-    }
+  | Subscribe of Codec.prim
+      (** written as the subscription's cached [record] bytes *)
   | Subscribe_composite of {
       id : int;
       subscriber : string;
@@ -95,10 +92,12 @@ val append : t -> ?faults:Fault.t -> op -> unit
     fsync, then raises — the record {e is} durable. *)
 
 val observe_snapshot_install : t -> ns:float -> unit
-(** Record one atomic snapshot install's latency into the
+(** Record one snapshot's latency into the
     [genas_journal_snapshot_install_duration_ns] histogram (no-op
-    without metrics). The broker times {!Snapshot.write} and reports
-    it here, since the journal owns the [genas_journal_*] family. *)
+    without metrics). The broker times the whole stall the triggering
+    operation pays — gathering the state, {!Snapshot.write} and the
+    {!wrote_snapshot} restart — and reports it here, since the journal
+    owns the [genas_journal_*] family. *)
 
 val snapshot_due : t -> bool
 (** [true] once [snapshot_every] records accumulated since the last

@@ -1,14 +1,12 @@
-module Schema = Genas_model.Schema
-module Profile = Genas_profile.Profile
 module Ops = Genas_filter.Ops
 module Stats = Genas_core.Stats
 module Adaptive = Genas_core.Adaptive
 module Engine = Genas_core.Engine
 
-type data = {
+type 'profiles contents = {
   last_op : int;
   fingerprint : string;
-  profiles : (int * string * Profile.t) list;
+  profiles : 'profiles;
   next_profile_id : int;
   composites : (int * string * Composite.expr) list;
   next_comp : int;
@@ -24,6 +22,10 @@ type data = {
   dlq_dropped : int;
 }
 
+type data = Codec.prim list contents
+
+type records = { count : int; iter : (string -> unit) -> unit }
+
 (* Version 2 appended the engine's pending churn; a version-1 snapshot
    was always taken with nothing pending. *)
 let magic = "GSNAP02\n"
@@ -36,55 +38,11 @@ let file dir = Filename.concat dir "snapshot.bin"
 
 let tmp_file dir = Filename.concat dir "snapshot.tmp"
 
-let encode schema d =
-  let b = Buffer.create 4096 in
-  Codec.w_int b d.last_op;
-  Codec.w_string b d.fingerprint;
-  Codec.w_list
-    (fun b (id, sub, p) ->
-      Codec.w_int b id;
-      Codec.w_string b sub;
-      Codec.w_profile schema b p)
-    b d.profiles;
-  Codec.w_int b d.next_profile_id;
-  Codec.w_list
-    (fun b (id, sub, e) ->
-      Codec.w_int b id;
-      Codec.w_string b sub;
-      Codec.w_expr schema b e)
-    b d.composites;
-  Codec.w_int b d.next_comp;
-  Codec.w_int b d.published;
-  Codec.w_int b d.notifications;
-  Codec.w_ops b d.ops;
-  Codec.w_stats b d.stats;
-  Codec.w_option Codec.w_adaptive b d.adaptive;
-  Codec.w_supervise b d.supervise;
-  Codec.w_list Codec.w_deadletter b d.dlq_entries;
-  Codec.w_int b d.dlq_total;
-  Codec.w_int b d.dlq_dropped;
-  Codec.w_list Codec.w_int b d.churn.Engine.delta;
-  Codec.w_list
-    (fun b (id, p) ->
-      Codec.w_int b id;
-      Codec.w_profile schema b p)
-    b d.churn.Engine.dead;
-  Codec.w_int b d.churn.Engine.rent;
-  Buffer.contents b
-
 let decode ~version schema payload =
   let r = Codec.reader payload in
   let last_op = Codec.r_int r in
   let fingerprint = Codec.r_string r in
-  let profiles =
-    Codec.r_list
-      (fun r ->
-        let id = Codec.r_int r in
-        let sub = Codec.r_string r in
-        let p = Codec.r_profile schema r in
-        (id, sub, p))
-      r
-  in
+  let profiles = Codec.r_list (Codec.r_prim schema) r in
   let next_profile_id = Codec.r_int r in
   let composites =
     Codec.r_list
@@ -156,30 +114,70 @@ let fsync_dir dir =
       ~finally:(fun () -> Unix.close fd)
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let write_core ?faults ~dir ~seed ~op schema data =
-  let bytes = header seed ^ Codec.frame ~seed (encode schema data) in
-  let tmp = tmp_file dir in
+(* Stream [header | frame header | payload], checksumming as bytes go
+   out; the frame header is filled in last. The records are copied as
+   cached: [w_list]'s layout is a count, then the elements. *)
+let write_core ?faults ~dir ~seed ~op schema d =
   let crash =
     match faults with Some f -> Fault.snapshot_crash f ~op | None -> false
   in
-  if crash then begin
-    (* Simulated death mid-write: a prefix of the temp file reaches the
-       disk, the rename never happens. The previous snapshot (if any)
-       and the journal are untouched. *)
-    let oc = open_out_bin tmp in
-    output_string oc (String.sub bytes 0 (String.length bytes / 2));
-    close_out oc;
-    raise (Fault.Crashed Fault.Crash_mid_snapshot)
-  end
-  else begin
-    let oc = open_out_bin tmp in
-    output_string oc bytes;
-    flush oc;
-    Unix.fsync (Unix.descr_of_out_channel oc);
-    close_out oc;
-    Sys.rename tmp (file dir);
-    fsync_dir dir
-  end
+  let hdr = header seed in
+  let oc = open_out_bin (tmp_file dir) in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+      output_string oc hdr;
+      output_string oc (String.make Codec.frame_header_len '\000');
+      let sum = ref (Codec.checksum ~seed "") and len = ref 0 in
+      let emit s =
+        output_string oc s;
+        sum := Codec.checksum_continue !sum s;
+        len := !len + String.length s
+      in
+      let b = Buffer.create 4096 in
+      Codec.w_int b d.last_op;
+      Codec.w_string b d.fingerprint;
+      Codec.w_int b d.profiles.count;
+      emit (Buffer.contents b);
+      d.profiles.iter emit;
+      Buffer.clear b;
+      Codec.w_int b d.next_profile_id;
+      Codec.w_list
+        (fun b (id, sub, e) ->
+          Codec.w_int b id;
+          Codec.w_string b sub;
+          Codec.w_expr schema b e)
+        b d.composites;
+      Codec.w_int b d.next_comp;
+      Codec.w_int b d.published;
+      Codec.w_int b d.notifications;
+      Codec.w_ops b d.ops;
+      Codec.w_stats b d.stats;
+      Codec.w_option Codec.w_adaptive b d.adaptive;
+      Codec.w_supervise b d.supervise;
+      Codec.w_list Codec.w_deadletter b d.dlq_entries;
+      Codec.w_int b d.dlq_total;
+      Codec.w_int b d.dlq_dropped;
+      Codec.w_list Codec.w_int b d.churn.Engine.delta;
+      Codec.w_list
+        (fun b (id, p) ->
+          Codec.w_int b id;
+          Codec.w_profile schema b p)
+        b d.churn.Engine.dead;
+      Codec.w_int b d.churn.Engine.rent;
+      emit (Buffer.contents b);
+      seek_out oc (String.length hdr);
+      output_string oc (Codec.frame_header ~len:!len !sum);
+      flush oc;
+      let fd = Unix.descr_of_out_channel oc in
+      if crash then begin
+        (* Simulated death mid-write: a prefix of the temp file reaches
+           the disk, the rename never happens. The previous snapshot
+           (if any) and the journal are untouched. *)
+        Unix.ftruncate fd ((String.length hdr + Codec.frame_header_len + !len) / 2);
+        raise (Fault.Crashed Fault.Crash_mid_snapshot)
+      end;
+      Unix.fsync fd);
+  Sys.rename (tmp_file dir) (file dir);
+  fsync_dir dir
 
 let write ?faults ?tracer ~dir ~seed ~op schema data =
   let go () = write_core ?faults ~dir ~seed ~op schema data in

@@ -9,18 +9,21 @@
     delivery supervisor (counters, circuit-breaker states, jitter
     stream position), and the bounded dead-letter queue.
 
-    Snapshots are written atomically: encode → write [snapshot.tmp] →
-    fsync → rename over [snapshot.bin] → fsync the directory. A crash
-    anywhere before the rename leaves the previous snapshot (or none)
-    intact; {!Journal} truncates the log only after the rename, and
-    every record carries its operation index, so recovery is idempotent
-    across a crash between the two steps. *)
+    Snapshots are written atomically: stream into [snapshot.tmp] →
+    fill in the frame header → fsync → rename over [snapshot.bin] →
+    fsync the directory. The stream copies each subscription's cached
+    {!Codec.prim} record and folds the checksum in as it goes, so no
+    payload string is built. A crash anywhere before the rename leaves
+    the previous snapshot (or none) intact; {!Journal} truncates the
+    log only after the rename, and every record carries its operation
+    index, so recovery is idempotent across a crash between the two
+    steps. *)
 
-type data = {
+type 'profiles contents = {
   last_op : int;  (** highest journal operation the snapshot covers *)
   fingerprint : string;  (** {!Codec.schema_fingerprint} of the schema *)
-  profiles : (int * string * Genas_profile.Profile.t) list;
-      (** (profile id, subscriber, profile) *)
+  profiles : 'profiles;
+      (** the primitive subscriptions, ascending by profile id *)
   next_profile_id : int;
       (** id counter — past removed ids, which are never reused *)
   composites : (int * string * Composite.expr) list;
@@ -39,6 +42,11 @@ type data = {
   dlq_dropped : int;
 }
 
+type data = Codec.prim list contents
+
+type records = { count : int; iter : (string -> unit) -> unit }
+(** [count] {!Codec.prim} records, which [iter] emits by ascending id. *)
+
 val file : string -> string
 (** [file dir] is the snapshot path, [dir/snapshot.bin]. *)
 
@@ -49,9 +57,9 @@ val write :
   seed:int ->
   op:int ->
   Genas_model.Schema.t ->
-  data ->
+  records contents ->
   unit
-(** Atomically install [data] as [dir]'s snapshot. [op] identifies the
+(** Atomically install a snapshot as [dir]'s. [op] identifies the
     journal position for crash injection ({!Fault.snapshot_crash}).
     With [tracer], the install runs under a ["snapshot.install"] span
     (closed with an error status if the install crashes).

@@ -72,6 +72,54 @@ let test_frame_bitflip () =
   Alcotest.(check (list string)) "wrong seed decodes nothing" [] decoded;
   Alcotest.(check bool) "wrong seed flags corruption" true corrupt
 
+(* --- checksum --------------------------------------------------------- *)
+
+(* Values pinned from the original [String.iter] implementation: the
+   checksum is part of the on-disk format, so any rewrite must compute
+   the same function. The empty string yields the seeded offset basis;
+   "a" and "foobar" under seed 0 are the published FNV-1a 64 vectors. *)
+let checksum_answers =
+  [
+    (0, "", 0xcbf29ce484222325L);
+    (0x6a6c5eed, "", 0xcbf29ce4ee4e7dc8L);
+    (0, "a", 0xaf63dc4c8601ec8cL);
+    (0, "foobar", 0x85944171f73967e8L);
+    (0x6a6c5eed, "hello, world", 0x27d37d6bb7181a68L);
+    (7, "The quick brown fox jumps over the lazy dog", 0x0c8f6cffb25b6be5L);
+  ]
+
+let random_bytes ~seed n =
+  let g = Genas_prng.Prng.create ~seed in
+  String.init n (fun _ -> Char.chr (Genas_prng.Prng.int g ~bound:256))
+
+let test_checksum_known_answers () =
+  List.iter
+    (fun (seed, s, want) ->
+      Alcotest.(check int64) (Printf.sprintf "seed %d %S" seed s) want
+        (Codec.checksum ~seed s))
+    checksum_answers;
+  Alcotest.(check int64) "1 MiB pseudo-random" 0x1e7b5a6718612ec1L
+    (Codec.checksum ~seed:0x6a6c5eed (random_bytes ~seed:42 (1 lsl 20)))
+
+let prop_checksum_incremental =
+  QCheck.Test.make ~name:"incremental checksum = one-shot" ~count:500
+    QCheck.(triple small_int string (small_list small_nat))
+    (fun (seed, s, cuts) ->
+      let n = String.length s in
+      let cuts =
+        List.sort Int.compare (List.map (fun c -> c mod (n + 1)) cuts)
+      in
+      let piece pos cut = String.sub s pos (cut - pos) in
+      let h, last =
+        List.fold_left
+          (fun (h, pos) cut -> (Codec.checksum_continue h (piece pos cut), cut))
+          (Codec.checksum ~seed "", 0)
+          cuts
+      in
+      Int64.equal
+        (Codec.checksum_continue h (piece last n))
+        (Codec.checksum ~seed s))
+
 (* --- journal append / recover --------------------------------------- *)
 
 let profile_of s src = Result.get_ok (Genas_profile.Lang.parse_profile s src)
@@ -82,7 +130,8 @@ let test_journal_roundtrip () =
   let cfg = Journal.config dir in
   let j = Journal.create s cfg in
   Journal.append j
-    (Journal.Subscribe { id = 0; subscriber = "alice"; profile = profile_of s "x >= 5" });
+    (Journal.Subscribe
+       (Codec.prim s ~id:0 ~subscriber:"alice" (profile_of s "x >= 5")));
   Journal.append j (Journal.Unsubscribe_prim { id = 0 });
   Journal.close j;
   match Journal.recover s cfg with
@@ -94,7 +143,7 @@ let test_journal_roundtrip () =
       (List.length recovered.Journal.tail);
     Alcotest.(check int) "nothing truncated" 0 recovered.Journal.truncated;
     (match recovered.Journal.tail with
-    | [ Journal.Subscribe { id = 0; subscriber = "alice"; profile };
+    | [ Journal.Subscribe { id = 0; subscriber = "alice"; profile; _ };
         Journal.Unsubscribe_prim { id = 0 } ] ->
       Alcotest.(check bool) "profile semantics survive" true
         (Profile.matches s profile (event s 7 "a")
@@ -109,9 +158,11 @@ let test_journal_truncates_torn_tail () =
   let cfg = Journal.config dir in
   let j = Journal.create s cfg in
   Journal.append j
-    (Journal.Subscribe { id = 0; subscriber = "a"; profile = profile_of s "x >= 5" });
+    (Journal.Subscribe
+       (Codec.prim s ~id:0 ~subscriber:"a" (profile_of s "x >= 5")));
   Journal.append j
-    (Journal.Subscribe { id = 1; subscriber = "b"; profile = profile_of s "k = a" });
+    (Journal.Subscribe
+       (Codec.prim s ~id:1 ~subscriber:"b" (profile_of s "k = a")));
   Journal.close j;
   (* Tear the last record by rewriting the file a few bytes short. *)
   let path = Filename.concat dir "journal.wal" in
@@ -139,6 +190,39 @@ let test_journal_truncates_torn_tail () =
       recovered.Journal.truncated;
     Alcotest.(check int) "still one record" 1
       (List.length recovered.Journal.tail);
+    Journal.close j2
+
+(* Disk frames are bounded by the file, not the wire's 16 MiB: a record
+   past that size is still an acknowledged op, never a torn tail. *)
+let big_name = String.make (17 lsl 20) 'n'
+
+(* Run [f] on a fresh journal directory, then delete it: these files
+   are tens of MiB. *)
+let with_big_dir f =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f (Journal.config ~fsync:false dir))
+
+let test_journal_large_record () =
+  with_big_dir @@ fun cfg ->
+  let s = schema () in
+  let j = Journal.create s cfg in
+  Journal.append j
+    (Journal.Subscribe
+       (Codec.prim s ~id:0 ~subscriber:big_name (profile_of s "x >= 5")));
+  Journal.close j;
+  match Journal.recover s cfg with
+  | Error e -> Alcotest.fail e
+  | Ok (recovered, j2) ->
+    Alcotest.(check int) "nothing truncated" 0 recovered.Journal.truncated;
+    (match recovered.Journal.tail with
+    | [ Journal.Subscribe { subscriber; _ } ] ->
+      Alcotest.(check bool) "subscriber survives" true
+        (String.equal subscriber big_name)
+    | _ -> Alcotest.fail "the 17 MiB record was lost");
     Journal.close j2
 
 let test_refuses_missing_dir () =
@@ -173,6 +257,27 @@ let test_snapshot_cadence () =
     Alcotest.(check int) "published restored" 7 (Broker.published b2);
     Alcotest.(check bool) "short tail" true (Journal.replayed_ops j2 < 8);
     Alcotest.(check int) "op counter continues" 8 (Journal.ops_logged j2);
+    Broker.close b2
+
+let test_snapshot_large_frame () =
+  with_big_dir @@ fun cfg ->
+  let s = schema () in
+  let b = Broker.create ~journal:cfg s in
+  ignore
+    (Broker.subscribe b ~subscriber:big_name ~profile:(profile_of s "x >= 5")
+       (fun _ -> ()));
+  Broker.snapshot_now b;
+  Broker.close b;
+  match Broker.recover ~journal:cfg s with
+  | Error e -> Alcotest.fail e
+  | Ok b2 ->
+    Alcotest.(check int) "restored from the snapshot alone" 0
+      (Journal.replayed_ops (Option.get (Broker.wal b2)));
+    (match Broker.subscriptions b2 with
+    | [ (_, subscriber) ] ->
+      Alcotest.(check bool) "subscriber survives" true
+        (String.equal subscriber big_name)
+    | _ -> Alcotest.fail "subscription lost");
     Broker.close b2
 
 (* A version-1 snapshot (written before snapshots recorded pending
@@ -268,11 +373,17 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_frame_torn_tail;
           Alcotest.test_case "bit flip" `Quick test_frame_bitflip;
         ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "known answers" `Quick test_checksum_known_answers;
+          QCheck_alcotest.to_alcotest prop_checksum_incremental;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
           Alcotest.test_case "truncates torn tail" `Quick
             test_journal_truncates_torn_tail;
+          Alcotest.test_case "17 MiB record" `Quick test_journal_large_record;
           Alcotest.test_case "missing dir" `Quick test_refuses_missing_dir;
         ] );
       ( "snapshots",
@@ -280,6 +391,7 @@ let () =
           Alcotest.test_case "cadence" `Quick test_snapshot_cadence;
           Alcotest.test_case "version-1 snapshot loads" `Quick
             test_snapshot_v1_loads;
+          Alcotest.test_case "17 MiB frame" `Quick test_snapshot_large_frame;
         ] );
       ( "deadletter-replay",
         [

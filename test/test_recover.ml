@@ -26,6 +26,7 @@ module Adaptive = Genas_core.Adaptive
 module Broker = Genas_ens.Broker
 module Journal = Genas_ens.Journal
 module Snapshot = Genas_ens.Snapshot
+module Codec = Genas_ens.Codec
 module Engine = Genas_core.Engine
 module Fault = Genas_ens.Fault
 module Supervise = Genas_ens.Supervise
@@ -342,4 +343,104 @@ let cases =
         ~expect_crash:true;
     ]
 
-let () = Alcotest.run "recover" [ ("differential", cases) ]
+(* The snapshot copies each subscription's cached record bytes. Churn,
+   a composite, dead letters and a recovery must leave that cache exact:
+   at the same op, the recovered broker's next snapshot equals the one
+   an uncrashed twin writes, and it holds one record per live
+   primitive subscription, each the encoding of that subscription. *)
+let script_e =
+  Array.of_list
+    ([ Sub ("ops", "k = a"); Sub ("flaky", "x >= 5"); Sub ("late", "x <= 3") ]
+    @ List.init 4 (fun i -> Pub i)
+    @ [ Unsub "late"; Pub 4 ]
+    @ [
+        SubC
+          ( "watch",
+            fun s ->
+              Composite.Seq
+                ( Composite.Prim (profile_of s "x >= 8"),
+                  Composite.Prim (profile_of s "k = b"),
+                  15.0 ) );
+      ]
+    (* ops 10-13, replayed from the journal tail *)
+    @ [ Sub ("mid", "x = 4"); Pub 5; Pub 6; Sub ("late", "x <= 3") ]
+    @ [ Unsub "ops"; Sub ("ops", "k = b"); Batch [ 7; 8; 9 ] ]
+    @ [ Unsub "flaky"; Unsub "mid"; Pub 10; Sub ("mid", "x = 4"); Pub 11 ])
+
+let snapshot_bytes b =
+  let dir = (Journal.configuration (Option.get (Broker.wal b))).Journal.dir in
+  Broker.snapshot_now b;
+  In_channel.with_open_bin (Filename.concat dir "snapshot.bin")
+    In_channel.input_all
+
+let test_cached_records () =
+  let s = schema () in
+  let crash_at = 14 in
+  let twin_dir = fresh_dir () and dir = fresh_dir () in
+  let twin =
+    Broker.create ~retry:(retry ()) ~adaptive
+      ~journal:(Journal.config ~snapshot_every:10_000 twin_dir)
+      s
+  in
+  (* Snapshots every 5 ops: recovery reads records from the snapshot
+     taken right after the composite subscribed (ops 0-9), then replays
+     the primitive subscriptions of ops 10-13. *)
+  let cfg = Journal.config ~snapshot_every:5 dir in
+  let b = Broker.create ~retry:(retry ()) ~adaptive ~journal:cfg s in
+  for i = 0 to crash_at - 1 do
+    apply s b script_e.(i);
+    apply s twin script_e.(i)
+  done;
+  Alcotest.(check bool) "dead letters before the recovery" true
+    (Deadletter.total (Broker.deadletter b) > 0);
+  Broker.close b;
+  let r =
+    Result.get_ok
+      (Broker.recover ~retry:(retry ()) ~adaptive
+         ~handlers:(fun ~subscriber -> handler_for subscriber)
+         ~journal:cfg s)
+  in
+  Alcotest.(check int) "ops 10-13 replayed past the snapshot" 4
+    (Journal.replayed_ops (Option.get (Broker.wal r)));
+  Alcotest.(check string) "snapshot at the recovery point" (snapshot_bytes twin)
+    (snapshot_bytes r);
+  List.iter
+    (fun b ->
+      if run_script s b script_e ~from:crash_at <> `Done then
+        Alcotest.fail "no crash was planned")
+    [ twin; r ];
+  Alcotest.(check string) "snapshot after further churn" (snapshot_bytes twin)
+    (snapshot_bytes r);
+  (match Snapshot.read ~dir ~seed:cfg.Journal.seed s with
+  | Ok (Some snap) ->
+    (* [subscriptions] lists primitives by ascending id, then the
+       composite "watch". *)
+    let live =
+      List.filter
+        (fun who -> not (String.equal who "watch"))
+        (List.map snd (Broker.subscriptions r))
+    in
+    let ids = List.map (fun (p : Codec.prim) -> p.id) snap.Snapshot.profiles in
+    Alcotest.(check (list string)) "one record per live subscription" live
+      (List.map (fun (p : Codec.prim) -> p.subscriber) snap.Snapshot.profiles);
+    Alcotest.(check (list int)) "ascending, distinct ids"
+      (List.sort_uniq Int.compare ids) ids;
+    List.iter
+      (fun (p : Codec.prim) ->
+        Alcotest.(check string) "record is the subscription's encoding"
+          (Codec.prim s ~id:p.id ~subscriber:p.subscriber p.profile).record
+          p.record)
+      snap.Snapshot.profiles
+  | Ok None -> Alcotest.fail "no snapshot"
+  | Error e -> Alcotest.fail e);
+  Broker.close twin;
+  Broker.close r
+
+let () =
+  Alcotest.run "recover"
+    [
+      ("differential", cases);
+      ( "records",
+        [ Alcotest.test_case "snapshot equals uncrashed twin" `Quick
+            test_cached_records ] );
+    ]
