@@ -114,12 +114,17 @@ bench-smoke:
 	./_build/default/bin/genas_cli.exe bench --json --events 2000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck
 
-# Full-budget run refreshing the committed perf-trajectory record,
-# scaling curve included (the 10^6 point and the 10^4 baseline take
-# minutes; see docs/SCALING.md).
+# Full-budget run writing a new perf-trajectory record, scaling curve
+# included (the 10^6 point and the 10^4 baseline take minutes; see
+# docs/SCALING.md). `make bench-json PR=<n>` writes BENCH_PR<n>.json;
+# committed records are never overwritten.
 bench-json:
+	@test -n "$(PR)" \
+	  || { echo "bench-json: set PR=<n> to write BENCH_PR<n>.json" >&2; exit 1; }
+	@test ! -e BENCH_PR$(PR).json \
+	  || { echo "bench-json: BENCH_PR$(PR).json exists; records are append-only" >&2; exit 1; }
 	dune exec bin/genas_cli.exe -- bench --json --events 200000 \
-	  --scaling 1000,2000,10000,100000,1000000 --out BENCH_PR10.json
+	  --scaling 1000,2000,10000,100000,1000000 --out BENCH_PR$(PR).json
 
 clean:
 	dune clean

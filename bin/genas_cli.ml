@@ -107,7 +107,7 @@ let run_match schema_path profiles_path events_path strategy attr_measure
       Printf.printf "%-50s -> %s\n" line
         (if labels = [] then "(no match)" else String.concat ", " labels);
       if explain then
-        Format.printf "%a@." Genas_core.Explain.pp
+        Format.printf "%a@." (Genas_core.Explain.pp tree)
           (Genas_core.Explain.trace tree event))
     events;
   Printf.printf "\n%d events, %d comparisons (%s per event)\n"
@@ -936,7 +936,7 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Benchmark every matcher (naive, counting, pointer tree, compiled \
-             flat form, batch/packed paths, hotness relayout, publish \
+             flat form, batch/packed paths, a skewed workload, publish \
              paths) on the paper's timing workload; \
              events/sec and comparisons/event per matcher and strategy")
     Term.(const run_bench $ json_arg $ events_arg $ out_arg $ profiles_arg

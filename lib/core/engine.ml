@@ -133,11 +133,6 @@ type t = {
      steady-state path allocates no per-event match lists. *)
   mutable flat : Flat.t;
   mutable cursor : Flat.cursor;
-  (* Hotness profiling: [None] dispatches the plain traversal loop
-     (provably zero profiling cost); [Some r] dispatches the recording
-     twin. Rebuilds allocate a fresh recorder — counters are per
-     compiled tree, since node ids change shape. *)
-  mutable recorder : Flat.recorder option;
   (* Pending churn, shared by both modes: profiles registered since the
      matcher was compiled ([delta]; plain engines verify them directly,
      aggregated ones hold uncompiled root members) and compiled ids
@@ -194,10 +189,7 @@ let observe_agg t agg =
 let install t tree flat =
   t.tree <- tree;
   t.flat <- flat;
-  t.cursor <- Flat.cursor flat;
-  match t.recorder with
-  | None -> ()
-  | Some _ -> t.recorder <- Some (Flat.recorder flat)
+  t.cursor <- Flat.cursor flat
 
 let count_rebuild t =
   match t.instruments with
@@ -310,7 +302,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       tree;
       flat;
       cursor = Flat.cursor flat;
-      recorder = None;
       (* A plain engine walks [delta] on every event while churn is
          pending; fewer buckets keep that walk short. *)
       delta = Hashtbl.create (if aggregate then 64 else 16);
@@ -627,10 +618,7 @@ let remove_profile t id =
 (* Match one event through the flat cursor; returns the match count,
    ids borrowed from the cursor. Counter semantics are bit-identical to
    the former Tree.match_event path. *)
-let match_flat t event =
-  match t.recorder with
-  | None -> Flat.match_into ~ops:t.ops t.flat t.cursor event
-  | Some r -> Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r event
+let match_flat t event = Flat.match_into ~ops:t.ops t.flat t.cursor event
 
 (* Append one matched id, doubling the buffer (filled prefix kept) when
    it is full. *)
@@ -872,47 +860,3 @@ let restore_ops t (o : Ops.t) =
   t.ops.Ops.matches <- o.Ops.matches
 
 let report t = Cost.evaluate_with_stats t.tree t.stats
-
-(* -- Hotness-guided relayout --------------------------------------- *)
-
-(* Reorder the compiled flat form by the recorder's observed per-node
-   visit counts (the "odds-on" layout) and install it with the same
-   single-field-store discipline the epoch swap uses: flat, then
-   cursor, then a fresh recorder keyed to the new node ids. Matching
-   behaviour and counters are bit-identical — only memory order moves —
-   so neither the pointer tree, the statistics, nor the aggregation
-   delta tables are touched. *)
-let relayout_now t =
-  match t.recorder with
-  | Some r when Flat.recorded_events r > 0 ->
-    let flat = Flat.relayout t.flat (Flat.node_visits r) in
-    t.flat <- flat;
-    t.cursor <- Flat.cursor flat;
-    t.recorder <- Some (Flat.recorder flat);
-    true
-  | Some _ | None -> false
-
-(* ------------------------------------------------------------------ *)
-(* Hotness profiling *)
-
-let set_profiling t on =
-  match (on, t.recorder) with
-  | true, None -> t.recorder <- Some (Flat.recorder t.flat)
-  | false, Some _ -> t.recorder <- None
-  | true, Some _ | false, None -> ()
-
-let profiling t = Option.is_some t.recorder
-
-let recorder t = t.recorder
-
-let last_path t =
-  match t.recorder with None -> [] | Some r -> Flat.last_path r
-
-let advisory ?tolerance t =
-  match t.recorder with
-  | None -> None
-  | Some r ->
-    Some
-      (Explain.advisory ?tolerance t.tree
-         ~level_visits:(Flat.level_visits r)
-         ~events:(Flat.recorded_events r))

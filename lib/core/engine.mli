@@ -203,48 +203,6 @@ val report : t -> Cost.report
 (** Analytic expectation for the current tree under the current
     statistics. *)
 
-(** {1 Hotness profiling}
-
-    When enabled, matching (single events and batches alike) runs
-    through {!Genas_filter.Flat.match_into_recorded}, accumulating
-    per-node and per-level visit counters and keeping the last
-    traversal path. Disabled (the default), matching dispatches the
-    plain loop, which takes no recorder argument at all — zero
-    profiling cost by construction. *)
-
-val set_profiling : t -> bool -> unit
-(** Enable/disable hotness recording. Enabling allocates a fresh
-    recorder; counters restart from zero whenever the tree is rebuilt
-    (flat node ids change shape). Idempotent. *)
-
-val profiling : t -> bool
-
-val recorder : t -> Genas_filter.Flat.recorder option
-(** The live recorder, for direct access to
-    {!Genas_filter.Flat.node_visits} / [level_visits]. *)
-
-val last_path : t -> Genas_filter.Flat.path_step list
-(** The most recently recorded event's traversal path ([] when
-    profiling is off or nothing matched yet). *)
-
-val advisory : ?tolerance:float -> t -> Explain.advisory option
-(** {!Explain.advisory} over the recorder's per-level visits against
-    the current tree's attribute order; [None] when profiling is
-    off. *)
-
-val relayout_now : t -> bool
-(** Hotness-guided cache-conscious relayout: reorder the compiled flat
-    form's memory layout by the recorder's observed per-node visit
-    counts ({!Genas_filter.Flat.relayout} — hot nodes and their edge
-    and posting payloads land contiguously) and install it with the
-    same single-field-store discipline as the epoch swap. Matching
-    behaviour and all operation counters are bit-identical; only
-    memory order changes. Returns [false] (and does nothing) when
-    profiling is off or no event has been recorded yet; on success the
-    recorder restarts fresh against the new layout. The pointer tree,
-    statistics, and aggregation state are untouched; a later rebuild
-    replaces the layout with the default compile order. *)
-
 (** {1 Journal replay} *)
 
 val replay_observe : t -> Genas_model.Event.t -> unit

@@ -2,25 +2,32 @@
     cost?
 
     Produces the exact root-to-leaf path the tree matcher takes for one
-    event — per level: the attribute tested, the value's cell, the scan
-    strategy and its comparison count, and the edge taken — ending in
-    the matched profiles or the rejection point. The comparisons add up
-    to precisely what {!Genas_filter.Ops} would record. *)
+    event — per level: the node and attribute tested, the value's cell,
+    the scan strategy and its comparison count, and the edge taken —
+    ending in the leaf reached (and its profiles) or the rejection
+    point. The comparisons add up to precisely what
+    {!Genas_filter.Ops} would record, for the pointer tree and for its
+    compiled {!Genas_filter.Flat} form alike. *)
 
 type step = {
   level : int;
+  node : int;  (** pointer-tree node id ({!Genas_filter.Tree.id}) *)
   attr : int;  (** natural attribute index tested *)
   attr_name : string;
-  cell_label : string;  (** the event value's subrange, e.g. "[30,35)" *)
+  cell : int option;
+      (** the event value's global cell; [None] outside the axis *)
   strategy : Genas_filter.Order.strategy;
   comparisons : int;
   edges_at_node : int;
-  outcome : [ `Edge | `Rest | `Reject ];
-      (** listed edge followed / rest-edge followed / rejected here *)
+  outcome : [ `Edge of int | `Rest | `Reject ];
+      (** listed edge followed (its slot) / rest-edge followed /
+          rejected here *)
 }
 
 type t = {
   steps : step list;  (** root first *)
+  leaf : int option;
+      (** pointer-tree id of the leaf reached; [None] = rejected *)
   matched : Genas_profile.Profile_set.id list;  (** ascending; [] = rejected *)
   total_comparisons : int;
 }
@@ -30,52 +37,6 @@ val trace : Genas_filter.Tree.t -> Genas_model.Event.t -> t
 val trace_coords : Genas_filter.Tree.t -> float array -> t
 (** From raw axis coordinates in natural attribute order. *)
 
-val pp : Format.formatter -> t -> unit
-(** One line per step plus the verdict. *)
-
-(** {2 Hotness advisory}
-
-    Runtime validation of the paper's V/A ordering measures: compare
-    the traversal work a profiled engine actually observed (see
-    {!Genas_filter.Flat.recorder}) against the attribute order the
-    planner chose. The planner puts the predicted-most-selective
-    attribute first, so the observed survival rate — the fraction of
-    events arriving at a level that proceed past it — should be
-    non-decreasing with depth; a later level with lower survival than
-    an earlier one is an inversion worth re-planning for. *)
-
-type advisory_line = {
-  adv_level : int;
-  adv_attr : int;  (** natural attribute index tested at this level *)
-  adv_attr_name : string;
-  adv_visits : int;  (** events that reached this level *)
-  adv_survival : float;
-      (** visits(level+1) / visits(level); [nan] when no event reached
-          this level *)
-}
-
-type advisory = {
-  adv_events : int;  (** events profiled *)
-  adv_lines : advisory_line list;  (** root level first *)
-  adv_inversions : (int * int) list;
-      (** (earlier level, later level): the later level filters
-          harder despite being tested later *)
-  adv_ok : bool;  (** no inversions *)
-}
-
-val advisory :
-  ?tolerance:float ->
-  Genas_filter.Tree.t ->
-  level_visits:int array ->
-  events:int ->
-  advisory
-(** [level_visits] is {!Genas_filter.Flat.level_visits} (one slot per
-    level plus the leaf slot); [events] the recorded event count.
-    Survival drops smaller than [tolerance] (default 0.05) are not
-    flagged.
-
-    @raise Invalid_argument on a negative or non-finite tolerance, or
-    if [level_visits] is too short for the tree. *)
-
-val pp_advisory : Format.formatter -> advisory -> unit
-(** Per-level visit/survival table plus flagged inversions. *)
+val pp : Genas_filter.Tree.t -> Format.formatter -> t -> unit
+(** One line per step plus the verdict; [tree] is the one [t] was
+    traced in. *)

@@ -5,9 +5,9 @@ module Profile_set = Genas_profile.Profile_set
 module Lang = Genas_profile.Lang
 module Engine = Genas_core.Engine
 module Adaptive = Genas_core.Adaptive
+module Explain = Genas_core.Explain
 module Stats = Genas_core.Stats
 module Ops = Genas_filter.Ops
-module Flat = Genas_filter.Flat
 module Metrics = Genas_obs.Metrics
 module Trace = Genas_obs.Trace
 
@@ -110,13 +110,6 @@ let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
     ?tracer ?aggregate ?delta_cap schema =
   let pset = Profile_set.create schema in
   let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
-  (* A traced broker profiles the matcher so every trace can carry the
-     traversal path; untraced brokers keep the plain (recorder-free)
-     match loop. *)
-  (match tracer with
-  | Some tr when Genas_obs.Trace.sample_rate tr > 0.0 ->
-    Engine.set_profiling engine true
-  | _ -> ());
   let adaptive =
     Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
   in
@@ -381,25 +374,37 @@ let journal_publish t ~events ~batch ~total_before =
            dlq_dropped = Deadletter.dropped dlq;
          })
 
-(* Attach the profiled matcher traversal of the event just matched to
-   the active trace (requires a traced broker, whose engine records). *)
-let attach_match_path t matched =
-  match t.tracer with
-  | None -> ()
-  | Some tr -> (
-    if Trace.active tr then
-      match Engine.last_path t.engine with
-      | [] -> ()
-      | steps ->
-        let arr f = Array.of_list (List.map f steps) in
-        Trace.attach_path tr
-          {
-            Trace.path_nodes = arr (fun s -> s.Flat.step_node);
-            path_levels = arr (fun s -> s.Flat.step_level);
-            path_edges = arr (fun s -> s.Flat.step_edge);
-            path_comparisons = arr (fun s -> s.Flat.step_comparisons);
-            path_matched = Array.of_list matched;
-          })
+(* Attach the traversal of the event just matched to the active trace.
+   The path is re-derived from the pointer tree the flat matcher was
+   compiled from, which takes the same path edge for edge, so only
+   sampled publishes pay for it. *)
+let attach_match_path tr engine event matched =
+  let x = Explain.trace (Engine.tree engine) event in
+  let steps = Array.of_list x.Explain.steps in
+  let depth = Array.length steps in
+  let len = depth + Option.fold ~none:0 ~some:(fun _ -> 1) x.Explain.leaf in
+  (* One slot per step, then the leaf arrival (edge -3) if any. *)
+  let at f ~leaf =
+    Array.init len (fun i -> if i < depth then f steps.(i) else leaf)
+  in
+  if len > 0 then
+    Trace.attach_path tr
+      {
+        Trace.path_nodes =
+          at (fun s -> s.Explain.node)
+            ~leaf:(Option.value x.Explain.leaf ~default:(-1));
+        path_levels = at (fun s -> s.Explain.level) ~leaf:depth;
+        path_edges =
+          at
+            (fun s ->
+              match s.Explain.outcome with
+              | `Edge i -> i
+              | `Rest -> -1
+              | `Reject -> -2)
+            ~leaf:(-3);
+        path_comparisons = at (fun s -> s.Explain.comparisons) ~leaf:0;
+        path_matched = Array.of_list matched;
+      }
 
 (* Wrap a publish entry point in a root trace; an injected crash
    escaping it dumps the flight recorder before propagating. *)
@@ -416,10 +421,13 @@ let with_publish_trace t ~name f =
 let publish_core t event =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   t.published <- t.published + 1;
-  let do_match () =
-    match t.adaptive with
-    | Some a -> Adaptive.match_event a event
-    | None -> Engine.match_event t.engine event
+  (* Adaptive.match_event, split so a sampled path is traced in the
+     tree that matched, before a drift check may re-plan it. *)
+  let do_match ~path =
+    let matched = Engine.match_event t.engine event in
+    path matched;
+    Option.iter (fun a -> Adaptive.note_events a 1) t.adaptive;
+    matched
   in
   let matched =
     (* Only pay for the span (and its allocated attrs) when this
@@ -427,11 +435,11 @@ let publish_core t event =
     match t.tracer with
     | Some tr when Trace.active tr ->
       Trace.with_span tr ~name:"engine.match" (fun () ->
-          let matched = do_match () in
-          Trace.add_attr tr "matched" (string_of_int (List.length matched));
-          attach_match_path t matched;
-          matched)
-    | Some _ | None -> do_match ()
+          do_match ~path:(fun matched ->
+              Trace.add_attr tr "matched"
+                (string_of_int (List.length matched));
+              attach_match_path tr t.engine event matched))
+    | Some _ | None -> do_match ~path:ignore
   in
   let sent = ref 0 in
   List.iter (fun id -> deliver_prim t event id sent) matched;
@@ -675,10 +683,6 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
       | () -> Ok ()
       | exception Invalid_argument msg -> Error msg)
   in
-  (match tracer with
-  | Some tr when Genas_obs.Trace.sample_rate tr > 0.0 ->
-    Engine.set_profiling engine true
-  | _ -> ());
   let adaptive =
     Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
   in

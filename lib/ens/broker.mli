@@ -40,10 +40,11 @@ val create :
     {!publish_batch} (if sampled) yields one span tree —
     ["broker.publish"] → ["engine.match"] → per-delivery ["deliver"] /
     ["deliver.attempt"] spans → ["journal.append"] and
-    ["snapshot.install"] — with the flat-matcher traversal path
-    attached, landing in the tracer's flight-recorder ring. The
-    broker's engine is switched to hotness profiling
-    ({!Genas_core.Engine.set_profiling}) so paths can be recorded. An
+    ["snapshot.install"] — with the matcher's traversal path attached,
+    landing in the tracer's flight-recorder ring. The path is the
+    pointer tree's walk of the event ({!Genas_core.Explain.trace} over
+    {!Genas_core.Engine.tree}), the one the compiled matcher takes edge
+    for edge; only sampled publishes pay for it. An
     injected crash or terminal delivery failure dumps the flight
     recorder ({!Genas_obs.Trace.record_crash}) before propagating. See
     docs/OBSERVABILITY.md, "Tracing".

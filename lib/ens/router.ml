@@ -159,10 +159,6 @@ let create ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
   | Error e -> Error e
   | Ok adj ->
     let nodes = make_nodes ?spec ?aggregate schema adj in
-    (match tracer with
-    | Some tr when Trace.sample_rate tr > 0.0 ->
-      Array.iter (fun n -> Engine.set_profiling n.engine true) nodes
-    | _ -> ());
     Ok
       {
         schema;

@@ -50,8 +50,7 @@ val create :
     forwarded arrivals, [from]), and the usual ["deliver"] /
     ["deliver.attempt"] spans from the shared delivery supervisor —
     so one event's full multi-hop causal path lands in the tracer's
-    flight-recorder ring. Per-broker engines are switched to hotness
-    profiling. See docs/OBSERVABILITY.md, "Tracing".
+    flight-recorder ring. See docs/OBSERVABILITY.md, "Tracing".
 
     [metrics] registers network-level counters (subscription/retraction
     messages, event hops, publishes, notifications, link faults,

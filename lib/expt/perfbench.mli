@@ -4,9 +4,8 @@
     every matcher in the repository run over the same pre-built event
     pool: the naive and counting baselines, the pointer profile tree
     and its compiled {!Genas_filter.Flat} form per value strategy, the
-    flat batch and packed-batch paths, the skewed-workload pair with
-    and without the hotness-guided relayout, the publish paths, and the
-    cost of one full re-plan of the table.
+    flat batch and packed-batch paths, a skewed workload, the publish
+    paths, and the cost of one full re-plan of the table.
     Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
@@ -20,7 +19,7 @@ type result = {
   name : string;  (** e.g. ["flat/v1+a2"], ["publish/untraced"] *)
   matcher : string;
       (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          flat-skew-layout|publish|publish-net|plan;
+          publish|publish-net|plan;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -31,6 +30,9 @@ type result = {
   strategy : string;  (** value strategy, or ["n/a"] *)
   timed_events : int;
   events_per_sec : float;
+      (** the [publish] rows, and the [publish-net] rows, share their
+          budget in 16 slices taken in turn, and report the median
+          slice rate; every other row times one run *)
   comparisons_per_event : float;
   matches_per_event : float;
   plan_ms : float option;
@@ -120,8 +122,8 @@ val to_json : ?scale:scale -> t -> Genas_obs.Json.t
 (** The `BENCH_*.json` document: bench/schema_version header, workload
     and host blocks (core count and the runtime's recommended domain
     count), one result object per entry, and derived speedups (flat vs
-    tree, flat batch vs tree, packed vs batch, layout vs default on the
-    skewed workload, and the tracing ratios of the publish rows). With
+    tree, flat batch vs tree, packed vs batch, and the tracing ratios
+    of the publish rows). With
     [scale], the scaling curve is attached as a ["scaling"] block
     (whose keys deliberately avoid the classic result keys the cram
     suite counts). *)

@@ -88,7 +88,7 @@ let build_lookup decomp pos2 attr dom =
     Rank_table (Array.init 2 (fun r -> target_of_coord (float_of_int r)))
   | Domain.Int_range _ | Domain.Float_range _ -> Generic
 
-let compile_plain (tree : Tree.t) =
+let compile (tree : Tree.t) =
   let decomp = tree.Tree.decomp in
   let arity = Decomp.arity decomp in
   let strategy =
@@ -171,80 +171,6 @@ let compile_plain (tree : Tree.t) =
     seen_size = (if nlive = 0 then 0 else ids.(nlive - 1) + 1);
     out_size = nlive;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Hotness-guided relayout: renumber the flat nodes in descending
-   visit-frequency order (ties broken by old id, so the permutation is
-   deterministic) and rebuild the CSR payload in the new node order —
-   hot nodes, their edge slots, and their postings all land
-   contiguously at the front of their arrays, the "odds-on" layout.
-   The traversal itself is untouched: only indices move, so matches,
-   comparison counts, and node-visit counts are bit-identical to the
-   source layout. *)
-
-let relayout t visits =
-  let n = Array.length t.node_attr in
-  if Array.length visits <> n then
-    invalid_arg "Flat.relayout: visit counts built for a different matcher";
-  if n = 0 then t
-  else begin
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = compare visits.(b) visits.(a) in
-        if c <> 0 then c else compare a b)
-      order;
-    let renum = Array.make n 0 in
-    Array.iteri (fun nw old -> renum.(old) <- nw) order;
-    let node_attr = Array.make n 0 in
-    let edge_first = Array.make n 0 and edge_count = Array.make n 0 in
-    let rest = Array.make n 0 in
-    let leaf_first = Array.make n 0 and leaf_count = Array.make n 0 in
-    let ne = Array.length t.edge_pos and np = Array.length t.postings in
-    let edge_pos = Array.make ne 0 and edge_child = Array.make ne 0 in
-    let postings = Array.make np 0 in
-    (* Every flat node owns a disjoint slice of the edge and posting
-       arrays (the compiler allocates per unique node), so appending
-       per node in the new order re-packs both exactly once. *)
-    let epos = ref 0 and ppos = ref 0 in
-    for nw = 0 to n - 1 do
-      let o = order.(nw) in
-      node_attr.(nw) <- t.node_attr.(o);
-      let ef = t.edge_first.(o) and ec = t.edge_count.(o) in
-      edge_first.(nw) <- !epos;
-      edge_count.(nw) <- ec;
-      for k = 0 to ec - 1 do
-        edge_pos.(!epos) <- t.edge_pos.(ef + k);
-        edge_child.(!epos) <- renum.(t.edge_child.(ef + k));
-        incr epos
-      done;
-      rest.(nw) <- (let r = t.rest.(o) in if r < 0 then -1 else renum.(r));
-      let lf = t.leaf_first.(o) and lc = t.leaf_count.(o) in
-      leaf_first.(nw) <- !ppos;
-      leaf_count.(nw) <- lc;
-      for k = 0 to lc - 1 do
-        postings.(!ppos) <- t.postings.(lf + k);
-        incr ppos
-      done
-    done;
-    {
-      t with
-      node_attr;
-      edge_first;
-      edge_count;
-      rest;
-      leaf_first;
-      leaf_count;
-      edge_pos;
-      edge_child;
-      postings;
-      root = renum.(t.root);
-    }
-  end
-
-let compile ?layout tree =
-  let t = compile_plain tree in
-  match layout with None -> t | Some visits -> relayout t visits
 
 let revision t = t.decomp.Decomp.revision
 
@@ -375,185 +301,6 @@ let run ?ops t cur =
   | None -> ());
   cur.len
 
-(* ------------------------------------------------------------------ *)
-(* Hotness recorder.
-
-   The plain [run] above takes no recorder argument at all — the
-   disabled path is the original loop, so "profiling off" is
-   compile-time-checked zero cost rather than a dynamic no-op object
-   threaded through the hot loop. [run_recorded] duplicates the
-   traversal with per-node / per-level visit counters and a
-   single-path scratch; its comparison and node-visit accounting is
-   bit-identical to [run]. *)
-
-type recorder = {
-  rec_node_visits : int array;  (* by flat node id, leaves included *)
-  rec_level_visits : int array;  (* by path depth; slot [arity] = leaves *)
-  mutable rec_events : int;
-  (* Path scratch for the most recent recorded event. *)
-  path_nodes : int array;
-  path_levels : int array;
-  path_edges : int array;
-  path_comparisons : int array;
-  mutable path_len : int;
-}
-
-type path_step = {
-  step_node : int;
-  step_level : int;
-  step_edge : int;
-      (* edge slot taken (>= 0), -1 rest, -2 reject, -3 leaf arrival *)
-  step_comparisons : int;
-}
-
-let recorder t =
-  let cap = t.arity + 2 in
-  {
-    rec_node_visits = Array.make (Array.length t.node_attr) 0;
-    rec_level_visits = Array.make (t.arity + 1) 0;
-    rec_events = 0;
-    path_nodes = Array.make cap 0;
-    path_levels = Array.make cap 0;
-    path_edges = Array.make cap 0;
-    path_comparisons = Array.make cap 0;
-    path_len = 0;
-  }
-
-let check_recorder t r ~who =
-  if
-    Array.length r.rec_node_visits <> Array.length t.node_attr
-    || Array.length r.rec_level_visits <> t.arity + 1
-  then invalid_arg (who ^ ": recorder built for a different matcher")
-
-let reset_recorder r =
-  Array.fill r.rec_node_visits 0 (Array.length r.rec_node_visits) 0;
-  Array.fill r.rec_level_visits 0 (Array.length r.rec_level_visits) 0;
-  r.rec_events <- 0;
-  r.path_len <- 0
-
-let node_visits r = r.rec_node_visits
-
-let level_visits r = r.rec_level_visits
-
-let recorded_events r = r.rec_events
-
-let last_path r =
-  List.init r.path_len (fun k ->
-      {
-        step_node = r.path_nodes.(k);
-        step_level = r.path_levels.(k);
-        step_edge = r.path_edges.(k);
-        step_comparisons = r.path_comparisons.(k);
-      })
-
-let push_step r ~node ~level ~edge ~cmp =
-  if r.path_len < Array.length r.path_nodes then begin
-    r.path_nodes.(r.path_len) <- node;
-    r.path_levels.(r.path_len) <- level;
-    r.path_edges.(r.path_len) <- edge;
-    r.path_comparisons.(r.path_len) <- cmp;
-    r.path_len <- r.path_len + 1
-  end
-
-(* Mirror of [run] with recording; keep the two loops in lockstep when
-   touching either. *)
-let run_recorded ?ops t cur r =
-  cur.epoch <- cur.epoch + 1;
-  cur.len <- 0;
-  r.rec_events <- r.rec_events + 1;
-  r.path_len <- 0;
-  let comparisons = ref 0 and node_visits = ref 0 in
-  if t.root >= 0 then begin
-    let node = ref t.root and live = ref true and level = ref 0 in
-    while !live do
-      let i = !node in
-      let a = Array.unsafe_get t.node_attr i in
-      r.rec_node_visits.(i) <- r.rec_node_visits.(i) + 1;
-      if !level < Array.length r.rec_level_visits then
-        r.rec_level_visits.(!level) <- r.rec_level_visits.(!level) + 1;
-      if a < 0 then begin
-        let first = t.leaf_first.(i) in
-        let epoch = cur.epoch in
-        for k = first to first + t.leaf_count.(i) - 1 do
-          let id = Array.unsafe_get t.postings k in
-          let fresh = Bool.to_int (Array.unsafe_get cur.seen id <> epoch) in
-          Array.unsafe_set cur.seen id epoch;
-          Array.unsafe_set cur.out cur.len id;
-          cur.len <- cur.len + fresh
-        done;
-        push_step r ~node:i ~level:!level ~edge:(-3) ~cmp:0;
-        live := false
-      end
-      else begin
-        incr node_visits;
-        let c0 = !comparisons in
-        let target = Array.unsafe_get cur.targets a in
-        let first = t.edge_first.(i) and n = t.edge_count.(i) in
-        let hit = ref (-1) in
-        if n > 0 then begin
-          let code = Array.unsafe_get t.strategy a in
-          if code = code_linear then begin
-            let j = ref 0 in
-            while
-              !j < n && Array.unsafe_get t.edge_pos (first + !j) < target
-            do
-              incr j
-            done;
-            if !j < n then begin
-              comparisons := !comparisons + !j + 1;
-              let eq =
-                Bool.to_int
-                  (Array.unsafe_get t.edge_pos (first + !j) = target)
-              in
-              hit := (!j * eq) lor (eq - 1)
-            end
-            else comparisons := !comparisons + n
-          end
-          else begin
-            let lo = ref 0 and hi = ref (n - 1) in
-            let probes = ref 0 in
-            while !hit < 0 && !lo <= !hi do
-              let mid = (!lo + !hi) / 2 in
-              incr probes;
-              let p = Array.unsafe_get t.edge_pos (first + mid) in
-              if p = target then hit := mid
-              else if p < target then lo := mid + 1
-              else hi := mid - 1
-            done;
-            comparisons :=
-              !comparisons + (if code = code_binary then !probes else 1)
-          end
-        end;
-        let cmp = !comparisons - c0 in
-        if !hit >= 0 then begin
-          push_step r ~node:i ~level:!level ~edge:!hit ~cmp;
-          node := t.edge_child.(first + !hit);
-          incr level
-        end
-        else begin
-          let rr = t.rest.(i) in
-          if rr >= 0 then begin
-            push_step r ~node:i ~level:!level ~edge:(-1) ~cmp;
-            node := rr;
-            incr level
-          end
-          else begin
-            push_step r ~node:i ~level:!level ~edge:(-2) ~cmp;
-            live := false
-          end
-        end
-      end
-    done
-  end;
-  (match ops with
-  | Some o ->
-    o.Ops.comparisons <- o.Ops.comparisons + !comparisons;
-    o.Ops.node_visits <- o.Ops.node_visits + !node_visits;
-    o.Ops.events <- o.Ops.events + 1;
-    o.Ops.matches <- o.Ops.matches + cur.len
-  | None -> ());
-  cur.len
-
 let generic_target t attr v =
   match Axis.coord t.domains.(attr) v with
   | None -> out_of_domain
@@ -616,12 +363,6 @@ let match_into ?ops t cur event =
   check_cursor t cur ~who:"Flat.match_into";
   set_event_targets t cur event;
   run ?ops t cur
-
-let match_into_recorded ?ops t cur r event =
-  check_cursor t cur ~who:"Flat.match_into_recorded";
-  check_recorder t r ~who:"Flat.match_into_recorded";
-  set_event_targets t cur event;
-  run_recorded ?ops t cur r
 
 let match_coords_into ?ops t cur coords =
   check_cursor t cur ~who:"Flat.match_coords_into";

@@ -29,31 +29,9 @@ type t
 
 type cursor
 
-val compile : ?layout:int array -> Tree.t -> t
+val compile : Tree.t -> t
 (** Lower a pointer tree. The tree keeps ownership of [pp]/[explain];
-    the flat form only matches.
-
-    [layout] is a per-node visit-count array — as produced by a
-    {!recorder} run against the default-order compile of the same tree
-    — and applies {!relayout} to the freshly compiled form: a
-    hotness-guided, cache-conscious node order.
-
-    @raise Invalid_argument if [layout] has the wrong length. *)
-
-val relayout : t -> int array -> t
-(** [relayout t visits] renumbers the flat nodes of [t] in descending
-    visit-count order (ties by old node id, so the permutation is
-    deterministic) and re-packs the node table, the edge arrays, and
-    the postings in the new order — hot nodes and their payloads land
-    contiguously at the front of their arrays (an "odds-on" layout for
-    the observed event distribution). [visits] is indexed by [t]'s own
-    node ids, i.e. {!node_visits} of a recorder driven against [t].
-    Matching behaviour, comparison counts, and node-visit counts are
-    bit-identical to [t]; only memory order changes. Cursors are
-    layout-independent ([t]'s cursors still fit); recorders are not —
-    build a fresh recorder for the new form.
-
-    @raise Invalid_argument if [visits] has the wrong length. *)
+    the flat form only matches. *)
 
 val revision : t -> int
 (** Profile-set revision of the underlying decomposition snapshot. *)
@@ -80,53 +58,6 @@ val match_into : ?ops:Ops.t -> t -> cursor -> Genas_model.Event.t -> int
 
     @raise Invalid_argument if the cursor was built for a different
     matcher. *)
-
-(** {2 Hotness recorder}
-
-    Per-node and per-level visit profiling for the traversal. The
-    plain {!match_into} loop takes no recorder argument at all, so the
-    disabled path is compile-time-guaranteed to cost nothing;
-    {!match_into_recorded} runs a duplicated loop whose comparison and
-    node-visit accounting is bit-identical to the plain one. *)
-
-type recorder
-(** Accumulated visit counters plus the path scratch of the most
-    recently recorded event. Belongs to one compiled matcher. *)
-
-type path_step = {
-  step_node : int;  (** flat node id visited *)
-  step_level : int;  (** path depth; root is 0 *)
-  step_edge : int;
-      (** edge slot taken ([>= 0]), [-1] rest child, [-2] rejected
-          here, [-3] arrived at a leaf *)
-  step_comparisons : int;  (** comparisons spent at this node *)
-}
-
-val recorder : t -> recorder
-(** A fresh zeroed recorder sized for [t]. *)
-
-val reset_recorder : recorder -> unit
-
-val node_visits : recorder -> int array
-(** Visit count per flat node id (leaves included), borrowed live. *)
-
-val level_visits : recorder -> int array
-(** Visit count per path depth, [arity + 1] slots; a full-depth path
-    counts its leaf arrival in the last slot. Borrowed live. *)
-
-val recorded_events : recorder -> int
-(** Events recorded since creation / the last reset. *)
-
-val last_path : recorder -> path_step list
-(** The most recently recorded event's root-to-end path. *)
-
-val match_into_recorded :
-  ?ops:Ops.t -> t -> cursor -> recorder -> Genas_model.Event.t -> int
-(** {!match_into} through the recording loop: same matches, same
-    [?ops] accounting, plus visit counters and the path scratch.
-
-    @raise Invalid_argument if the cursor or recorder was built for a
-    different matcher. *)
 
 (** {2 Packed batches}
 

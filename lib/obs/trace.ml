@@ -123,8 +123,6 @@ let with_mu t f = Mutex.protect t.mu f
 
 let active t = t.current <> None
 
-let sample_rate t = t.sample
-
 let depth t = with_mu t (fun () -> List.length t.stack)
 
 let started t = t.started

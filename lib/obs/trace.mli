@@ -5,7 +5,7 @@
     trace takes a deterministic sampling decision from a seeded PRNG;
     a sampled trace collects parent/child spans timed by
     {!Clock.now_ns}, optional string attributes, and optionally the
-    flat-matcher traversal path of the event. Completed traces land in
+    matcher traversal path of the event. Completed traces land in
     a fixed-size ring buffer — the flight recorder — which can be
     exported as Chrome trace-event JSON ([chrome://tracing],
     [ui.perfetto.dev]) or dumped as text for post-mortems.
@@ -49,7 +49,9 @@ type span = {
 }
 
 type path = {
-  path_nodes : int array;  (** flat-matcher node ids, root first *)
+  path_nodes : int array;
+      (** profile-tree node ids ([Tree.id] in the filter library), root
+          first *)
   path_levels : int array;  (** tree level of each visited node *)
   path_edges : int array;
       (** edge taken at each node: an edge slot [>= 0], [-1] for the
@@ -58,8 +60,8 @@ type path = {
   path_comparisons : int array;  (** comparisons spent at each node *)
   path_matched : int array;  (** profile ids matched, ascending *)
 }
-(** One event's traversal through the compiled flat matcher: the
-    credits touched from the epoch-stamped cursor. *)
+(** One event's traversal of the profile tree: the path the compiled
+    flat matcher takes, edge for edge and comparison for comparison. *)
 
 type trace = {
   trace_id : int;
@@ -144,12 +146,6 @@ val attach_path : t -> path -> unit
 
 val active : t -> bool
 (** A sampled trace is currently open. *)
-
-val sample_rate : t -> float
-(** The [sample] probability the tracer was created with. The ensemble
-    layer skips matcher-path profiling entirely when it is [0.0] — a
-    never-sampling tracer costs one PRNG draw per publish and nothing
-    on the matching path. *)
 
 val current_trace_id : t -> int option
 

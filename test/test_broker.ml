@@ -424,6 +424,118 @@ let test_delivery_series_replay () =
     Alcotest.(check bool) "carol freed on replay" false (has_series reg "carol");
     Broker.close r
 
+(* --- traced publishes: the path a sampled publish attaches is the
+   reference tree's walk of the event, it accounts for exactly the
+   comparisons the flat matcher charged, and tracing changes nothing
+   the broker matches or delivers. *)
+
+module Ops = Genas_filter.Ops
+module Profile_set = Genas_profile.Profile_set
+module Engine = Genas_core.Engine
+module Explain = Genas_core.Explain
+module Reorder = Genas_core.Reorder
+module Selectivity = Genas_core.Selectivity
+module Trace = Genas_obs.Trace
+module Gen = Genas_testlib.Gen
+
+(* Linear, binary and hashed edge location, under a reordered tree. *)
+let spec_of value_choice =
+  {
+    Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
+    value_choice;
+  }
+
+let value_choices = [ `Measure Selectivity.V1; `Binary; `Hashed ]
+
+(* A broker over [pset] whose deliveries land in [log] as
+   (subscriber, origin); pending churn folded, so every publish runs on
+   the compiled matcher alone. *)
+let filled_broker ?aggregate ?tracer ~value_choice schema pset log =
+  let b = Broker.create ~spec:(spec_of value_choice) ?aggregate ?tracer schema in
+  Profile_set.iter pset (fun id p ->
+      ignore
+        (Broker.subscribe b ~subscriber:(string_of_int id) ~profile:p (fun n ->
+             log := (n.Notification.subscriber, n.Notification.origin) :: !log)));
+  Engine.refresh_keeping_history (Broker.engine b);
+  b
+
+let ops_tuple (o : Ops.t) = (o.comparisons, o.node_visits, o.events, o.matches)
+
+let path_matches_reference b tr event ~charged =
+  let x = Explain.trace (Engine.tree (Broker.engine b)) event in
+  let last = List.nth_opt (List.rev (Trace.traces tr)) 0 in
+  match Option.bind last (fun (t : Trace.trace) -> t.path) with
+  | None -> x.Explain.steps = [] && x.Explain.leaf = None && charged = 0
+  | Some p ->
+    let k = Array.length p.Trace.path_nodes in
+    let steps = Array.of_list x.Explain.steps in
+    let nsteps = Array.length steps in
+    let edge (s : Explain.step) =
+      match s.outcome with `Edge i -> i | `Rest -> -1 | `Reject -> -2
+    in
+    p.Trace.path_levels = Array.init k Fun.id
+    && Array.fold_left ( + ) 0 p.Trace.path_comparisons = charged
+    && k = nsteps + (match x.Explain.leaf with Some _ -> 1 | None -> 0)
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun i (s : Explain.step) ->
+              p.Trace.path_nodes.(i) = s.node
+              && p.Trace.path_edges.(i) = edge s
+              && p.Trace.path_comparisons.(i) = s.comparisons)
+            steps)
+    && (match x.Explain.leaf with
+       | Some id ->
+         p.Trace.path_nodes.(nsteps) = id && p.Trace.path_edges.(nsteps) = -3
+       | None -> true)
+
+let prop_trace_path_is_reference =
+  QCheck.Test.make ~name:"sampled path = reference trace, tracing inert"
+    ~count:40
+    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:20 ()))
+    (fun (schema, pset, events) ->
+      List.for_all
+        (fun value_choice ->
+          (* Plain broker at sample 1.0: every publish attaches a path. *)
+          let tr = Trace.create ~sample:1.0 ~seed:3 () in
+          let traced_log = ref [] and plain_log = ref [] in
+          let traced =
+            filled_broker ~tracer:tr ~value_choice schema pset traced_log
+          in
+          let plain = filled_broker ~value_choice schema pset plain_log in
+          let paths_ok =
+            List.for_all
+              (fun e ->
+                let before = (Broker.ops traced).Ops.comparisons in
+                let sent = Broker.publish traced e in
+                let charged = (Broker.ops traced).Ops.comparisons - before in
+                sent = Broker.publish plain e
+                && path_matches_reference traced tr e ~charged)
+              events
+          in
+          (* Aggregated twins: same deliveries and counters too. *)
+          let agg_traced_log = ref [] and agg_plain_log = ref [] in
+          let agg_traced =
+            filled_broker ~aggregate:true
+              ~tracer:(Trace.create ~sample:1.0 ~seed:3 ())
+              ~value_choice schema pset agg_traced_log
+          in
+          let agg_plain =
+            filled_broker ~aggregate:true ~value_choice schema pset
+              agg_plain_log
+          in
+          List.iter
+            (fun e ->
+              ignore (Broker.publish agg_traced e);
+              ignore (Broker.publish agg_plain e))
+            events;
+          paths_ok
+          && !traced_log = !plain_log
+          && ops_tuple (Broker.ops traced) = ops_tuple (Broker.ops plain)
+          && !agg_traced_log = !agg_plain_log
+          && ops_tuple (Broker.ops agg_traced)
+             = ops_tuple (Broker.ops agg_plain))
+        value_choices)
+
 let () =
   Alcotest.run "broker"
     [
@@ -466,6 +578,7 @@ let () =
           Alcotest.test_case "delivery series freed on replay" `Quick
             test_delivery_series_replay;
         ] );
+      ( "tracing", [ QCheck_alcotest.to_alcotest prop_trace_path_is_reference ] );
       ( "quench",
         [
           Alcotest.test_case "tracks subscriptions" `Quick test_quench_tracks_subscriptions;

@@ -33,7 +33,7 @@ let test_trace_structure () =
   List.iter
     (fun (st : Explain.step) ->
       match st.Explain.outcome with
-      | `Edge -> ()
+      | `Edge _ -> ()
       | `Rest | `Reject -> Alcotest.fail "expected edge steps")
     t.Explain.steps;
   (* Rejected at the first level. *)
@@ -42,10 +42,19 @@ let test_trace_structure () =
   Alcotest.(check (list int)) "no match" [] r.Explain.matched;
   (match (List.hd r.Explain.steps).Explain.outcome with
   | `Reject -> ()
-  | `Edge | `Rest -> Alcotest.fail "expected rejection");
-  (* The rendering mentions the attribute and the verdict. *)
-  let out = Format.asprintf "%a" Explain.pp t in
-  Alcotest.(check bool) "pp nonempty" true (String.length out > 20)
+  | `Edge _ | `Rest -> Alcotest.fail "expected rejection");
+  (* A match ends at a leaf; a rejection reaches none. *)
+  Alcotest.(check bool) "leaf reached" true (t.Explain.leaf <> None);
+  Alcotest.(check (option int)) "no leaf on rejection" None r.Explain.leaf;
+  (* The rendering labels each step with its value's subrange. *)
+  let out = Format.asprintf "%a" (Explain.pp tree) t in
+  Alcotest.(check string) "pp"
+    "level 0: x            value in [5,9]        linear:natural over 1 \
+     edge(s): 1 comparison(s) -> edge\n\
+     level 1: y            value in [0,3]        linear:natural over 1 \
+     edge(s): 1 comparison(s) -> edge\n\
+     matched profiles: 0 (2 comparisons total)"
+    out
 
 let prop_trace_agrees_with_matcher =
   QCheck.Test.make ~name:"trace = match_event (result and cost)" ~count:60
@@ -66,111 +75,6 @@ let prop_trace_agrees_with_matcher =
                  0 t.Explain.steps)
         events)
 
-(* ------------------------------------------------------------------ *)
-(* Hotness advisory: observed survival rates vs the planner's
-   attribute order. *)
-
-module Flat = Genas_filter.Flat
-module Stats = Genas_core.Stats
-module Selectivity = Genas_core.Selectivity
-module Reorder = Genas_core.Reorder
-module Engine = Genas_core.Engine
-module Prng = Genas_prng.Prng
-
-(* Two attributes with sharply different selectivity: [hot] rejects
-   ~90% of uniform events, [mild] almost none. A tree that tests
-   [mild] first wastes the first level — the advisory must flag it;
-   testing [hot] first must come back clean. *)
-let advisory_scenario ~first =
-  let s =
-    Schema.create_exn
-      [
-        ("mild", Domain.int_range ~lo:0 ~hi:99);
-        ("hot", Domain.int_range ~lo:0 ~hi:99);
-      ]
-  in
-  let pset = Profile_set.create s in
-  for _ = 1 to 4 do
-    ignore
-      (Profile_set.add pset
-         (Profile.create_exn s
-            [
-              ("mild", Predicate.Ge (Value.Int 1));
-              ("hot", Predicate.Ge (Value.Int 90));
-            ]))
-  done;
-  let order =
-    match first with
-    | `Hot_first -> [| 1; 0 |]
-    | `Mild_first -> [| 0; 1 |]
-  in
-  let spec =
-    {
-      Reorder.attr_choice = Reorder.Attr_explicit order;
-      value_choice = `Measure Selectivity.V_natural_asc;
-    }
-  in
-  let engine = Engine.create ~spec pset in
-  Engine.set_profiling engine true;
-  let rng = Prng.create ~seed:11 in
-  for i = 0 to 999 do
-    ignore i;
-    ignore
-      (Engine.match_event engine
-         (Event.create_exn s
-            [
-              ("mild", Value.Int (Prng.int rng ~bound:100));
-              ("hot", Value.Int (Prng.int rng ~bound:100));
-            ]))
-  done;
-  match Engine.advisory engine with
-  | Some a -> a
-  | None -> Alcotest.fail "profiling engine must produce an advisory"
-
-let test_advisory_flags_misorder () =
-  let bad = advisory_scenario ~first:`Mild_first in
-  Alcotest.(check bool) "mis-ordered tree flagged" false bad.Explain.adv_ok;
-  Alcotest.(check bool) "at least one inversion" true
-    (List.length bad.Explain.adv_inversions >= 1);
-  let l0 = List.hd bad.Explain.adv_lines in
-  Alcotest.(check string) "level 0 names the tested attribute" "mild"
-    l0.Explain.adv_attr_name;
-  Alcotest.(check int) "every event reaches the root" 1000
-    l0.Explain.adv_visits;
-  (* The rendering names the inversion. *)
-  let out = Format.asprintf "%a" Explain.pp_advisory bad in
-  Alcotest.(check bool) "pp mentions inversion" true
-    (let needle = "inversion" in
-     let n = String.length needle and h = String.length out in
-     let rec go i =
-       i + n <= h && (String.sub out i n = needle || go (i + 1))
-     in
-     go 0)
-
-let test_advisory_ok_when_ordered () =
-  let good = advisory_scenario ~first:`Hot_first in
-  Alcotest.(check bool) "well-ordered tree clean" true good.Explain.adv_ok;
-  Alcotest.(check (list (pair int int))) "no inversions" []
-    good.Explain.adv_inversions
-
-let test_advisory_bad_args () =
-  let s = Schema.create_exn [ ("x", Domain.int_range ~lo:0 ~hi:9) ] in
-  let pset = Profile_set.create s in
-  ignore
-    (Profile_set.add pset
-       (Profile.create_exn s [ ("x", Predicate.Ge (Value.Int 5)) ]));
-  let d = Decomp.build pset in
-  let tree = Tree.build d (Tree.default_config d) in
-  Alcotest.check_raises "short level_visits"
-    (Invalid_argument "Explain.advisory: level_visits too short for the tree") (fun () ->
-      ignore (Explain.advisory tree ~level_visits:[| 1 |] ~events:1));
-  Alcotest.check_raises "bad tolerance"
-    (Invalid_argument "Explain.advisory: tolerance must be non-negative")
-    (fun () ->
-      ignore
-        (Explain.advisory ~tolerance:(-0.1) tree ~level_visits:[| 1; 1 |]
-           ~events:1))
-
 let () =
   Alcotest.run "explain"
     [
@@ -178,13 +82,5 @@ let () =
         [
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
           QCheck_alcotest.to_alcotest prop_trace_agrees_with_matcher;
-        ] );
-      ( "advisory",
-        [
-          Alcotest.test_case "flags mis-ordered tree" `Quick
-            test_advisory_flags_misorder;
-          Alcotest.test_case "clean on well-ordered tree" `Quick
-            test_advisory_ok_when_ordered;
-          Alcotest.test_case "bad arguments" `Quick test_advisory_bad_args;
         ] );
     ]

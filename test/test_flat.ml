@@ -93,97 +93,6 @@ let prop_flat_equals_baselines =
           && Counting.match_event counting e = oracle)
         events)
 
-(* The recording loop is a duplicate of the plain one; this pins the
-   two in lockstep — same match sets, bit-identical [Ops] accounting —
-   and checks the counters it adds: per-event the path's node visits
-   sum to the recorder's deltas, level 0 sees every event, and the
-   path's comparison total equals the per-event ops count. *)
-let prop_recorded_equals_plain =
-  QCheck.Test.make ~name:"recorded loop = plain loop (matches, ops, visits)"
-    ~count:60
-    (QCheck.make (Gen.scenario ~max_attrs:4 ~max_p:15 ~n_events:30 ()))
-    (fun (_, pset, events) ->
-      List.for_all
-        (fun (_, tree) ->
-          let flat = Flat.compile tree in
-          let cur_a = Flat.cursor flat in
-          let cur_b = Flat.cursor flat in
-          let r = Flat.recorder flat in
-          let ops_a = Ops.create () in
-          let ops_b = Ops.create () in
-          List.for_all
-            (fun e ->
-              let cmp_before = ops_b.Ops.comparisons in
-              let na = Flat.match_into ~ops:ops_a flat cur_a e in
-              let nb = Flat.match_into_recorded ~ops:ops_b flat cur_b r e in
-              let path = Flat.last_path r in
-              na = nb
-              && Array.to_list (Flat.matches cur_a)
-                 = Array.to_list (Flat.matches cur_b)
-              && ops_eq ops_a ops_b
-              && List.fold_left
-                   (fun acc (s : Flat.path_step) ->
-                     acc + s.Flat.step_comparisons)
-                   0 path
-                 = ops_b.Ops.comparisons - cmp_before)
-            events
-          &&
-          let visits = Flat.node_visits r in
-          let levels = Flat.level_visits r in
-          Flat.recorded_events r = List.length events
-          && levels.(0) = List.length events
-          && Array.fold_left ( + ) 0 visits
-             = Array.fold_left ( + ) 0 levels)
-        (trees_of pset))
-
-let test_recorder_reset_and_guards () =
-  let s =
-    Schema.create_exn
-      [ ("x", Domain.int_range ~lo:0 ~hi:9); ("y", Domain.int_range ~lo:0 ~hi:9) ]
-  in
-  let pset = Profile_set.create s in
-  ignore
-    (Profile_set.add pset
-       (Profile.create_exn s [ ("x", Predicate.Ge (Value.Int 5)) ]));
-  let stats = Stats.create (Decomp.build pset) in
-  let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-  let cur = Flat.cursor flat in
-  let r = Flat.recorder flat in
-  let e = Event.create_exn s [ ("x", Value.Int 7); ("y", Value.Int 1) ] in
-  ignore (Flat.match_into_recorded flat cur r e);
-  Alcotest.(check int) "one event recorded" 1 (Flat.recorded_events r);
-  Alcotest.(check bool) "path non-empty" true (Flat.last_path r <> []);
-  Flat.reset_recorder r;
-  Alcotest.(check int) "reset clears events" 0 (Flat.recorded_events r);
-  Alcotest.(check (list int)) "reset clears path" []
-    (List.map (fun (st : Flat.path_step) -> st.Flat.step_node)
-       (Flat.last_path r));
-  Alcotest.(check int) "reset clears visits" 0
-    (Array.fold_left ( + ) 0 (Flat.node_visits r));
-  (* A recorder built for another matcher is rejected. The foreign
-     matcher uses a wider schema so its arity — and thus the recorder
-     geometry — cannot coincide with [flat]'s. *)
-  let s2 =
-    Schema.create_exn
-      [
-        ("x", Domain.int_range ~lo:0 ~hi:9);
-        ("y", Domain.int_range ~lo:0 ~hi:9);
-        ("z", Domain.int_range ~lo:0 ~hi:9);
-      ]
-  in
-  let pset2 = Profile_set.create s2 in
-  ignore
-    (Profile_set.add pset2
-       (Profile.create_exn s2
-          [ ("y", Predicate.Le (Value.Int 3)); ("z", Predicate.Ge (Value.Int 2)) ]));
-  let stats2 = Stats.create (Decomp.build pset2) in
-  let flat2 = Flat.compile (Reorder.build stats2 Reorder.default_spec) in
-  let foreign = Flat.recorder flat2 in
-  (try
-     ignore (Flat.match_into_recorded flat cur foreign e);
-     Alcotest.fail "foreign recorder accepted"
-   with Invalid_argument _ -> ())
-
 let prop_batch_equals_sequential =
   QCheck.Test.make ~name:"match_batch = per-event match_into" ~count:40
     (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:10 ~n_events:20 ()))
@@ -286,55 +195,6 @@ let prop_engine_aggregated_equals_plain =
       let after_swap = Engine.match_batch agg events in
       plain = before_swap && plain = after_swap)
 
-(* The hotness-guided relayout is a pure permutation of memory order:
-   match sets, comparison counts, and node-visit counts must be
-   bit-identical to the default layout, whatever visit counts drive
-   it. Both the [relayout] entry point (visits keyed to the given
-   form) and [compile ?layout] (visits keyed to the default compile)
-   are pinned, plus the packed-batch path against per-event
-   [match_into]. *)
-let prop_relayout_equals_default =
-  QCheck.Test.make ~name:"relayout / compile ?layout = default layout"
-    ~count:40
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:25 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let tree = Reorder.build stats Reorder.default_spec in
-      let flat = Flat.compile tree in
-      (* Record real visits over half the events, so the permutation is
-         a plausible hot order rather than noise. *)
-      let r = Flat.recorder flat in
-      let rc = Flat.cursor flat in
-      List.iteri
-        (fun i e ->
-          if i mod 2 = 0 then ignore (Flat.match_into_recorded flat rc r e))
-        events;
-      let visits = Flat.node_visits r in
-      let variants =
-        [
-          Flat.relayout flat visits;
-          Flat.compile ~layout:visits tree;
-          (* Degenerate drivers: all-zero and all-equal visit counts
-             must still be behaviour-preserving permutations. *)
-          Flat.relayout flat (Array.make (Flat.node_count flat) 0);
-          Flat.relayout flat (Array.make (Flat.node_count flat) 7);
-        ]
-      in
-      List.for_all
-        (fun hot ->
-          let base_ops = Ops.create () and hot_ops = Ops.create () in
-          let base_cur = Flat.cursor flat and hot_cur = Flat.cursor hot in
-          Flat.node_count hot = Flat.node_count flat
-          && Flat.edge_count hot = Flat.edge_count flat
-          && Flat.posting_count hot = Flat.posting_count flat
-          && List.for_all
-               (fun e ->
-                 Flat.match_list ~ops:base_ops flat base_cur e
-                 = Flat.match_list ~ops:hot_ops hot hot_cur e)
-               events
-          && ops_eq base_ops hot_ops)
-        variants)
-
 let prop_packed_equals_match_into =
   QCheck.Test.make ~name:"packed batch = per-event match_into" ~count:40
     (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:25 ()))
@@ -357,28 +217,6 @@ let prop_packed_equals_match_into =
                 Array.sub (Flat.matches packed_cur) 0 m = expect)
               batch)
       && ops_eq plain_ops packed_ops)
-
-(* Engine.relayout_now: profiling-gated, behaviour-preserving, and the
-   recorder restarts against the new layout. *)
-let prop_engine_relayout_now =
-  QCheck.Test.make ~name:"Engine.relayout_now preserves matching" ~count:25
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:20 ()))
-    (fun (_, pset, events) ->
-      let engine = Engine.create pset in
-      let baseline =
-        List.map (fun e -> Engine.match_event engine e) events
-      in
-      (* Without profiling there is nothing to relayout. *)
-      let off = Engine.relayout_now engine = false in
-      Engine.set_profiling engine true;
-      (* Profiling on but nothing recorded yet: still a no-op. *)
-      let unrecorded = Engine.relayout_now engine = false in
-      List.iter (fun e -> ignore (Engine.match_event engine e)) events;
-      let swapped =
-        match events with [] -> true | _ -> Engine.relayout_now engine
-      in
-      let after = List.map (fun e -> Engine.match_event engine e) events in
-      off && unrecorded && swapped && after = baseline)
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases. *)
@@ -520,12 +358,6 @@ let test_packed_guards () =
      ignore (Flat.match_packed_into flat_a cur_a pk 2);
      Alcotest.fail "out-of-range packed index accepted"
    with Invalid_argument _ -> ());
-  (try
-     ignore (Flat.relayout flat_a [| 1 |]);
-     (* length must be node_count *)
-     if Flat.node_count flat_a <> 1 then
-       Alcotest.fail "wrong-length layout accepted"
-   with Invalid_argument _ -> ());
   Alcotest.(check int) "packed batch length" 2 (Flat.packed_events pk)
 
 let () =
@@ -535,13 +367,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_flat_equals_tree;
           QCheck_alcotest.to_alcotest prop_flat_equals_baselines;
-          QCheck_alcotest.to_alcotest prop_recorded_equals_plain;
           QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
           QCheck_alcotest.to_alcotest prop_engine_batch_equals_match_event;
           QCheck_alcotest.to_alcotest prop_engine_aggregated_equals_plain;
-          QCheck_alcotest.to_alcotest prop_relayout_equals_default;
           QCheck_alcotest.to_alcotest prop_packed_equals_match_into;
-          QCheck_alcotest.to_alcotest prop_engine_relayout_now;
         ] );
       ( "edges",
         [
@@ -551,11 +380,8 @@ let () =
             test_out_of_domain_coords;
           Alcotest.test_case "foreign cursor" `Quick
             test_foreign_cursor_rejected;
-          Alcotest.test_case "recorder reset and guards" `Quick
-            test_recorder_reset_and_guards;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;
           Alcotest.test_case "paper table image" `Quick test_paper_table_image;
-          Alcotest.test_case "packed and relayout guards" `Quick
-            test_packed_guards;
+          Alcotest.test_case "packed guards" `Quick test_packed_guards;
         ] );
     ]
