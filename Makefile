@@ -3,7 +3,7 @@
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
   netcheck meshcheck obscheck bench bench-smoke bench-json \
-  perfsmoke clean
+  perfsmoke loc clean
 
 all: build
 
@@ -125,6 +125,11 @@ bench-json:
 	  || { echo "bench-json: BENCH_PR$(PR).json exists; records are append-only" >&2; exit 1; }
 	dune exec bin/genas_cli.exe -- bench --json --events 200000 \
 	  --scaling 1000,2000,10000,100000,1000000 --out BENCH_PR$(PR).json
+
+# Line count of the library sources (every .ml and .mli under lib/),
+# the figure CHANGES.md and ROADMAP.md quote for lib/.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 clean:
 	dune clean

@@ -130,19 +130,6 @@ let timing_tests () =
        let cur = Flat.cursor flat in
        match_test "match/flat-binary" (fun e ->
            ignore (Flat.match_into flat cur e)));
-      (* Packed batch: the event pool resolved once to the int image,
-         matching touches int arrays only. One run = 32 packed events,
-         like every match/* test. *)
-      (let flat = Flat.compile tree_v1 in
-       let cur = Flat.cursor flat in
-       let packed = Flat.pack_batch flat events in
-       let pidx = ref 0 in
-       Test.make ~name:"match/flat-packed-V1+A2"
-         (Staged.stage (fun () ->
-              for _ = 1 to 32 do
-                ignore (Flat.match_packed_into flat cur packed !pidx);
-                pidx := (!pidx + 1) land 1023
-              done)));
       (* Tracing overhead on the full publish path (matching +
          supervised delivery): untraced vs tracer-attached-but-never-
          sampling vs fully traced. *)

@@ -936,8 +936,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Benchmark every matcher (naive, counting, pointer tree, compiled \
-             flat form, batch/packed paths, a skewed workload, publish \
-             paths) on the paper's timing workload; \
+             flat form, a skewed workload, publish paths) on the paper's \
+             timing workload; \
              events/sec and comparisons/event per matcher and strategy")
     Term.(const run_bench $ json_arg $ events_arg $ out_arg $ profiles_arg
           $ scaling_arg $ baseline_max_arg)
@@ -1448,7 +1448,8 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "aggregate" ]
              ~doc:"Aggregate subscriptions through the covering lattice \
-                   (epoch swaps recompile off the publish path).")
+                   (epoch swaps recompile on the subscribing connection's \
+                   thread, never on the publish path).")
   in
   Cmd.v
     (Cmd.info "serve"

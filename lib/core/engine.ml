@@ -96,17 +96,6 @@ let make_agg_instruments registry =
    id in [compiled \ dead ∪ delta], so every live profile stays
    reachable from the match path (roots directly, absorbed profiles
    through covering-link expansion). *)
-(* A background recompile in flight: the compile-heavy phase (decompose,
-   restat, reorder, flat-compile) runs on its own domain over an
-   immutable snapshot of the lattice roots; [ps_ready] flips once the
-   result is complete, and the owning thread installs it at its next
-   churn or match entry point. *)
-type pending_swap = {
-  ps_cset : Profile_set.t;  (* root snapshot the domain compiled *)
-  ps_job : (Stats.t * Tree.t * Flat.t) Domain.t;
-  ps_ready : bool Atomic.t;
-}
-
 type agg = {
   lat : Lattice.t;
   mutable cset : Profile_set.t;
@@ -116,8 +105,6 @@ type agg = {
   delta_cap : int;
   domains : Genas_model.Domain.t array;  (** per attribute, for [coords] *)
   coords : Float.Array.t;  (** the current event's axis coordinates *)
-  mutable async : bool;  (** recompile on a background domain *)
-  mutable pending : pending_swap option;
   agg_ins : agg_instruments option;
 }
 
@@ -276,8 +263,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
           domains =
             Array.map (fun a -> a.Schema.domain) (Schema.attributes schema);
           coords = Float.Array.make (Schema.arity schema) 0.0;
-          async = false;
-          pending = None;
           agg_ins = Option.map make_agg_instruments metrics;
         }
       in
@@ -339,11 +324,6 @@ let epoch t = match t.agg with Some a -> a.epoch | None -> 0
 
 let pending_rebuild t = pending_of t
 
-(* A plain engine folds as soon as its rent crosses the limit, so no
-   fold is ever left due between two calls. *)
-let swap_due t =
-  match t.agg with Some a -> pending_of t > a.delta_cap | None -> false
-
 let absorbed_profiles t =
   match t.agg with Some a -> Lattice.absorbed a.lat | None -> 0
 
@@ -361,23 +341,12 @@ let swap_metrics t agg =
   | Some ins -> Metrics.Counter.incr ins.epoch_swaps_total);
   observe_agg t agg
 
-(* Drop an in-flight background compile (joining its domain): the
-   caller is about to recompile synchronously over fresher state, so
-   the stale result would only be discarded on install anyway. *)
-let discard_pending agg =
-  match agg.pending with
-  | None -> ()
-  | Some ps ->
-    ignore (Domain.join ps.ps_job);
-    agg.pending <- None
-
 (* Epoch swap: recompile the flat matcher over the current lattice
    roots and install it atomically (single field stores — the publish
    path between two swaps always sees one coherent compiled snapshot
    plus the delta tables). The retired statistics' learned history is
    absorbed so distribution-based reordering survives the swap. *)
 let swap_agg t agg =
-  discard_pending agg;
   let cset = root_snapshot agg (Profile_set.schema t.pset) in
   agg.cset <- cset;
   replan t cset Absorb;
@@ -405,67 +374,6 @@ let ensure_reachable t agg members =
     | [] -> ()
     | m :: _ -> Hashtbl.replace t.delta m ()
 
-(* Launch the compile-heavy phase on a background domain. Everything
-   the domain touches is private to it: the root snapshot is built
-   here on the owning thread, and the statistics history crosses over
-   as an immutable {!Stats.Export.t} value — the live [t.stats] keeps
-   absorbing events concurrently without being shared. *)
-let start_async_swap t agg =
-  let cset = root_snapshot agg (Profile_set.schema t.pset) in
-  let history = Stats.export t.stats in
-  let bins = t.bins and spec = t.spec in
-  let ready = Atomic.make false in
-  let job =
-    Domain.spawn (fun () ->
-        let decomp = Decomp.build cset in
-        let stats = Stats.create ~bins decomp in
-        (* Same-schema arity always matches; a failure would only mean
-           the reorder runs from cold statistics, never a wrong match. *)
-        (match Stats.import stats history with Ok () | Error _ -> ());
-        let tree = Reorder.build stats spec in
-        let flat = Flat.compile tree in
-        Atomic.set ready true;
-        (stats, tree, flat))
-  in
-  agg.pending <- Some { ps_cset = cset; ps_job = job; ps_ready = ready }
-
-(* Install a finished background compile. The snapshot may be slightly
-   stale — churn kept landing while the domain compiled — so reconcile:
-   compiled ids whose profile has since been removed become [dead], and
-   every current root class gets a delta slot unless it is already
-   reachable. The reachability invariant therefore holds for the {e
-   current} lattice, and matching over the freshly installed form is
-   exact for the current population. *)
-let install_pending t agg ps =
-  let stats, tree, flat = Domain.join ps.ps_job in
-  agg.pending <- None;
-  t.stats <- stats;
-  agg.cset <- ps.ps_cset;
-  install t tree flat;
-  count_rebuild t;
-  Hashtbl.reset agg.compiled;
-  reset_pending t;
-  Profile_set.iter ps.ps_cset (fun id _ -> Hashtbl.replace agg.compiled id ());
-  Hashtbl.iter
-    (fun id () ->
-      if not (Lattice.mem agg.lat id) then
-        Hashtbl.replace t.dead id (Profile_set.find_exn ps.ps_cset id))
-    agg.compiled;
-  List.iter
-    (fun (id, _) ->
-      match Lattice.node_of agg.lat id with
-      | Some node -> ensure_reachable t agg (Lattice.node_members node)
-      | None -> ())
-    (Lattice.minimal_cover agg.lat);
-  swap_metrics t agg
-
-(* Opportunistic install point, polled from churn and match entries:
-   one atomic load when a compile is in flight, nothing otherwise. *)
-let poll_pending t agg =
-  match agg.pending with
-  | Some ps when Atomic.get ps.ps_ready -> install_pending t agg ps
-  | Some _ | None -> ()
-
 let in_sync t = Profile_set.revision t.pset = t.synced
 
 let rebuild t =
@@ -482,28 +390,6 @@ let rebuild t =
     replan_plain t (if in_sync t && churned then Absorb else Keep)
 
 let swap_now t = rebuild t
-
-(* -- Background (asynchronous) epoch swaps ------------------------- *)
-
-let set_async_swaps t on =
-  match t.agg with
-  | None -> ()
-  | Some agg ->
-    if not on then (
-      match agg.pending with
-      | Some ps -> install_pending t agg ps
-      | None -> ());
-    agg.async <- on
-
-let async_swaps t = match t.agg with Some a -> a.async | None -> false
-
-let await_swap t =
-  match t.agg with
-  | None -> ()
-  | Some agg -> (
-    match agg.pending with
-    | Some ps -> install_pending t agg ps
-    | None -> ())
 
 let set_spec t spec =
   t.spec <- spec;
@@ -533,10 +419,7 @@ let prepare t =
 
 (* -- Registry churn ------------------------------------------------ *)
 
-let maybe_swap t agg =
-  poll_pending t agg;
-  if agg.pending = None && pending_of t > agg.delta_cap then
-    if agg.async then start_async_swap t agg else swap_agg t agg
+let maybe_swap t agg = if pending_of t > agg.delta_cap then swap_agg t agg
 
 let agg_added t agg id profile =
   (match Lattice.add agg.lat ~id profile with
@@ -695,7 +578,6 @@ let resolve agg event =
    it covers. Each candidate-node verification counts one
    comparison. *)
 let match_agg t agg event =
-  poll_pending t agg;
   let nflat = match_flat t event in
   let out = Flat.matches t.cursor in
   resolve agg event;

@@ -38,8 +38,10 @@ val create :
     to go through {!add_profile}/{!remove_profile}; mutating the
     profile set directly leaves the index behind. [delta_cap] bounds
     the structural changes accumulated between swaps (default 512):
-    when exceeded, the next churn operation performs the swap — the
-    match path itself never recompiles. With [metrics], aggregation
+    when exceeded, the churn operation that exceeds it performs the
+    swap on the calling thread, so swaps land at the same operation
+    live and on journal replay — the match path itself never
+    recompiles. With [metrics], aggregation
     adds the absorbed/lattice/pending gauges and the epoch-swap
     counter of docs/OBSERVABILITY.md. *)
 
@@ -101,40 +103,11 @@ val pending_rebuild : t -> int
     (new profiles on plain engines, new roots on aggregated ones).
     [0] right after {!swap_now}. *)
 
-val swap_due : t -> bool
-(** Whether pending churn is over the engine's [delta_cap], so the next
-    churn operation swaps (aggregated). Always [false] on a plain
-    engine: it folds on the very event whose rent crosses the limit. *)
-
 val swap_now : t -> unit
 (** Fold all pending churn now. Aggregated: an epoch swap, which
     recompiles the flat matcher over the current covering-minimal roots
-    and installs it, absorbing the learned event-distribution history;
-    any background compile in flight is discarded first, so the result
-    is deterministic regardless of {!set_async_swaps}. On a plain
-    engine this is {!rebuild}. *)
-
-val set_async_swaps : t -> bool -> unit
-(** Run epoch-swap recompiles on a background domain instead of the
-    calling (publishing) thread. When churn exceeds [delta_cap], the
-    compile-heavy phase (decompose, re-statistics, reorder, flat
-    compile) is handed to a fresh domain over a snapshot of the
-    lattice roots; the result is installed atomically at the next
-    churn or match entry once ready, reconciled against any churn that
-    landed while it compiled. Matching stays exact throughout — the
-    delta/dead tables keep covering the gap, they just drain at
-    install time rather than inline. Switching {e off} installs any
-    in-flight compile first (joining its domain). No-op on plain
-    engines. Default off: synchronous swaps remain bit-deterministic
-    for differential tests. *)
-
-val async_swaps : t -> bool
-
-val await_swap : t -> unit
-(** Block until any in-flight background compile finishes and install
-    it. Call before tearing down an engine with {!set_async_swaps} on
-    — an unjoined domain at process exit aborts the runtime. No-op
-    when nothing is pending. *)
+    and installs it, absorbing the learned event-distribution history.
+    On a plain engine this is {!rebuild}. *)
 
 val absorbed_profiles : t -> int
 (** Live profiles the lattice absorbs (not in the covering-minimal

@@ -107,9 +107,9 @@ type t = {
 }
 
 let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
-    ?tracer ?aggregate ?delta_cap schema =
+    ?tracer ?aggregate schema =
   let pset = Profile_set.create schema in
-  let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
+  let engine = Engine.create ?spec ?metrics ?aggregate pset in
   let adaptive =
     Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
   in
@@ -650,7 +650,7 @@ let apply_op t resolve op =
     Ok ()
 
 let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
-    ?tracer ?aggregate ?delta_cap
+    ?tracer ?aggregate
     ?(handlers = fun ~subscriber:_ -> fun (_ : Notification.t) -> ())
     ~journal:cfg schema =
   let ( let* ) = Result.bind in
@@ -674,7 +674,7 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
         Ok ()
       | exception Invalid_argument msg -> Error msg)
   in
-  let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
+  let engine = Engine.create ?spec ?metrics ?aggregate pset in
   let* () =
     match recovered.Journal.snapshot with
     | None -> Ok ()

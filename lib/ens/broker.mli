@@ -22,7 +22,6 @@ val create :
   ?journal:Journal.config ->
   ?tracer:Genas_obs.Trace.t ->
   ?aggregate:bool ->
-  ?delta_cap:int ->
   Genas_model.Schema.t ->
   t
 (** [adaptive] enables periodic distribution-driven re-optimization of
@@ -33,8 +32,8 @@ val create :
     maintain a covering lattice and the matcher compiles only the
     covering-minimal profile set, so registry churn on a large
     population never blocks the publish path with a full replan.
-    [delta_cap] bounds the structural churn accumulated between epoch
-    swaps. See docs/SCALING.md.
+    Epoch swaps run on the thread that applies the churn (see
+    docs/SCALING.md).
 
     [tracer] attaches end-to-end causal tracing: every {!publish} /
     {!publish_batch} (if sampled) yields one span tree —
@@ -217,7 +216,6 @@ val recover :
   ?deadletter_capacity:int ->
   ?tracer:Genas_obs.Trace.t ->
   ?aggregate:bool ->
-  ?delta_cap:int ->
   ?handlers:(subscriber:string -> Notification.handler) ->
   journal:Journal.config ->
   Genas_model.Schema.t ->

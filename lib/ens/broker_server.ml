@@ -28,7 +28,6 @@ module Schema = Genas_model.Schema
 module Event = Genas_model.Event
 module Profile = Genas_profile.Profile
 module Lang = Genas_profile.Lang
-module Engine = Genas_core.Engine
 module Metrics = Genas_obs.Metrics
 module Trace = Genas_obs.Trace
 module Clock = Genas_obs.Clock
@@ -127,10 +126,6 @@ let create ?faults ?(seed = Transport.default_seed)
      not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* The broker is long-lived now: epoch-swap recompiles move off the
-     publishing thread onto a background domain. *)
-  if Engine.aggregated (Broker.engine broker) then
-    Engine.set_async_swaps (Broker.engine broker) true;
   let labels = [ ("node", name); ("role", role) ] in
   let m_connections =
     Option.map
@@ -848,8 +843,7 @@ let teardown t =
      with EOF; the worker's own exit path closes the descriptor. *)
   List.iter kill_conn conns;
   List.iter (fun th -> try Thread.join th with _ -> ()) t.workers;
-  t.workers <- [];
-  Engine.await_swap (Broker.engine t.broker)
+  t.workers <- []
 
 (* Run the accept loop on the calling thread. With [connections = n],
    accept exactly [n] connections and return once all of them have

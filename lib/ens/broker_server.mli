@@ -32,9 +32,9 @@
     simulated process death — and clients recover via reconnect +
     replay against a [Broker.recover]ed instance.
 
-    Creating a server on an aggregated broker switches its engine to
-    background epoch swaps ({!Genas_core.Engine.set_async_swaps}) —
-    the long-lived publish loop must not stall on recompiles. *)
+    An aggregated broker's epoch swaps run on the thread that applies
+    the triggering subscribe or unsubscribe, as they do in-process and
+    on journal replay; the server spawns no domain for them. *)
 
 type t
 
@@ -109,8 +109,7 @@ val start : t -> unit
 (** Spawn the accept loop on a background thread and return. *)
 
 val stop : t -> unit
-(** Close the listener and every connection, join all threads, and
-    wait out any in-flight background engine swap. *)
+(** Close the listener and every connection and join all threads. *)
 
 val publish :
   ?origin:string ->

@@ -214,9 +214,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
   in
   let per_event f = per_event_over pool_events f in
   let counted_per_event f = counted_per_event_over pool_events f in
-  (* Whole-pool passes for the batch entries: ~n events rounded up to
-     full passes so each pass matches the same 1024 events. *)
-  let passes n = (n + pool_size - 1) / pool_size in
   let entry name matcher strategy timed counted =
     {
       e_name = name;
@@ -253,44 +250,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
                  ignore (Flat.match_into ~ops flat cur e)));
         ])
       trees
-  in
-  let batch_tree = List.assoc "v1+a2" trees in
-  let batch_flat = Flat.compile batch_tree in
-  let batch_cur = Flat.cursor batch_flat in
-  let batch_entry =
-    entry "flat-batch/v1+a2" "flat-batch" "v1+a2"
-      (fun n ->
-        let k = passes n in
-        for _ = 1 to k do
-          Flat.match_batch batch_flat batch_cur pool_events
-            ~f:(fun _ ~ids:_ ~len:_ -> ())
-        done;
-        k * pool_size)
-      (fun () ->
-        let ops = Ops.create () in
-        Flat.match_batch ~ops batch_flat batch_cur pool_events
-          ~f:(fun _ ~ids:_ ~len:_ -> ());
-        ops)
-  in
-  (* Packed-batch kernel: the whole pool resolved once into the int
-     image, then matched from int arrays only. *)
-  let packed = Flat.pack_batch batch_flat pool_events in
-  let packed_entry =
-    entry "flat-packed/v1+a2" "flat-packed" "v1+a2"
-      (fun n ->
-        let k = passes n in
-        for _ = 1 to k do
-          for i = 0 to pool_size - 1 do
-            ignore (Flat.match_packed_into batch_flat batch_cur packed i)
-          done
-        done;
-        k * pool_size)
-      (fun () ->
-        let ops = Ops.create () in
-        for i = 0 to pool_size - 1 do
-          ignore (Flat.match_packed_into ~ops batch_flat batch_cur packed i)
-        done;
-        ops)
   in
   (* Skewed "TV-style" workload: events peaked on a narrow hot region
      (Fig. 5's "90 % high" family), so a few flat nodes absorb most
@@ -412,8 +371,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
   in
   let results =
     List.map (measure ~events)
-      (baseline_entries @ tree_entries
-      @ [ batch_entry; packed_entry; skew_entry ])
+      (baseline_entries @ tree_entries @ [ skew_entry ])
     @ measure_interleaved ~events publish_entries
     @ measure_interleaved ~events net_publish_entries
     @ [ plan_row pset ]
@@ -638,10 +596,6 @@ let to_json ?scale:sc t =
     Json.Obj
       [
         field "flat_vs_tree" (speedup t ~num:"flat/v1+a2" ~den:"tree/v1+a2");
-        field "flat_batch_vs_tree"
-          (speedup t ~num:"flat-batch/v1+a2" ~den:"tree/v1+a2");
-        field "packed_vs_batch"
-          (speedup t ~num:"flat-packed/v1+a2" ~den:"flat-batch/v1+a2");
         field "publish_traced_off_vs_untraced"
           (speedup t ~num:"publish/traced-off" ~den:"publish/untraced");
         field "publish_traced_vs_untraced"

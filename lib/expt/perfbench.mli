@@ -3,9 +3,9 @@
     One timing workload (the paper's 500-profile/3-attribute table),
     every matcher in the repository run over the same pre-built event
     pool: the naive and counting baselines, the pointer profile tree
-    and its compiled {!Genas_filter.Flat} form per value strategy, the
-    flat batch and packed-batch paths, a skewed workload, the publish
-    paths, and the cost of one full re-plan of the table.
+    and its compiled {!Genas_filter.Flat} form per value strategy, a
+    skewed workload, the publish paths, and the cost of one full
+    re-plan of the table.
     Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
@@ -18,8 +18,7 @@
 type result = {
   name : string;  (** e.g. ["flat/v1+a2"], ["publish/untraced"] *)
   matcher : string;
-      (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          publish|publish-net|plan;
+      (** naive|counting|tree|flat|flat-skew|publish|publish-net|plan;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -63,8 +62,7 @@ val v1a2 : Genas_core.Reorder.spec
 (** The V1 + A2 (descending) spec of every [v1+a2] row. *)
 
 val run : ?profiles:int -> ?seed:int -> ?events:int -> unit -> t
-(** [events] (default 50_000) is the per-entry timing budget; batch
-    entries round it up to whole event-pool passes. *)
+(** [events] (default 50_000) is the per-entry timing budget. *)
 
 (** {1 Profile-count scaling}
 
@@ -122,8 +120,7 @@ val to_json : ?scale:scale -> t -> Genas_obs.Json.t
 (** The `BENCH_*.json` document: bench/schema_version header, workload
     and host blocks (core count and the runtime's recommended domain
     count), one result object per entry, and derived speedups (flat vs
-    tree, flat batch vs tree, packed vs batch, and the tracing ratios
-    of the publish rows). With
+    tree, and the tracing ratios of the publish rows). With
     [scale], the scaling curve is attached as a ["scaling"] block
     (whose keys deliberately avoid the classic result keys the cram
     suite counts). *)

@@ -172,8 +172,6 @@ let compile (tree : Tree.t) =
     out_size = nlive;
   }
 
-let revision t = t.decomp.Decomp.revision
-
 let node_count t = Array.length t.node_attr
 
 let edge_count t = Array.length t.edge_pos
@@ -193,13 +191,6 @@ let cursor t =
     len = 0;
     epoch = 0;
   }
-
-let check_cursor t cur ~who =
-  if
-    Array.length cur.targets <> t.arity
-    || Array.length cur.seen < t.seen_size
-    || Array.length cur.out < t.out_size + 1
-  then invalid_arg (who ^ ": cursor built for a different matcher")
 
 (* The traversal core: follows the single deterministic path from the
    root, mirroring Tree.match_targets edge for edge. Comparison and
@@ -323,80 +314,15 @@ let target_of_value t attr v =
     if r < 0 then out_of_domain else tbl.(r)
   | Generic -> generic_target t attr v
 
-let set_event_targets t cur event =
+let match_into ?ops t cur event =
+  if
+    Array.length cur.targets <> t.arity
+    || Array.length cur.seen < t.seen_size
+    || Array.length cur.out < t.out_size + 1
+  then invalid_arg "Flat.match_into: cursor built for a different matcher";
   for attr = 0 to t.arity - 1 do
     cur.targets.(attr) <- target_of_value t attr (Event.value event attr)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Packed batches: every event of a batch resolved once into a dense
-   row-major [int array] of lookup targets. The traversal then touches
-   only int arrays — no boxed values, no model-layer lookups. *)
-
-type packed = { pk_owner : t; pk_targets : int array; pk_events : int }
-
-let pack_batch t events =
-  let n = Array.length events in
-  let targets = Array.make (n * t.arity) 0 in
-  for i = 0 to n - 1 do
-    let e = events.(i) in
-    let base = i * t.arity in
-    for attr = 0 to t.arity - 1 do
-      targets.(base + attr) <- target_of_value t attr (Event.value e attr)
-    done
-  done;
-  { pk_owner = t; pk_targets = targets; pk_events = n }
-
-let packed_events pk = pk.pk_events
-
-let match_packed_into ?ops t cur pk i =
-  check_cursor t cur ~who:"Flat.match_packed_into";
-  if pk.pk_owner != t then
-    invalid_arg
-      "Flat.match_packed_into: packed batch built for a different matcher";
-  if i < 0 || i >= pk.pk_events then
-    invalid_arg "Flat.match_packed_into: event index out of range";
-  Array.blit pk.pk_targets (i * t.arity) cur.targets 0 t.arity;
-  run ?ops t cur
-
-let match_into ?ops t cur event =
-  check_cursor t cur ~who:"Flat.match_into";
-  set_event_targets t cur event;
-  run ?ops t cur
-
-let match_coords_into ?ops t cur coords =
-  check_cursor t cur ~who:"Flat.match_coords_into";
-  if Array.length coords <> t.arity then
-    invalid_arg "Flat.match_coords_into: wrong arity";
-  for attr = 0 to t.arity - 1 do
-    let c = coords.(attr) in
-    cur.targets.(attr) <-
-      (match Decomp.cell_of_coord t.decomp ~attr c with
-      | Some cell -> t.pos2.(attr).(cell)
-      | None -> out_of_domain)
   done;
   run ?ops t cur
 
 let matches cur = cur.out
-
-let match_count cur = cur.len
-
-let iter_matches cur f =
-  for i = 0 to cur.len - 1 do
-    f cur.out.(i)
-  done
-
-let match_list ?ops t cur event =
-  let n = match_into ?ops t cur event in
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (cur.out.(i) :: acc)
-  in
-  build (n - 1) []
-
-let match_batch ?ops t cur events ~f =
-  check_cursor t cur ~who:"Flat.match_batch";
-  for i = 0 to Array.length events - 1 do
-    set_event_targets t cur (Array.unsafe_get events i);
-    let len = run ?ops t cur in
-    f i ~ids:cur.out ~len
-  done

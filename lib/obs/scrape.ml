@@ -62,32 +62,67 @@ let respond t path =
     http_response ~status:"404 Not Found" ~content_type:"text/plain"
       "not found\n"
 
-(* One request per connection: parse the request line, drain headers
-   to the blank line, answer, close. Anything malformed gets a 400. *)
+(* The request line plus headers may take this many bytes; a longer
+   request is answered 400 without reading the rest. *)
+let max_request = 8192
+
+(* Seconds an accepted socket may block in one read or write, so a
+   silent or non-reading client cannot park its thread forever. *)
+let io_timeout_s = 5.0
+
+(* Read up to the blank line that ends the headers. [Some head] holds
+   the bytes read, cut short by EOF or a timeout; [None] means the cap
+   was reached first. *)
+let read_head fd =
+  let buf = Bytes.create max_request in
+  let rec blank_line i len =
+    i + 1 < len
+    && (Bytes.get buf i = '\n'
+        && (Bytes.get buf (i + 1) = '\n'
+           || (i + 2 < len && Bytes.sub_string buf (i + 1) 2 = "\r\n"))
+       || blank_line (i + 1) len)
+  in
+  let rec fill len =
+    if len = max_request then None
+    else
+      match Unix.read fd buf len (max_request - len) with
+      | 0 -> Some (Bytes.sub_string buf 0 len)
+      | n ->
+        (* Rescan the last two old bytes: a terminator may straddle
+           reads. *)
+        if blank_line (Stdlib.max 0 (len - 2)) (len + n) then
+          Some (Bytes.sub_string buf 0 (len + n))
+        else fill (len + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill len
+      | exception Unix.Unix_error _ -> Some (Bytes.sub_string buf 0 len)
+  in
+  fill 0
+
+let bad_request msg =
+  http_response ~status:"400 Bad Request" ~content_type:"text/plain" msg
+
+(* One request per connection: read the request line and headers
+   (bounded), answer, close. Anything malformed gets a 400. *)
 let serve_conn t fd =
   let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
   Fun.protect ~finally @@ fun () ->
-  let ic = Unix.in_channel_of_descr fd in
-  let request = try Some (input_line ic) with End_of_file | Sys_error _ -> None in
   (try
-     let rec drain () =
-       match input_line ic with
-       | "" | "\r" -> ()
-       | _ -> drain ()
-     in
-     drain ()
-   with End_of_file | Sys_error _ -> ());
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout_s;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout_s
+   with Unix.Unix_error _ -> ());
   let reply =
-    match request with
-    | Some line -> (
+    match read_head fd with
+    | None -> bad_request "request too large\n"
+    | Some "" -> bad_request "empty request\n"
+    | Some head -> (
+      let line =
+        match String.index_opt head '\n' with
+        | Some i -> String.sub head 0 i
+        | None -> head
+      in
       match String.split_on_char ' ' (String.trim line) with
       | "GET" :: path :: _ -> respond t path
-      | _ ->
-        http_response ~status:"400 Bad Request" ~content_type:"text/plain"
-          "only GET is served\n")
-    | None ->
-      http_response ~status:"400 Bad Request" ~content_type:"text/plain"
-        "empty request\n"
+      | _ -> bad_request "only GET is served\n")
   in
   let len = String.length reply in
   let written = ref 0 in

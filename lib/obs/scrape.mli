@@ -10,6 +10,12 @@
     - [/] — plain-text index
     - anything else — 404
 
+    Requests are bounded: a request line plus headers longer than
+    8 KiB is answered 400 without being read to its end, a request
+    that is not a [GET] or is empty is answered 400, and an accepted
+    socket blocks at most 5 s in any one read or write, so no client
+    can grow the endpoint's memory or hold its thread indefinitely.
+
     Starting an endpoint registers [genas_build_info] (constant 1,
     labels [node]/[ocaml]) and [genas_uptime_seconds] (refreshed at
     each request) into the registry, so every scrape carries the

@@ -352,8 +352,7 @@ let prop_agg_equals_plain_under_churn =
    the nodes whose hull alone cannot decide a match. Churn adds
    nested profiles (a live profile plus one more test) and equivalent
    ones (a live profile again, or with a full-axis test added), and
-   runs through forced and automatic swaps, synchronous and on a
-   background domain. *)
+   runs through forced and automatic swaps. *)
 let mixed_schema =
   Schema.create_exn
     [
@@ -463,7 +462,6 @@ let prop_agg_equals_naive_mixed =
                 (2, int_bound 1000 >|= fun i -> `Remove i);
                 (5, mixed_event >|= fun e -> `Match e);
                 (1, return `Swap);
-                (1, return `Async);
               ])
          >|= fun ops -> (initial, ops)))
     (fun (initial, ops) ->
@@ -509,11 +507,8 @@ let prop_agg_equals_naive_mixed =
           let want = Naive.match_event (Naive.build (Engine.profiles agg)) e in
           ids_equal want (Engine.match_event agg e)
         | `Swap -> Engine.swap_now agg; true
-        | `Async -> Engine.set_async_swaps agg (not (Engine.async_swaps agg)); true
       in
-      let ok = List.for_all step ops in
-      Engine.set_async_swaps agg false;
-      ok)
+      List.for_all step ops)
 
 let test_agg_gauges_and_epochs () =
   let s = schema () in

@@ -50,6 +50,11 @@ let ops_eq a b =
   && a.Ops.events = b.Ops.events
   && a.Ops.matches = b.Ops.matches
 
+(* The matched ids of one event, ascending: [Tree.match_event]'s list. *)
+let match_list ?ops flat cur e =
+  let n = Flat.match_into ?ops flat cur e in
+  Array.to_list (Array.sub (Flat.matches cur) 0 n)
+
 let check_tree_vs_flat ~name tree events =
   let flat = Flat.compile tree in
   let cur = Flat.cursor flat in
@@ -57,7 +62,7 @@ let check_tree_vs_flat ~name tree events =
   List.for_all
     (fun e ->
       let expect = Tree.match_event ~ops:tree_ops tree e in
-      let got = Flat.match_list ~ops:flat_ops flat cur e in
+      let got = match_list ~ops:flat_ops flat cur e in
       if got <> expect then
         QCheck.Test.fail_reportf "%s: flat %s <> tree %s" name
           (String.concat "," (List.map string_of_int got))
@@ -89,26 +94,9 @@ let prop_flat_equals_baselines =
       List.for_all
         (fun e ->
           let oracle = Naive.match_event naive e in
-          Flat.match_list flat cur e = oracle
+          match_list flat cur e = oracle
           && Counting.match_event counting e = oracle)
         events)
-
-let prop_batch_equals_sequential =
-  QCheck.Test.make ~name:"match_batch = per-event match_into" ~count:40
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:10 ~n_events:20 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-      let events = Array.of_list events in
-      let seq_cur = Flat.cursor flat in
-      let seq =
-        Array.map (fun e -> Array.of_list (Flat.match_list flat seq_cur e)) events
-      in
-      let got = Array.make (Array.length events) [||] in
-      let batch_cur = Flat.cursor flat in
-      Flat.match_batch flat batch_cur events ~f:(fun i ~ids ~len ->
-          got.(i) <- Array.sub ids 0 len);
-      got = seq)
 
 (* A batch is exactly a sequence of [match_with] calls: after every
    batch, a twin engine driven event by event agrees on the ids, the
@@ -195,29 +183,6 @@ let prop_engine_aggregated_equals_plain =
       let after_swap = Engine.match_batch agg events in
       plain = before_swap && plain = after_swap)
 
-let prop_packed_equals_match_into =
-  QCheck.Test.make ~name:"packed batch = per-event match_into" ~count:40
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:25 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-      let batch = Array.of_list events in
-      let pk = Flat.pack_batch flat batch in
-      let plain_ops = Ops.create () and packed_ops = Ops.create () in
-      let plain_cur = Flat.cursor flat and packed_cur = Flat.cursor flat in
-      Flat.packed_events pk = Array.length batch
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i e ->
-                let n = Flat.match_into ~ops:plain_ops flat plain_cur e in
-                let expect = Array.sub (Flat.matches plain_cur) 0 n in
-                let m =
-                  Flat.match_packed_into ~ops:packed_ops flat packed_cur pk i
-                in
-                Array.sub (Flat.matches packed_cur) 0 m = expect)
-              batch)
-      && ops_eq plain_ops packed_ops)
-
 (* ------------------------------------------------------------------ *)
 (* Edge cases. *)
 
@@ -249,7 +214,7 @@ let test_empty_tree () =
   let flat = flat_of pset in
   let cur = Flat.cursor flat in
   Alcotest.(check (list int)) "no profiles, no matches" []
-    (Flat.match_list flat cur (event s 3 "a"));
+    (match_list flat cur (event s 3 "a"));
   Alcotest.(check int) "no flat nodes" 0 (Flat.node_count flat)
 
 let test_all_dont_care () =
@@ -262,37 +227,68 @@ let test_all_dont_care () =
   let flat = flat_of pset in
   let cur = Flat.cursor flat in
   Alcotest.(check (list int)) "don't-cares always match" [ 0; 2 ]
-    (Flat.match_list flat cur (event s 5 "a"));
+    (match_list flat cur (event s 5 "a"));
   Alcotest.(check (list int)) "plus the constrained one" [ 0; 1; 2 ]
-    (Flat.match_list flat cur (event s 1 "c"))
+    (match_list flat cur (event s 1 "c"))
 
+(* Values outside the matcher's schema: an event validated against a
+   looser schema of the same arity carries them into [match_into]. The
+   int table, the enum rank table and the generic float path each have
+   an out-of-domain branch; the pointer tree is the oracle. *)
 let test_out_of_domain_coords () =
-  let s = schema () in
+  let s =
+    Schema.create_exn
+      [
+        ("x", Domain.int_range ~lo:0 ~hi:9);
+        ("s", Domain.enum [ "a"; "b"; "c" ]);
+        ("f", Domain.float_range ~lo:0.0 ~hi:10.0);
+      ]
+  in
   let pset =
     pset_of s
       [
         [ ("x", Predicate.Ge (Value.Int 5)) ];
         [ ("s", Predicate.Eq (Value.Str "b")) ];
+        [ ("f", Predicate.Le (Value.Float 2.5)) ];
+        [];
       ]
   in
   let stats = Stats.create (Decomp.build pset) in
   let tree = Reorder.build stats Reorder.default_spec in
   let flat = Flat.compile tree in
   let cur = Flat.cursor flat in
+  let loose =
+    Schema.create_exn
+      [
+        ("x", Domain.int_range ~lo:(-1000) ~hi:1000);
+        ("s", Domain.enum [ "a"; "b"; "c"; "zz" ]);
+        ("f", Domain.float_range ~lo:(-1e6) ~hi:1e6);
+      ]
+  in
+  let kinds =
+    Schema.create_exn
+      [
+        ("x", Domain.float_range ~lo:0.0 ~hi:10.0);
+        ("s", Domain.int_range ~lo:0 ~hi:9);
+        ("f", Domain.enum [ "a" ]);
+      ]
+  in
   List.iter
-    (fun coords ->
+    (fun (label, schema, x, sv, f) ->
+      let e = Event.create_exn schema [ ("x", x); ("s", sv); ("f", f) ] in
       let tree_ops = Ops.create () and flat_ops = Ops.create () in
-      let expect = Tree.match_coords ~ops:tree_ops tree coords in
-      let n = Flat.match_coords_into ~ops:flat_ops flat cur coords in
-      let got = Array.to_list (Array.sub (Flat.matches cur) 0 n) in
-      Alcotest.(check (list int)) "coords agree" expect got;
-      Alcotest.(check bool) "ops agree" true (ops_eq tree_ops flat_ops))
+      let expect = Tree.match_event ~ops:tree_ops tree e in
+      Alcotest.(check (list int)) (label ^ ": matches") expect
+        (match_list ~ops:flat_ops flat cur e);
+      Alcotest.(check bool) (label ^ ": ops") true (ops_eq tree_ops flat_ops))
     [
-      [| -1e9; 0.0 |];  (* far below the x axis *)
-      [| 1e9; 1.0 |];  (* far above *)
-      [| 0.5; 0.0 |];  (* fractional on a discrete axis *)
-      [| 7.0; 99.0 |];  (* enum rank out of range *)
-      [| 7.0; 1.0 |];  (* in domain, for contrast *)
+      ("in domain", s, Value.Int 7, Value.Str "b", Value.Float 1.0);
+      ("int below", loose, Value.Int (-1), Value.Str "b", Value.Float 1.0);
+      ("int above", loose, Value.Int 10, Value.Str "a", Value.Float 1.0);
+      ("float outside", loose, Value.Int 7, Value.Str "b", Value.Float 11.0);
+      ("float below", loose, Value.Int 7, Value.Str "c", Value.Float (-0.5));
+      ("unknown enum", loose, Value.Int 7, Value.Str "zz", Value.Float 1.0);
+      ("wrong kinds", kinds, Value.Float 7.0, Value.Int 1, Value.Str "a");
     ]
 
 let test_foreign_cursor_rejected () =
@@ -343,23 +339,6 @@ let test_paper_table_image () =
   Alcotest.(check (list int)) "unshared" [ 111071; 108053; 259952 ]
     (image false)
 
-let test_packed_guards () =
-  let s = schema () in
-  let flat_a = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 1)) ] ]) in
-  let flat_b = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 2)) ] ]) in
-  let batch = [| event s 1 "a"; event s 2 "b" |] in
-  let pk = Flat.pack_batch flat_a batch in
-  let cur_a = Flat.cursor flat_a in
-  (try
-     ignore (Flat.match_packed_into flat_b (Flat.cursor flat_b) pk 0);
-     Alcotest.fail "foreign packed batch accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Flat.match_packed_into flat_a cur_a pk 2);
-     Alcotest.fail "out-of-range packed index accepted"
-   with Invalid_argument _ -> ());
-  Alcotest.(check int) "packed batch length" 2 (Flat.packed_events pk)
-
 let () =
   Alcotest.run "flat"
     [
@@ -367,10 +346,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_flat_equals_tree;
           QCheck_alcotest.to_alcotest prop_flat_equals_baselines;
-          QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
           QCheck_alcotest.to_alcotest prop_engine_batch_equals_match_event;
           QCheck_alcotest.to_alcotest prop_engine_aggregated_equals_plain;
-          QCheck_alcotest.to_alcotest prop_packed_equals_match_into;
         ] );
       ( "edges",
         [
@@ -382,6 +359,5 @@ let () =
             test_foreign_cursor_rejected;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;
           Alcotest.test_case "paper table image" `Quick test_paper_table_image;
-          Alcotest.test_case "packed guards" `Quick test_packed_guards;
         ] );
     ]

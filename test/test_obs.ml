@@ -1,6 +1,7 @@
 (* The observability layer: registry identity rules, counter/gauge
    semantics, histogram bucketing and percentile readout, both
-   exporters' no-nan guarantee, and span timing over a fake clock. *)
+   exporters' no-nan guarantee, span timing over a fake clock, and the
+   scrape endpoint's paths, request bounds and socket lifecycle. *)
 
 module Metrics = Genas_obs.Metrics
 module Clock = Genas_obs.Clock
@@ -466,6 +467,105 @@ let test_registry_release_churn () =
     end
   done
 
+(* ------------------------------------------------------------------ *)
+(* Scrape endpoint *)
+
+module Scrape = Genas_obs.Scrape
+
+let scrape_path () =
+  let path = Filename.temp_file "genas_scrape" ".sock" in
+  Sys.remove path;
+  path
+
+(* Run [f] on the address of an endpoint at a fresh Unix-socket path. *)
+let with_endpoint f =
+  let path = scrape_path () in
+  let t = Scrape.start ~node:"t" ~metrics:(Metrics.create ()) (Unix.ADDR_UNIX path) in
+  Fun.protect ~finally:(fun () -> Scrape.stop t) (fun () -> f (Scrape.addr t))
+
+(* Send [data] raw, half-close, and return the response's status code
+   (0 when none came back). The server may close before reading all of
+   [data]; a failed write still reads what it answered. *)
+let raw_status addr data =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd addr;
+  (try
+     let len = String.length data and off = ref 0 in
+     while !off < len do
+       off := !off + Unix.write_substring fd data !off (len - !off)
+     done;
+     Unix.shutdown fd Unix.SHUTDOWN_SEND
+   with Unix.Unix_error _ -> ());
+  let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec read_all () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n -> Buffer.add_subbytes b chunk 0 n; read_all ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  read_all ();
+  match String.split_on_char ' ' (Buffer.contents b) with
+  | _ :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
+  | _ -> 0
+
+let get_code addr path =
+  match Scrape.get addr ~path with
+  | Ok (code, _) -> code
+  | Error e -> Alcotest.failf "GET %s: %s" path e
+
+let test_scrape_paths () =
+  with_endpoint @@ fun addr ->
+  List.iter
+    (fun path -> Alcotest.(check int) path 200 (get_code addr path))
+    [ "/metrics"; "/metrics.json"; "/json"; "/" ];
+  Alcotest.(check int) "unknown path" 404 (get_code addr "/nope");
+  (match Scrape.get addr ~path:"/metrics" with
+  | Ok (_, body) ->
+    Alcotest.(check bool) "build info exported" true
+      (contains ~needle:"genas_build_info" body)
+  | Error e -> Alcotest.fail e)
+
+let test_scrape_bad_requests () =
+  with_endpoint @@ fun addr ->
+  Alcotest.(check int) "non-GET" 400
+    (raw_status addr "POST /metrics HTTP/1.0\r\n\r\n");
+  Alcotest.(check int) "empty request" 400 (raw_status addr "")
+
+let test_scrape_oversized_headers () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_endpoint @@ fun addr ->
+  let pad = "X-Pad: " ^ String.make 57 'a' ^ "\r\n" in
+  let request =
+    "GET /metrics HTTP/1.0\r\n"
+    ^ String.concat "" (List.init (65536 / String.length pad) (fun _ -> pad))
+    ^ "\r\n"
+  in
+  Alcotest.(check int) "64 KiB of headers" 400 (raw_status addr request);
+  Alcotest.(check int) "next request served" 200 (get_code addr "/metrics")
+
+let test_scrape_stop () =
+  let path = scrape_path () in
+  let t = Scrape.start ~metrics:(Metrics.create ()) (Unix.ADDR_UNIX path) in
+  Alcotest.(check bool) "socket file while serving" true (Sys.file_exists path);
+  Scrape.stop t;
+  Scrape.stop t;
+  Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists path)
+
+let test_scrape_stale_socket () =
+  let path = scrape_path () in
+  (* A socket file left behind by a process that died without
+     unlinking it. *)
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  Alcotest.(check bool) "stale file present" true (Sys.file_exists path);
+  let t = Scrape.start ~metrics:(Metrics.create ()) (Unix.ADDR_UNIX path) in
+  Fun.protect ~finally:(fun () -> Scrape.stop t) @@ fun () ->
+  Alcotest.(check int) "serves over the stale path" 200
+    (get_code (Scrape.addr t) "/metrics")
+
 let () =
   Alcotest.run "obs"
     [
@@ -513,5 +613,14 @@ let () =
         [
           Alcotest.test_case "fake clock" `Quick test_span_fake_clock;
           Alcotest.test_case "monotonic default" `Quick test_clock_monotonic;
+        ] );
+      ( "scrape",
+        [
+          Alcotest.test_case "paths" `Quick test_scrape_paths;
+          Alcotest.test_case "bad requests" `Quick test_scrape_bad_requests;
+          Alcotest.test_case "oversized headers" `Quick
+            test_scrape_oversized_headers;
+          Alcotest.test_case "stop" `Quick test_scrape_stop;
+          Alcotest.test_case "stale socket" `Quick test_scrape_stale_socket;
         ] );
     ]

@@ -678,46 +678,6 @@ let test_router_differential () =
             "networked delivery ≡ Router delivery"
             (norm !router_got) (norm !net_got)))
 
-(* --- background epoch swaps (satellite 4) ---------------------------- *)
-
-let test_async_swap_equivalence () =
-  let module Engine = Genas_core.Engine in
-  let module Profile_set = Genas_profile.Profile_set in
-  let s = schema () in
-  let parse body = Result.get_ok (Genas_profile.Lang.parse_profile s body) in
-  let bodies =
-    List.init 40 (fun i -> Printf.sprintf "x >= %d && y >= %d" (i mod 9) (i mod 7))
-  in
-  let run ~async =
-    let eng = Engine.create ~aggregate:true ~delta_cap:4 (Profile_set.create s) in
-    Engine.set_async_swaps eng async;
-    let ids =
-      List.map (fun body -> Engine.add_profile eng (parse body)) bodies
-    in
-    (* Churn: drop every third profile, matching between operations so
-       pending swaps install at realistic points. *)
-    List.iteri
-      (fun i id ->
-        if i mod 3 = 0 then ignore (Engine.remove_profile eng id);
-        ignore (Engine.match_event eng (event s (i mod 10) ((i * 3) mod 10))))
-      ids;
-    Engine.await_swap eng;
-    let results =
-      List.map
-        (fun (x, y) -> Engine.match_event eng (event s x y))
-        [ (0, 0); (3, 3); (8, 6); (9, 9); (5, 2) ]
-    in
-    Engine.set_async_swaps eng false;
-    results
-  in
-  let sync_r = run ~async:false and async_r = run ~async:true in
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "match set %d identical" i)
-        (List.sort Int.compare a) (List.sort Int.compare b))
-    (List.combine sync_r async_r)
-
 let () =
   Alcotest.run "transport"
     [
@@ -751,6 +711,5 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "networked ≡ router" `Quick test_router_differential;
-          Alcotest.test_case "async ≡ sync swaps" `Quick test_async_swap_equivalence;
         ] );
     ]
