@@ -99,11 +99,14 @@ bench:
 # End-to-end benchmark smoke (perf/README.md): builds the benchmark,
 # a project of its own that the targets above never compile, against
 # the current lib/, and runs both in-process workloads for a few
-# seconds. A non-zero exit is a broken benchmark build or a delivery
-# that disagreed with the Naive reference.
+# seconds. The traced leg also runs the per-layer waterfall, which
+# drives the engine's entry points directly. A non-zero exit is a
+# broken benchmark build or a delivery that disagreed with the Naive
+# reference.
 perfsmoke:
 	python3 perf/run.py --workload paper-inproc --seed 1 --seconds 3 --trace 0
 	python3 perf/run.py --workload agg-churn --seed 1 --seconds 3 --trace 0
+	python3 perf/run.py --workload paper-inproc --seed 1 --seconds 3 --trace 1
 
 # Seconds-scale subset: every matcher timed on a small event budget,
 # output validated by the strict JSON checker. The binary is built

@@ -212,29 +212,14 @@ let run_metrics_snapshot () =
   print_string (Genas_obs.Metrics.to_json registry)
 
 let tables_of_target = function
-  | "fig3" -> [ Figures.fig3 () ]
-  | "fig4a" -> [ Figures.fig4a () ]
-  | "fig4b" -> [ Figures.fig4b () ]
-  | "fig5" -> Figures.fig5 ()
-  | "fig6a" -> [ Figures.fig6a () ]
-  | "fig6b" -> [ Figures.fig6b () ]
-  | "tv" -> [ Figures.tv_scenarios () ]
-  | "ablation" -> [ Figures.ablation_sharing () ]
-  | "baselines" -> [ Figures.baseline_comparison () ]
-  | "outlook" -> [ Figures.outlook_strategies () ]
-  | "quench" -> [ Figures.ablation_quench () ]
-  | "routing" -> [ Figures.ablation_routing () ]
-  | "adaptive" -> [ Figures.ablation_adaptive () ]
-  | "correlated" -> [ Figures.correlated () ]
-  | "dontcare" -> [ Figures.dontcare_influence () ]
-  | "queueing" -> [ Figures.queueing () ]
-  | "orderings8" -> [ Figures.orderings8 () ]
-  | "fragility" -> [ Figures.fragility () ]
   | "timing" -> [ run_timing () ]
   | "perf" -> [ run_perf () ]
-  | other ->
-    Printf.eprintf "unknown bench target %S\n" other;
-    exit 2
+  | target -> (
+    match List.assoc_opt target Figures.all with
+    | Some tables -> tables ()
+    | None ->
+      Printf.eprintf "unknown bench target %S\n" target;
+      exit 2)
 
 let csv_name target i n =
   if n = 1 then target ^ ".csv" else Printf.sprintf "%s_%d.csv" target (i + 1)
@@ -257,9 +242,7 @@ let run_figure ?csv_dir target =
     tables
   end
 
-let all_targets =
-  [ "fig3"; "fig4a"; "fig4b"; "fig5"; "fig6a"; "fig6b"; "tv"; "ablation";
-    "baselines"; "outlook"; "quench"; "routing"; "adaptive"; "correlated"; "dontcare"; "queueing"; "orderings8"; "fragility"; "timing"; "perf"; "metrics" ]
+let all_targets = List.map fst Figures.all @ [ "timing"; "perf"; "metrics" ]
 
 let () =
   let rest =

@@ -240,33 +240,15 @@ let run_dists name =
       probs
 
 let run_figures targets =
-  let targets = if targets = [] then [ "all" ] else targets in
-  let all =
-    [ "fig3"; "fig4a"; "fig4b"; "fig5"; "fig6a"; "fig6b"; "tv"; "ablation";
-      "baselines"; "outlook"; "quench"; "routing"; "adaptive"; "correlated"; "dontcare"; "queueing"; "orderings8"; "fragility" ]
+  let targets =
+    if targets = [] || targets = [ "all" ] then List.map fst Figures.all
+    else targets
   in
-  let targets = if targets = [ "all" ] then all else targets in
   List.iter
-    (function
-      | "fig3" -> Report.print (Figures.fig3 ())
-      | "fig4a" -> Report.print (Figures.fig4a ())
-      | "fig4b" -> Report.print (Figures.fig4b ())
-      | "fig5" -> List.iter Report.print (Figures.fig5 ())
-      | "fig6a" -> Report.print (Figures.fig6a ())
-      | "fig6b" -> Report.print (Figures.fig6b ())
-      | "tv" -> Report.print (Figures.tv_scenarios ())
-      | "ablation" -> Report.print (Figures.ablation_sharing ())
-      | "baselines" -> Report.print (Figures.baseline_comparison ())
-      | "outlook" -> Report.print (Figures.outlook_strategies ())
-      | "quench" -> Report.print (Figures.ablation_quench ())
-      | "routing" -> Report.print (Figures.ablation_routing ())
-      | "adaptive" -> Report.print (Figures.ablation_adaptive ())
-      | "correlated" -> Report.print (Figures.correlated ())
-      | "dontcare" -> Report.print (Figures.dontcare_influence ())
-      | "queueing" -> Report.print (Figures.queueing ())
-      | "orderings8" -> Report.print (Figures.orderings8 ())
-      | "fragility" -> Report.print (Figures.fragility ())
-      | other -> or_die (Error (Printf.sprintf "unknown figure %S" other)))
+    (fun name ->
+      match List.assoc_opt name Figures.all with
+      | Some tables -> List.iter Report.print (tables ())
+      | None -> or_die (Error (Printf.sprintf "unknown figure %S" name)))
     targets
 
 (* ------------------------------------------------------------------ *)

@@ -100,13 +100,11 @@ let () =
       ~spec:
         { Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
           value_choice = `Measure Selectivity.V1 }
+      ~adaptive:{ Adaptive.warmup = 300; check_every = 100; drift_threshold = 0.3 }
       pset
   in
-  let adaptive =
-    Adaptive.create
-      ~policy:{ Adaptive.warmup = 300; check_every = 100; drift_threshold = 0.3 }
-      engine
-  in
+  (* The engine's drift clock: counts checks and drift re-plans. *)
+  let adaptive = Option.get (Engine.adaptive engine) in
   let rng = Prng.create ~seed:7 in
   let feed label dists n =
     let before = Adaptive.rebuilds adaptive in
@@ -119,7 +117,7 @@ let () =
           coords
       in
       ignore
-        (Adaptive.match_event adaptive
+        (Engine.match_event engine
            (Genas_model.Event.of_values_exn schema values))
     done;
     Format.printf

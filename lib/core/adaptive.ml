@@ -35,9 +35,8 @@ let make_instruments registry =
 type planned = { grids : float array array; hists : Estimator.Export.t array }
 
 type t = {
-  engine : Engine.t;
   policy : policy;
-  mutable planned : planned option;  (** [None] until the first rebuild *)
+  mutable planned : planned option;  (** [None]: not planned from data *)
   mutable since_check : int;
   mutable seen : int;
   mutable checks : int;
@@ -46,11 +45,10 @@ type t = {
   instruments : instruments option;
 }
 
-let create ?(policy = default_policy) ?metrics engine =
+let create ?metrics policy =
   if policy.warmup < 0 || policy.check_every <= 0 then
     invalid_arg "Adaptive.create: malformed policy";
   {
-    engine;
     policy;
     planned = None;
     since_check = 0;
@@ -61,28 +59,21 @@ let create ?(policy = default_policy) ?metrics engine =
     instruments = Option.map make_instruments metrics;
   }
 
-let engine t = t.engine
-
-let rebuild t =
-  (match t.instruments with
-  | None -> Engine.rebuild t.engine
-  | Some ins ->
-    Genas_obs.Span.time ins.rebuild_ns (fun () -> Engine.rebuild t.engine);
-    Metrics.Counter.incr ins.rebuilds_total);
-  let stats = Engine.stats t.engine in
+let plan_of stats =
   let hists = (Stats.export stats).Stats.Export.hists in
   let grid attr _ = Estimator.grid (Stats.event_dist stats ~attr) in
-  let grids = Array.mapi grid hists in
-  t.planned <- Some { grids; hists };
-  t.rebuilds <- t.rebuilds + 1
+  { grids = Array.mapi grid hists; hists }
+
+let replanned t stats =
+  t.planned <-
+    (if Stats.events_seen stats > 0 then Some (plan_of stats) else None)
 
 (* The largest per-attribute L1 distance on the drift grid; a loop
    keeps the running maximum unboxed. *)
-let drift t =
+let drift t stats =
   match t.planned with
   | None -> Float.infinity  (* never planned from data: always stale *)
   | Some p ->
-    let stats = Engine.stats t.engine in
     let worst = ref 0.0 in
     for attr = 0 to Array.length p.grids - 1 do
       let d = Stats.grid_drift stats ~attr p.grids.(attr) in
@@ -90,8 +81,8 @@ let drift t =
     done;
     !worst
 
-let force_check t =
-  let d = drift t in
+let check t stats ~replan =
+  let d = drift t stats in
   t.checks <- t.checks + 1;
   (* The gauge/readout value is clamped to the L1 metric's range [0,2];
      the rebuild decision below uses the raw (possibly infinite)
@@ -104,7 +95,18 @@ let force_check t =
     Metrics.Counter.incr ins.checks_total;
     Metrics.Gauge.set ins.last_drift_gauge t.last_drift);
   if d > t.policy.drift_threshold then begin
-    rebuild t;
+    let stats =
+      match t.instruments with
+      | None -> replan ()
+      | Some ins ->
+        let stats = Genas_obs.Span.time ins.rebuild_ns replan in
+        Metrics.Counter.incr ins.rebuilds_total;
+        stats
+    in
+    (* [replan] went through {!replanned}, which records no baseline
+       from empty statistics; a drift re-plan records one anyway. *)
+    if Option.is_none t.planned then t.planned <- Some (plan_of stats);
+    t.rebuilds <- t.rebuilds + 1;
     true
   end
   else false
@@ -112,31 +114,18 @@ let force_check t =
 (* [since_check] accumulates during warmup, so the first check is due
    at exactly [seen = warmup] (or at the first post-warmup event when
    [warmup < check_every]); subsequent checks every [check_every]. *)
-let note_events t n =
-  if n > 0 then begin
+let tick t n =
+  if n <= 0 then false
+  else begin
     t.seen <- t.seen + n;
     t.since_check <- t.since_check + n;
-    if
+    let due =
       t.seen >= t.policy.warmup
       && (t.checks = 0 || t.since_check >= t.policy.check_every)
-    then begin
-      t.since_check <- 0;
-      ignore (force_check t)
-    end
+    in
+    if due then t.since_check <- 0;
+    due
   end
-
-let match_event t event =
-  let result = Engine.match_event t.engine event in
-  note_events t 1;
-  result
-
-let match_batch t events =
-  let results = Engine.match_batch t.engine events in
-  (* The whole batch is observed before at most one drift check runs:
-     a check mid-batch would re-plan the tree under the feet of the
-     batch's own statistics, for no measurable gain. *)
-  note_events t (Array.length events);
-  results
 
 let rebuilds t = t.rebuilds
 
@@ -169,7 +158,7 @@ let export t =
   }
 
 (* Restore the planned grids from the observed histograms, exactly as
-   [rebuild] computed them. Assumed (caller-installed) distributions are
+   [plan_of] computed them. Assumed (caller-installed) distributions are
    runtime configuration, not durable state; a recovered component
    measures drift against the observed histograms. *)
 let restore_planned decomp hx =
@@ -188,28 +177,25 @@ let restore_planned decomp hx =
     in
     go 0 []
 
-let import t (e : Export.t) =
-  let decomp = Stats.decomp (Engine.stats t.engine) in
-  let planned =
+let import t stats (e : Export.t) =
+  let ( let* ) = Result.bind in
+  let* planned =
     match e.Export.planned with
     | None -> Ok None
-    | Some hx -> Result.map Option.some (restore_planned decomp hx)
+    | Some hx -> Result.map Option.some (restore_planned (Stats.decomp stats) hx)
   in
-  match planned with
-  | Error msg -> Error msg
-  | Ok planned ->
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.add ins.checks_total
-        (Stdlib.max 0 (e.Export.checks - t.checks));
-      Metrics.Counter.add ins.rebuilds_total
-        (Stdlib.max 0 (e.Export.rebuilds - t.rebuilds));
-      Metrics.Gauge.set ins.last_drift_gauge e.Export.last_drift);
-    t.planned <- planned;
-    t.seen <- e.Export.seen;
-    t.since_check <- e.Export.since_check;
-    t.checks <- e.Export.checks;
-    t.rebuilds <- e.Export.rebuilds;
-    t.last_drift <- e.Export.last_drift;
-    Ok ()
+  (match t.instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.Counter.add ins.checks_total
+      (Stdlib.max 0 (e.Export.checks - t.checks));
+    Metrics.Counter.add ins.rebuilds_total
+      (Stdlib.max 0 (e.Export.rebuilds - t.rebuilds));
+    Metrics.Gauge.set ins.last_drift_gauge e.Export.last_drift);
+  t.planned <- planned;
+  t.seen <- e.Export.seen;
+  t.since_check <- e.Export.since_check;
+  t.checks <- e.Export.checks;
+  t.rebuilds <- e.Export.rebuilds;
+  t.last_drift <- e.Export.last_drift;
+  Ok ()

@@ -2,13 +2,15 @@
 
     "We propose an adaptive filter component that optimizes the profile
     tree for certain applications based on the data distributions" —
-    the engine below watches the event stream through the statistics
-    objects and re-optimizes the tree when the observed distribution
-    has drifted from the one the current tree was planned for. Drift is
-    the maximum per-attribute L1 distance between the two
-    distributions; the paper's observation that event-order selectivity
-    "is a fragile measure, not robust to changes in the distributions"
-    is exactly why the threshold is configurable. *)
+    an engine created with a policy ({!Engine.create} [?adaptive])
+    watches the event stream through the statistics objects and
+    re-optimizes the tree when the observed distribution has drifted
+    from the one the current tree was planned for. Drift is the maximum
+    per-attribute L1 distance between the two distributions; the
+    paper's observation that event-order selectivity "is a fragile
+    measure, not robust to changes in the distributions" is exactly why
+    the threshold is configurable. This module is that engine's drift
+    clock; the engine ticks it and performs every re-plan. *)
 
 type policy = {
   warmup : int;
@@ -25,62 +27,50 @@ val default_policy : policy
 
 type t
 
-val create : ?policy:policy -> ?metrics:Genas_obs.Metrics.t -> Engine.t -> t
-(** Wrap an engine. The engine must not be rebuilt behind the adaptive
-    component's back (drift is measured against the distributions at
-    the last rebuild it performed).
+val create : ?metrics:Genas_obs.Metrics.t -> policy -> t
+(** A clock with no baseline. Raises [Invalid_argument] on a negative
+    [warmup] or a non-positive [check_every]. [metrics] registers
+    check/rebuild counters, a rebuild-duration histogram, and a
+    last-drift gauge (names in docs/OBSERVABILITY.md). *)
 
-    [metrics] registers check/rebuild counters, a rebuild-duration
-    histogram, and a last-drift gauge (names in docs/OBSERVABILITY.md);
-    it is independent of the engine's own [?metrics] argument. *)
-
-val engine : t -> Engine.t
-
-val match_event :
-  t -> Genas_model.Event.t -> Genas_profile.Profile_set.id list
-(** Filter, observe, and re-optimize when due. The check cadence:
-    [since_check] accumulates during warmup, so the first drift check
-    fires at exactly [seen = warmup] — not [warmup + check_every] —
-    even when [warmup < check_every]; later checks run every
+val tick : t -> int -> bool
+(** Advance the clock by [n] observed events; [true] when a drift check
+    is due now. [since_check] accumulates during warmup, so the first
+    check falls at exactly [seen = warmup] — not [warmup + check_every]
+    — even when [warmup < check_every]; later checks fall every
     [check_every] events. *)
 
-val match_batch :
-  t ->
-  Genas_model.Event.t array ->
-  Genas_profile.Profile_set.id array array
-(** {!Engine.match_batch}, then the adaptive bookkeeping advances by
-    the batch size with at most one drift check (after the whole batch
-    has been observed — never mid-batch). *)
+val check : t -> Stats.t -> replan:(unit -> Stats.t) -> bool
+(** Measure drift of [stats] against the baseline; past the threshold,
+    run [replan] (the engine's re-plan, returning the statistics it
+    planned from) and count a rebuild. [true] if it re-planned. A drift
+    re-plan records a baseline even from empty statistics. *)
+
+val replanned : t -> Stats.t -> unit
+(** The baseline rule: every re-plan calls this with the statistics it
+    planned from. Statistics holding observations become the baseline;
+    empty ones clear it, so the next check sees infinite drift (a tree
+    never planned from data is always stale). *)
 
 val rebuilds : t -> int
-(** Number of re-optimizations performed so far. *)
+(** Drift re-plans performed so far. *)
 
 val checks : t -> int
-(** Number of drift checks performed so far (forced or scheduled). *)
+(** Drift checks performed so far (forced or scheduled). *)
 
 val last_drift : t -> float
 (** Drift measured at the most recent check ([0.0] before the first).
     Clamped to [2.0] — the L1 metric's upper bound — when the raw
-    drift is infinite (tree never planned from data); the rebuild
-    decision itself compares the raw drift against the threshold. *)
-
-val force_check : t -> bool
-(** Run a drift check now; [true] if it triggered a rebuild. *)
-
-val note_events : t -> int -> unit
-(** Advance the warmup/check bookkeeping by [n] already-observed events
-    without matching anything. [match_event]/[match_batch] call this
-    internally; it is exposed so journal replay can drive the same
-    cadence — the replayed component checks (and rebuilds) at exactly
-    the event counts the original did. *)
+    drift is infinite (no baseline); the rebuild decision itself
+    compares the raw drift against the threshold. *)
 
 (** {1 Serialization}
 
-    The durable counters plus the observed-histogram snapshot taken at
-    the last rebuild. On import the planned-for grid masses are rebuilt
-    from that snapshot exactly as {!Stats.event_dist} would have
-    produced them (smoothed estimate, or uniform when the histogram was
-    empty); assumed distributions — runtime configuration — are not
+    The durable counters plus the observed-histogram snapshot of the
+    baseline. On import the baseline's grid masses are rebuilt from
+    that snapshot exactly as {!Stats.event_dist} would have produced
+    them (smoothed estimate, or uniform when the histogram was empty);
+    assumed distributions — runtime configuration — are not
     persisted. *)
 
 module Export : sig
@@ -96,7 +86,7 @@ end
 
 val export : t -> Export.t
 
-val import : t -> Export.t -> (unit, string) result
-(** Restore exported state into a freshly created component wrapping an
-    engine over the same schema. Fails on arity or histogram-layout
-    mismatch. *)
+val import : t -> Stats.t -> Export.t -> (unit, string) result
+(** Restore exported state into the clock of an engine over the same
+    schema, whose statistics are [stats]. Fails on arity or
+    histogram-layout mismatch. *)

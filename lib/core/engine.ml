@@ -142,6 +142,7 @@ type t = {
   ops : Ops.t;
   instruments : instruments option;
   agg : agg option;
+  adaptive : Adaptive.t option;  (** the drift clock *)
 }
 
 let observe_tree t =
@@ -222,6 +223,7 @@ let replan t pset history =
     | Keep | Restart -> Stats.create ~bins:t.bins decomp
   in
   t.stats <- stats;
+  Option.iter (fun a -> Adaptive.replanned a stats) t.adaptive;
   let tree = Reorder.build stats t.spec in
   (* Drop the old tree before compiling: it would widen the peak. *)
   t.tree <- tree;
@@ -245,7 +247,7 @@ let root_snapshot agg schema =
     (Lattice.minimal_cover agg.lat);
   cset
 
-let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
+let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
     ?(aggregate = false) ?(delta_cap = 512) pset =
   let agg =
     if not aggregate then None
@@ -278,6 +280,9 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
   let stats = Stats.create ~bins (Decomp.build planning_set) in
   let tree = Reorder.build stats spec in
   let flat = Flat.compile tree in
+  (* Exporters list series in registration order: engine's, then clock's. *)
+  let instruments = Option.map make_instruments metrics in
+  let adaptive = Option.map (Adaptive.create ?metrics) adaptive in
   let t =
     {
       pset;
@@ -297,8 +302,9 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       scratch = Array.make 64 0;
       fill = 0;
       ops = Ops.create ();
-      instruments = Option.map make_instruments metrics;
+      instruments;
       agg;
+      adaptive;
     }
   in
   reset_pending t;
@@ -333,6 +339,8 @@ let lattice_roots t =
   | None -> Profile_set.size t.pset
 
 let lattice t = Option.map (fun a -> a.lat) t.agg
+
+let adaptive t = t.adaptive
 
 let swap_metrics t agg =
   agg.epoch <- agg.epoch + 1;
@@ -376,7 +384,7 @@ let ensure_reachable t agg members =
 
 let in_sync t = Profile_set.revision t.pset = t.synced
 
-let rebuild t =
+let swap_now t =
   match t.agg with
   | Some agg -> swap_agg t agg
   | None ->
@@ -389,11 +397,9 @@ let rebuild t =
     in
     replan_plain t (if in_sync t && churned then Absorb else Keep)
 
-let swap_now t = rebuild t
-
 let set_spec t spec =
   t.spec <- spec;
-  rebuild t
+  swap_now t
 
 let refresh_keeping_history t =
   match t.agg with
@@ -664,31 +670,55 @@ let match_core t event =
     Metrics.Counter.add ins.matches_total n;
     n
 
-let match_event t event =
-  let n = match_core t event in
-  let out = result_buffer t in
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (out.(i) :: acc)
-  in
-  build (n - 1) []
+(* -- Drift clock ---------------------------------------------------- *)
+
+(* Advance the drift clock by [n] observed events. It runs after their
+   results were handed out, so a re-plan never moves the matcher under
+   a caller still reading them, and a batch gets one check at most: a
+   re-plan mid-batch would buy nothing measurable. *)
+let tick t n =
+  match t.adaptive with
+  | Some a when Adaptive.tick a n ->
+    ignore
+      (Adaptive.check a t.stats ~replan:(fun () ->
+           swap_now t;
+           t.stats))
+  | Some _ | None -> ()
 
 let match_with t event ~f =
   let n = match_core t event in
-  f ~ids:(result_buffer t) ~len:n
+  let r = f ~ids:(result_buffer t) ~len:n in
+  tick t 1;
+  r
+
+let match_event t event =
+  match_with t event ~f:(fun ~ids ~len -> List.init len (fun i -> ids.(i)))
 
 let match_batch t events =
-  Array.map
-    (fun e ->
-      let n = match_core t e in
-      Array.sub (result_buffer t) 0 n)
-    events
+  let results =
+    Array.map
+      (fun e ->
+        let n = match_core t e in
+        Array.sub (result_buffer t) 0 n)
+      events
+  in
+  tick t (Array.length events);
+  results
 
-let replay_observe t event =
-  (* Journal replay: feed the statistics exactly as [match_core] would —
-     including a stale registry's history reset and a pending-churn
-     fold — without matching or delivering anything. *)
+(* Journal replay: feed the statistics exactly as [match_core] would —
+   including a stale registry's history reset and a pending-churn
+   fold — without matching or delivering anything. *)
+let replay_one t event =
   prepare t;
   Stats.observe_event t.stats event
+
+let replay_observe t event =
+  replay_one t event;
+  tick t 1
+
+let replay_batch t events =
+  Array.iter (replay_one t) events;
+  tick t (Array.length events)
 
 type churn = {
   delta : int list;

@@ -6,9 +6,9 @@
     {!add_profile}/{!remove_profile} is matched incrementally until it
     is folded into a re-plan; a registry edited directly is
     re-snapshotted on the next match. Every filtered event is recorded
-    in the statistics, so a later [rebuild] re-optimizes for the
-    observed distribution (use {!Adaptive} for automatic
-    re-optimization). *)
+    in the statistics, so a later {!swap_now} re-optimizes for the
+    observed distribution; an engine created with an {!Adaptive}
+    policy does so by itself when the distribution drifts. *)
 
 type t
 
@@ -16,16 +16,24 @@ val create :
   ?spec:Reorder.spec ->
   ?bins:int ->
   ?metrics:Genas_obs.Metrics.t ->
+  ?adaptive:Adaptive.policy ->
   ?aggregate:bool ->
   ?delta_cap:int ->
   Genas_profile.Profile_set.t ->
   t
 (** [spec] defaults to {!Reorder.default_spec}.
 
+    [adaptive] attaches a drift clock ({!Adaptive}). It ticks after
+    each match has handed out its results (once per batch for
+    {!match_batch}) and on journal replay; a due check past the
+    threshold re-plans as {!swap_now} does. Every re-plan, whatever
+    decided it, resets the clock's baseline ({!Adaptive.replanned}).
+
     [metrics] attaches the engine to an observability registry: match
     latency and comparisons-per-event histograms, event/match/
-    comparison/rebuild counters, tree-size gauges, and the pending
-    churn gauge (all names in docs/OBSERVABILITY.md). Without it
+    comparison/rebuild counters, tree-size gauges, the pending
+    churn gauge, and with [adaptive] the drift clock's series (all
+    names in docs/OBSERVABILITY.md). Without it
     ([?metrics:None], the default) the match path performs no
     observability work at all — handles are resolved once at
     construction and the hot loop stays allocation-free.
@@ -62,7 +70,7 @@ val profiles : t -> Genas_profile.Profile_set.t
     covering lattice.
 
     A plain engine folds pending churn into a re-plan of the full set,
-    absorbing the learned event history, on {!rebuild}, {!set_spec},
+    absorbing the learned event history, on {!set_spec},
     {!swap_now}, {!refresh_keeping_history}, and once the rent the
     pending entries cost the match path — one unit per entry per
     observed event, summed while anything is pending — exceeds three
@@ -104,10 +112,10 @@ val pending_rebuild : t -> int
     [0] right after {!swap_now}. *)
 
 val swap_now : t -> unit
-(** Fold all pending churn now. Aggregated: an epoch swap, which
-    recompiles the flat matcher over the current covering-minimal roots
-    and installs it, absorbing the learned event-distribution history.
-    On a plain engine this is {!rebuild}. *)
+(** Compile now, folding all pending churn and absorbing the learned
+    event history. Aggregated: an epoch swap over the current
+    covering-minimal roots. Plain: a re-plan of the full set under the
+    engine's spec from the current statistics. *)
 
 val absorbed_profiles : t -> int
 (** Live profiles the lattice absorbs (not in the covering-minimal
@@ -144,11 +152,13 @@ val match_event :
     returned list itself; use {!match_with} to avoid even that. *)
 
 val match_with :
-  t -> Genas_model.Event.t -> f:(ids:int array -> len:int -> unit) -> unit
+  t -> Genas_model.Event.t -> f:(ids:int array -> len:int -> 'a) -> 'a
 (** Zero-allocation variant of {!match_event}: [f ~ids ~len] receives
     the engine's borrowed cursor buffer whose first [len] slots hold
-    the matched ids (ascending). The buffer is overwritten by the next
-    match — copy inside [f] if the ids must outlive the call. *)
+    the matched ids (ascending), and its result is returned. The
+    buffer is overwritten by the next match — copy inside [f] if the
+    ids must outlive the call. [f] runs before the drift clock ticks,
+    so it sees the tree that matched. *)
 
 val match_batch :
   t -> Genas_model.Event.t array -> Genas_profile.Profile_set.id array array
@@ -156,12 +166,8 @@ val match_batch :
     Exactly a sequence of {!match_with} calls, one per event in order,
     each result copied out of the borrowed buffer: statistics, pending
     churn folds, operation counters and metrics (the per-event
-    histograms included) advance as they would for those calls. *)
-
-val rebuild : t -> unit
-(** Re-plan the tree configuration from the current statistics (and
-    current profiles) under the engine's spec, folding any pending
-    churn (its history absorbed). *)
+    histograms included) advance as they would for those calls, except
+    the drift clock, which advances once, after the whole batch. *)
 
 val refresh_keeping_history : t -> unit
 (** Compile everything now: fold pending churn, or re-plan a registry
@@ -176,15 +182,22 @@ val report : t -> Cost.report
 (** Analytic expectation for the current tree under the current
     statistics. *)
 
+val adaptive : t -> Adaptive.t option
+(** The drift clock, when created with a policy. *)
+
 (** {1 Journal replay} *)
 
 val replay_observe : t -> Genas_model.Event.t -> unit
 (** Record one event in the statistics exactly as the match path would
     — including the pending-churn rent and fold, and the implicit
     re-plan (with its history reset) of a profile set edited directly —
-    without matching or counting operations. Journal replay uses this
-    to regrow the learned distributions and reach the same fold points
-    from the logged event stream. *)
+    without matching or counting operations, then ticks the drift
+    clock. Journal replay uses this to regrow the learned distributions
+    and reach the same fold points and drift re-plans from the logged
+    event stream. *)
+
+val replay_batch : t -> Genas_model.Event.t array -> unit
+(** {!replay_observe} for one {!match_batch}: one clock tick. *)
 
 type churn = {
   delta : Genas_profile.Profile_set.id list;

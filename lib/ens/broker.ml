@@ -87,7 +87,6 @@ type t = {
   schema : Schema.t;
   pset : Profile_set.t;
   engine : Engine.t;
-  adaptive : Adaptive.t option;
   handlers : (int, prim_sub) Hashtbl.t;
       (** primitive subscriptions, by profile id *)
   mutable records : string Ids.t;
@@ -106,18 +105,14 @@ type t = {
   instruments : instruments option;
 }
 
-let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
-    ?tracer ?aggregate schema =
-  let pset = Profile_set.create schema in
-  let engine = Engine.create ?spec ?metrics ?aggregate pset in
-  let adaptive =
-    Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
-  in
+(* The one constructor: [create] and [recover] differ only in the
+   engine they pass and the journal they open. *)
+let make ?metrics ?retry ?faults ?deadletter_capacity ?tracer ~journal schema
+    pset engine =
   {
     schema;
     pset;
     engine;
-    adaptive;
     handlers = Hashtbl.create 64;
     records = Ids.empty;
     composites = Hashtbl.create 8;
@@ -133,6 +128,12 @@ let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
     tracer;
     instruments = Option.map make_instruments metrics;
   }
+
+let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
+    ?tracer ?aggregate schema =
+  let pset = Profile_set.create schema in
+  make ?metrics ?retry ?faults ?deadletter_capacity ?tracer ~journal schema pset
+    (Engine.create ?spec ?metrics ?adaptive ?aggregate pset)
 
 let schema t = t.schema
 
@@ -181,7 +182,7 @@ let snapshot_data t last_op =
     ops = Engine.ops t.engine;
     stats = Stats.export (Engine.stats t.engine);
     churn = Engine.pending_churn t.engine;
-    adaptive = Option.map Adaptive.export t.adaptive;
+    adaptive = Option.map Adaptive.export (Engine.adaptive t.engine);
     supervise = Supervise.export t.super;
     dlq_entries = Deadletter.entries dlq;
     dlq_total = Deadletter.total dlq;
@@ -238,13 +239,9 @@ let rec prims_of_expr = function
     prims_of_expr a @ prims_of_expr b
   | Composite.Repeat (a, _, _) -> prims_of_expr a
 
-let subscribe_composite t ~subscriber expr handler =
-  match Composite.compile t.schema expr with
-  | Error e -> Error e
-  | Ok detector ->
-    let id = t.next_comp in
-    t.next_comp <- id + 1;
-    Hashtbl.replace t.composites id
+let comp_sub t ~subscriber expr handler =
+  Result.map
+    (fun detector ->
       {
         subscriber;
         detector;
@@ -252,7 +249,16 @@ let subscribe_composite t ~subscriber expr handler =
         prims = prims_of_expr expr;
         handler;
         c_delivered = delivery_counter t.instruments subscriber;
-      };
+      })
+    (Composite.compile t.schema expr)
+
+let subscribe_composite t ~subscriber expr handler =
+  match comp_sub t ~subscriber expr handler with
+  | Error e -> Error e
+  | Ok c ->
+    let id = t.next_comp in
+    t.next_comp <- id + 1;
+    Hashtbl.replace t.composites id c;
     invalidate_quench t;
     journal_op t (Journal.Subscribe_composite { id; subscriber; expr });
     Ok (Comp_sub id)
@@ -421,25 +427,20 @@ let with_publish_trace t ~name f =
 let publish_core t event =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   t.published <- t.published + 1;
-  (* Adaptive.match_event, split so a sampled path is traced in the
-     tree that matched, before a drift check may re-plan it. *)
-  let do_match ~path =
-    let matched = Engine.match_event t.engine event in
-    path matched;
-    Option.iter (fun a -> Adaptive.note_events a 1) t.adaptive;
-    matched
-  in
   let matched =
     (* Only pay for the span (and its allocated attrs) when this
-       publish was actually sampled into an open trace. *)
+       publish was actually sampled into an open trace. The path is
+       taken inside [f], in the tree that matched, before the drift
+       clock may re-plan it. *)
     match t.tracer with
     | Some tr when Trace.active tr ->
       Trace.with_span tr ~name:"engine.match" (fun () ->
-          do_match ~path:(fun matched ->
-              Trace.add_attr tr "matched"
-                (string_of_int (List.length matched));
-              attach_match_path tr t.engine event matched))
-    | Some _ | None -> do_match ~path:ignore
+          Engine.match_with t.engine event ~f:(fun ~ids ~len ->
+              let matched = List.init len (fun i -> ids.(i)) in
+              Trace.add_attr tr "matched" (string_of_int len);
+              attach_match_path tr t.engine event matched;
+              matched))
+    | Some _ | None -> Engine.match_event t.engine event
   in
   let sent = ref 0 in
   List.iter (fun id -> deliver_prim t event id sent) matched;
@@ -459,19 +460,14 @@ let publish t event =
 let publish_batch_core t events =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   let n = Array.length events in
-  let do_match () =
-    match t.adaptive with
-    | Some a -> Adaptive.match_batch a events
-    | None -> Engine.match_batch t.engine events
-  in
   let results =
     match t.tracer with
     | Some tr when Trace.active tr ->
       Trace.with_span tr ~name:"engine.match_batch" (fun () ->
-          let results = do_match () in
+          let results = Engine.match_batch t.engine events in
           Trace.add_attr tr "events" (string_of_int n);
           results)
-    | Some _ | None -> do_match ()
+    | Some _ | None -> Engine.match_batch t.engine events
   in
   t.published <- t.published + n;
   let sent = ref 0 in
@@ -583,18 +579,10 @@ let apply_op t resolve op =
       Ok ()
     | exception Invalid_argument msg -> Error msg)
   | Journal.Subscribe_composite { id; subscriber; expr } -> (
-    match Composite.compile t.schema expr with
+    match comp_sub t ~subscriber expr (resolve ~subscriber) with
     | Error e -> Error e
-    | Ok detector ->
-      Hashtbl.replace t.composites id
-        {
-          subscriber;
-          detector;
-          expr;
-          prims = prims_of_expr expr;
-          handler = resolve ~subscriber;
-          c_delivered = delivery_counter t.instruments subscriber;
-        };
+    | Ok c ->
+      Hashtbl.replace t.composites id c;
       if id >= t.next_comp then t.next_comp <- id + 1;
       invalidate_quench t;
       Ok ())
@@ -616,14 +604,10 @@ let apply_op t resolve op =
         dlq_total;
         dlq_dropped;
       } ->
-    Array.iter (fun ev -> Engine.replay_observe t.engine ev) events;
-    (match t.adaptive with
-    | None -> ()
-    | Some a ->
-      (* Same cadence as the live path: one tick per event for single
-         publishes, one tick for the whole array for batches. *)
-      if batch then Adaptive.note_events a (Array.length events)
-      else Array.iter (fun _ -> Adaptive.note_events a 1) events);
+    (* The drift clock ticks as it did live: once per batch for
+       [publish_batch], once per event otherwise. *)
+    if batch then Engine.replay_batch t.engine events
+    else Array.iter (Engine.replay_observe t.engine) events;
     Array.iter
       (fun ev ->
         Hashtbl.iter
@@ -674,7 +658,7 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
         Ok ()
       | exception Invalid_argument msg -> Error msg)
   in
-  let engine = Engine.create ?spec ?metrics ?aggregate pset in
+  let engine = Engine.create ?spec ?metrics ?adaptive ?aggregate pset in
   let* () =
     match recovered.Journal.snapshot with
     | None -> Ok ()
@@ -683,31 +667,11 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
       | () -> Ok ()
       | exception Invalid_argument msg -> Error msg)
   in
-  let adaptive =
-    Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
-  in
+  (* The journal is attached after replay, so replaying never
+     re-journals. *)
   let t =
-    {
-      schema;
-      pset;
-      engine;
-      adaptive;
-      handlers = Hashtbl.create 64;
-      records = Ids.empty;
-      composites = Hashtbl.create 8;
-      next_comp = 0;
-      quench = None;
-      published = 0;
-      notifications = 0;
-      super =
-        Supervise.create ?policy:retry ?deadletter_capacity ?metrics ?tracer
-          ~prefix:"genas_broker" ();
-      faults;
-      (* Attached after replay, so replaying never re-journals. *)
-      journal = None;
-      tracer;
-      instruments = Option.map make_instruments metrics;
-    }
+    make ?metrics ?retry ?faults ?deadletter_capacity ?tracer ~journal:None
+      schema pset engine
   in
   let resolve = handlers in
   let* () =
@@ -723,27 +687,17 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
       let* () = Stats.import (Engine.stats engine) snap.Snapshot.stats in
       Engine.restore_ops engine snap.Snapshot.ops;
       let* () =
-        match (adaptive, snap.Snapshot.adaptive) with
-        | Some a, Some e -> Adaptive.import a e
+        match (Engine.adaptive engine, snap.Snapshot.adaptive) with
+        | Some a, Some e -> Adaptive.import a (Engine.stats engine) e
         | _ -> Ok ()
       in
       let* () =
         List.fold_left
           (fun acc (id, subscriber, expr) ->
             let* () = acc in
-            match Composite.compile t.schema expr with
-            | Error e -> Error e
-            | Ok detector ->
-              Hashtbl.replace t.composites id
-                {
-                  subscriber;
-                  detector;
-                  expr;
-                  prims = prims_of_expr expr;
-                  handler = resolve ~subscriber;
-                  c_delivered = delivery_counter t.instruments subscriber;
-                };
-              Ok ())
+            let* c = comp_sub t ~subscriber expr (resolve ~subscriber) in
+            Hashtbl.replace t.composites id c;
+            Ok ())
           (Ok ()) snap.Snapshot.composites
       in
       t.next_comp <- Stdlib.max t.next_comp snap.Snapshot.next_comp;
@@ -796,7 +750,9 @@ let subscriptions t =
 let engine t = t.engine
 
 let rebuilds t =
-  match t.adaptive with Some a -> Adaptive.rebuilds a | None -> 0
+  match Engine.adaptive t.engine with
+  | Some a -> Adaptive.rebuilds a
+  | None -> 0
 
 let tracer t = t.tracer
 

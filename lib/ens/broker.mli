@@ -2,7 +2,7 @@
 
     The broker owns a schema, a profile registry, and a
     distribution-based filter engine ({!Genas_core.Engine}, optionally
-    wrapped in the adaptive component); subscribers register primitive
+    with its adaptive drift clock); subscribers register primitive
     profiles — parsed from the profile language or pre-built — or
     composite expressions, and receive callbacks. Publishers may
     consult the broker's quench table to suppress unwanted events at
@@ -24,8 +24,8 @@ val create :
   ?aggregate:bool ->
   Genas_model.Schema.t ->
   t
-(** [adaptive] enables periodic distribution-driven re-optimization of
-    the filter tree.
+(** [adaptive] is the engine's drift policy ({!Genas_core.Engine.create}):
+    periodic distribution-driven re-optimization of the filter tree.
 
     [aggregate] turns on subscription aggregation in the underlying
     engine ({!Genas_core.Engine.create}): subscribes and unsubscribes
@@ -59,8 +59,8 @@ val create :
 
     [metrics] instruments the broker (publish/notification counters,
     per-subscriber delivery counters, quench-cache churn, delivery
-    supervision) and is forwarded to the underlying engine and adaptive
-    component; see docs/OBSERVABILITY.md for the metric names. Omitted,
+    supervision) and is forwarded to the underlying engine and its
+    drift clock; see docs/OBSERVABILITY.md for the metric names. Omitted,
     the broker performs no observability work.
 
     Delivery is always supervised (see {!Supervise} and

@@ -599,15 +599,15 @@ let ablation_adaptive ?(seed = 1033) () =
       ("hot-spot at 0.85", Shape.peak ~at:0.85 ~mass:0.9 ~width:0.04 axis) ]
   in
   let run ~adaptive =
-    let engine = Genas_core.Engine.create ~spec (make_pset ()) in
-    let wrapped =
+    let policy =
       if adaptive then
         Some
-          (Genas_core.Adaptive.create
-             ~policy:{ Genas_core.Adaptive.warmup = 200; check_every = 100;
-                       drift_threshold = 0.2 }
-             engine)
+          { Genas_core.Adaptive.warmup = 200; check_every = 100;
+            drift_threshold = 0.2 }
       else None
+    in
+    let engine =
+      Genas_core.Engine.create ~spec ?adaptive:policy (make_pset ())
     in
     let rng = Prng.create ~seed:(seed + 1) in
     List.map
@@ -620,9 +620,7 @@ let ablation_adaptive ?(seed = 1033) () =
             Genas_model.Event.of_values_exn schema
               [| Axis.value (Schema.attribute schema 0).Schema.domain c |]
           in
-          (match wrapped with
-          | Some a -> ignore (Genas_core.Adaptive.match_event a event)
-          | None -> ignore (Genas_core.Engine.match_event engine event));
+          ignore (Genas_core.Engine.match_event engine event);
           if i > 2000 then begin
             let ops = Genas_filter.Ops.create () in
             ignore
@@ -958,3 +956,26 @@ let fragility ?(seed = 1080) ?(p = 50) () =
          adaptive component) recovers — section 4.3's stability caveat";
       ]
     rows
+
+let all =
+  let one f () = [ f () ] in
+  [
+    ("fig3", one fig3);
+    ("fig4a", one fig4a);
+    ("fig4b", one fig4b);
+    ("fig5", fun () -> fig5 ());
+    ("fig6a", one fig6a);
+    ("fig6b", one fig6b);
+    ("tv", one tv_scenarios);
+    ("ablation", one ablation_sharing);
+    ("baselines", one baseline_comparison);
+    ("outlook", one outlook_strategies);
+    ("quench", one ablation_quench);
+    ("routing", one ablation_routing);
+    ("adaptive", one ablation_adaptive);
+    ("correlated", one correlated);
+    ("dontcare", one dontcare_influence);
+    ("queueing", one queueing);
+    ("orderings8", one orderings8);
+    ("fragility", one fragility);
+  ]

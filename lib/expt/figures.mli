@@ -89,3 +89,6 @@ val fragility : ?seed:int -> ?p:int -> unit -> Report.table
 (** §4.3's stability caveat: a V1 tree planned for one event
     distribution, evaluated under increasing drift, against binary
     search (insensitive) and an adaptively re-planned V1 tree. *)
+
+val all : (string * (unit -> Report.table list)) list
+(** Every figure above by command-line name, with default arguments. *)

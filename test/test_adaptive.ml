@@ -19,6 +19,22 @@ module Workload = Genas_expt.Workload
 
 let schema () = Schema.create_exn [ ("x", Domain.int_range ~lo:0 ~hi:99) ]
 
+(* The drift clock lives in the engine; these read it and drive it. *)
+let clock engine = Option.get (Engine.adaptive engine)
+
+let checks engine = Adaptive.checks (clock engine)
+
+let rebuilds engine = Adaptive.rebuilds (clock engine)
+
+let last_drift engine = Adaptive.last_drift (clock engine)
+
+(* A drift check now, off the clock's cadence, re-planning as the
+   engine's own checks do; [true] if it re-planned. *)
+let force_check engine =
+  Adaptive.check (clock engine) (Engine.stats engine) ~replan:(fun () ->
+      Engine.swap_now engine;
+      Engine.stats engine)
+
 let make_adaptive ?(threshold = 0.4) () =
   let s = schema () in
   let pset = Profile_set.create s in
@@ -27,16 +43,15 @@ let make_adaptive ?(threshold = 0.4) () =
       ignore
         (Result.get_ok (Profile_set.add_spec pset [ ("x", Predicate.Eq (Value.Int v)) ])))
     [ 5; 20; 60; 90 ];
-  let engine = Engine.create pset in
   ( s,
-    Adaptive.create
-      ~policy:{ Adaptive.warmup = 100; check_every = 50; drift_threshold = threshold }
-      engine )
+    Engine.create
+      ~adaptive:{ Adaptive.warmup = 100; check_every = 50; drift_threshold = threshold }
+      pset )
 
 let feed s adaptive rng n ~lo ~hi =
   for _ = 1 to n do
     ignore
-      (Adaptive.match_event adaptive
+      (Engine.match_event adaptive
          (Event.create_exn s [ ("x", Value.Int (Prng.int_in rng ~lo ~hi)) ]))
   done
 
@@ -48,11 +63,10 @@ let make_with_policy ~warmup ~check_every ~threshold =
       ignore
         (Result.get_ok (Profile_set.add_spec pset [ ("x", Predicate.Eq (Value.Int v)) ])))
     [ 5; 20; 60; 90 ];
-  let engine = Engine.create pset in
   ( s,
-    Adaptive.create
-      ~policy:{ Adaptive.warmup; check_every; drift_threshold = threshold }
-      engine )
+    Engine.create
+      ~adaptive:{ Adaptive.warmup; check_every; drift_threshold = threshold }
+      pset )
 
 let test_first_check_at_warmup () =
   (* The first drift check fires at exactly [seen = warmup], even when
@@ -61,16 +75,16 @@ let test_first_check_at_warmup () =
   let s, adaptive = make_with_policy ~warmup:10 ~check_every:50 ~threshold:0.4 in
   let rng = Prng.create ~seed:11 in
   feed s adaptive rng 9 ~lo:0 ~hi:99;
-  Alcotest.(check int) "no check before warmup" 0 (Adaptive.checks adaptive);
+  Alcotest.(check int) "no check before warmup" 0 (checks adaptive);
   feed s adaptive rng 1 ~lo:0 ~hi:99;
-  Alcotest.(check int) "first check at warmup" 1 (Adaptive.checks adaptive);
-  Alcotest.(check int) "bootstrap rebuild" 1 (Adaptive.rebuilds adaptive);
+  Alcotest.(check int) "first check at warmup" 1 (checks adaptive);
+  Alcotest.(check int) "bootstrap rebuild" 1 (rebuilds adaptive);
   (* Subsequent checks honor check_every, counted from the last one. *)
   feed s adaptive rng 49 ~lo:0 ~hi:99;
-  Alcotest.(check int) "not due again yet" 1 (Adaptive.checks adaptive);
+  Alcotest.(check int) "not due again yet" 1 (checks adaptive);
   feed s adaptive rng 1 ~lo:0 ~hi:99;
   Alcotest.(check int) "second check after check_every" 2
-    (Adaptive.checks adaptive)
+    (checks adaptive)
 
 let test_last_drift_clamped () =
   (* The very first check sees infinite drift (no plan yet). The raw
@@ -81,23 +95,22 @@ let test_last_drift_clamped () =
   let rng = Prng.create ~seed:12 in
   feed s adaptive rng 10 ~lo:0 ~hi:99;
   Alcotest.(check int) "bootstrap rebuild despite threshold > 2" 1
-    (Adaptive.rebuilds adaptive);
+    (rebuilds adaptive);
   Alcotest.(check (float 0.0)) "last_drift clamped to 2.0" 2.0
-    (Adaptive.last_drift adaptive);
+    (last_drift adaptive);
   Alcotest.(check bool) "clamped value is finite" true
-    (Float.is_finite (Adaptive.last_drift adaptive))
+    (Float.is_finite (last_drift adaptive))
 
 let test_policy_validation () =
   let s, _ = make_adaptive () in
   ignore s;
   let pset = Profile_set.create (schema ()) in
-  let engine = Engine.create pset in
   Alcotest.check_raises "bad policy"
     (Invalid_argument "Adaptive.create: malformed policy") (fun () ->
       ignore
-        (Adaptive.create
-           ~policy:{ Adaptive.warmup = -1; check_every = 10; drift_threshold = 0.1 }
-           engine))
+        (Engine.create
+           ~adaptive:{ Adaptive.warmup = -1; check_every = 10; drift_threshold = 0.1 }
+           pset))
 
 let test_first_check_always_rebuilds () =
   (* Before any adaptive rebuild the tree was planned without data, so
@@ -105,9 +118,9 @@ let test_first_check_always_rebuilds () =
   let s, adaptive = make_adaptive () in
   let rng = Prng.create ~seed:1 in
   feed s adaptive rng 99 ~lo:0 ~hi:99;
-  Alcotest.(check int) "not yet due" 0 (Adaptive.rebuilds adaptive);
+  Alcotest.(check int) "not yet due" 0 (rebuilds adaptive);
   feed s adaptive rng 1 ~lo:0 ~hi:99;
-  Alcotest.(check int) "rebuilt at warmup" 1 (Adaptive.rebuilds adaptive)
+  Alcotest.(check int) "rebuilt at warmup" 1 (rebuilds adaptive)
 
 let test_stable_stream_no_further_rebuilds () =
   let s, adaptive = make_adaptive () in
@@ -115,31 +128,31 @@ let test_stable_stream_no_further_rebuilds () =
   (* Early rebuilds are legitimate while the histogram is noisy; once
      the sample is large the estimate stabilizes and rebuilds stop. *)
   feed s adaptive rng 4000 ~lo:0 ~hi:99;
-  let settled = Adaptive.rebuilds adaptive in
+  let settled = rebuilds adaptive in
   Alcotest.(check bool) "bootstrapped" true (settled >= 1);
   feed s adaptive rng 4000 ~lo:0 ~hi:99;
   Alcotest.(check bool) "no further rebuilds on a stable stream" true
-    (Adaptive.rebuilds adaptive - settled <= 1);
-  Alcotest.(check bool) "drift small" true (Adaptive.last_drift adaptive < 0.4)
+    (rebuilds adaptive - settled <= 1);
+  Alcotest.(check bool) "drift small" true (last_drift adaptive < 0.4)
 
 let test_drift_triggers_rebuild () =
   let s, adaptive = make_adaptive () in
   let rng = Prng.create ~seed:3 in
   feed s adaptive rng 500 ~lo:0 ~hi:99;
-  let before = Adaptive.rebuilds adaptive in
+  let before = rebuilds adaptive in
   (* Concentrate the stream on a narrow band: the histogram shifts. *)
   feed s adaptive rng 2000 ~lo:85 ~hi:95;
-  Alcotest.(check bool) "rebuilt on drift" true (Adaptive.rebuilds adaptive > before)
+  Alcotest.(check bool) "rebuilt on drift" true (rebuilds adaptive > before)
 
 let test_force_check () =
   let s, adaptive = make_adaptive () in
   let rng = Prng.create ~seed:4 in
   feed s adaptive rng 10 ~lo:0 ~hi:99;
   (* Never planned from data yet: force triggers the bootstrap. *)
-  Alcotest.(check bool) "forced" true (Adaptive.force_check adaptive);
-  Alcotest.(check int) "one rebuild" 1 (Adaptive.rebuilds adaptive);
+  Alcotest.(check bool) "forced" true (force_check adaptive);
+  Alcotest.(check int) "one rebuild" 1 (rebuilds adaptive);
   (* Immediately after planning, drift is ~0. *)
-  Alcotest.(check bool) "not forced again" false (Adaptive.force_check adaptive)
+  Alcotest.(check bool) "not forced again" false (force_check adaptive)
 
 let test_matching_correct_across_rebuilds () =
   let s, adaptive = make_adaptive ~threshold:0.05 () in
@@ -151,7 +164,7 @@ let test_matching_correct_across_rebuilds () =
     for _ = 1 to 300 do
       let x = Prng.int_in rng ~lo ~hi:(lo + 19) in
       let matched =
-        Adaptive.match_event adaptive
+        Engine.match_event adaptive
           (Event.create_exn s [ ("x", Value.Int x) ])
       in
       let expected =
@@ -161,7 +174,7 @@ let test_matching_correct_across_rebuilds () =
     done
   done;
   Alcotest.(check bool) "rebuilt several times" true
-    (Adaptive.rebuilds adaptive >= 2)
+    (rebuilds adaptive >= 2)
 
 (* ------------------ drift from live histogram counts ------------------ *)
 
@@ -203,12 +216,12 @@ let mixed_schema () =
       ("kind", Domain.enum [ "a"; "b"; "c"; "d"; "e" ]);
     ]
 
-let mixed_engine ?bins s =
+let mixed_engine ?bins ?adaptive s =
   let pset = Profile_set.create s in
   List.iter
     (fun spec -> ignore (Result.get_ok (Profile_set.add_spec pset [ spec ])))
     [ ("small", Predicate.Eq (Value.Int 3)); ("kind", Predicate.Eq (Value.Str "b")) ];
-  Engine.create ?bins pset
+  Engine.create ?bins ?adaptive pset
 
 (* Events skewed towards the low end of every axis, the more so the
    closer [bias] is to 1. *)
@@ -263,24 +276,23 @@ let prop_drift_matches_reference =
     (QCheck.make ~print:print_case drift_case_gen)
     (fun c ->
       let s = mixed_schema () in
-      let engine = mixed_engine ?bins:c.bins s in
-      let adaptive =
-        Adaptive.create
-          ~policy:
+      let engine =
+        mixed_engine ?bins:c.bins
+          ~adaptive:
             { Adaptive.warmup = max_int; check_every = 1; drift_threshold = 10.0 }
-          engine
+          s
       in
       let rng = Prng.create ~seed:c.seed in
       let feed n ~bias =
         for _ = 1 to n do
-          ignore (Adaptive.match_event adaptive (mixed_event s rng ~bias))
+          ignore (Engine.match_event engine (mixed_event s rng ~bias))
         done
       in
       feed c.n_planned ~bias:0.2;
       Option.iter
         (fun attr -> assume (Engine.stats engine) s ~attr ~mu:0.3)
         c.assume_planned;
-      ignore (Adaptive.force_check adaptive);
+      ignore (force_check engine);
       let stats = Engine.stats engine in
       let planned = Array.init 4 (fun attr -> Stats.event_dist stats ~attr) in
       Option.iter (fun attr -> Stats.clear_assumed stats ~attr) c.assume_planned;
@@ -299,8 +311,8 @@ let prop_drift_matches_reference =
             QCheck.Test.fail_reportf "attr %d: l1_on_grid differs" attr;
           worst := Float.max !worst want)
         planned;
-      ignore (Adaptive.force_check adaptive);
-      Float.abs (Adaptive.last_drift adaptive -. !worst) <= 1e-12)
+      ignore (force_check engine);
+      Float.abs (last_drift engine -. !worst) <= 1e-12)
 
 (* Recorded before drift checks read the histogram counts: the same
    stream must give the same checks, rebuilds and drift, bit for bit. *)
@@ -309,24 +321,123 @@ let test_drift_pinned () =
   let rng = Prng.create ~seed:3 in
   feed s adaptive rng 500 ~lo:0 ~hi:99;
   feed s adaptive rng 2000 ~lo:85 ~hi:95;
-  Alcotest.(check int) "checks" 49 (Adaptive.checks adaptive);
-  Alcotest.(check int) "rebuilds" 5 (Adaptive.rebuilds adaptive);
+  Alcotest.(check int) "checks" 49 (checks adaptive);
+  Alcotest.(check int) "rebuilds" 5 (rebuilds adaptive);
   Alcotest.(check (float 0.0)) "last_drift" 0x1.81dc7b9db3992p-3
-    (Adaptive.last_drift adaptive);
+    (last_drift adaptive);
   (* A component restored from an export measures the same drift as
      the one that kept running. *)
   feed s adaptive rng 30 ~lo:0 ~hi:40;
   let _, restored = make_adaptive () in
-  let stats a = Engine.stats (Adaptive.engine a) in
+  let stats = Engine.stats in
   Result.get_ok (Stats.import (stats restored) (Stats.export (stats adaptive)));
-  Result.get_ok (Adaptive.import restored (Adaptive.export adaptive));
-  Alcotest.(check bool) "no rebuild" false (Adaptive.force_check adaptive);
+  Result.get_ok
+    (Adaptive.import (clock restored) (stats restored)
+       (Adaptive.export (clock adaptive)));
+  Alcotest.(check bool) "no rebuild" false (force_check adaptive);
   Alcotest.(check bool) "restored: no rebuild" false
-    (Adaptive.force_check restored);
+    (force_check restored);
   Alcotest.(check (float 0.0)) "drift" 0x1.5b3b316815fb2p-3
-    (Adaptive.last_drift adaptive);
+    (last_drift adaptive);
   Alcotest.(check (float 0.0)) "restored drift" 0x1.5b3b316815fb2p-3
-    (Adaptive.last_drift restored)
+    (last_drift restored)
+
+(* ------------------------- baseline rule ----------------------------- *)
+
+(* Paper-style Gaussian profiles over 3 integer attributes of 100
+   points, and events uniform over [lo, 99] on every attribute. *)
+let paper_gen rng s p =
+  let axes =
+    Array.init 3 (fun i -> Axis.of_domain (Schema.attribute s i).Schema.domain)
+  in
+  Workload.gen_profiles rng s
+    {
+      Workload.p;
+      dontcare = Array.make 3 0.3;
+      value_dists = Array.map (fun ax -> Shape.gauss () ax) axes;
+      range_width = None;
+    }
+
+let paper_event rng s ~lo =
+  Event.create_exn s
+    (List.init 3 (fun i ->
+         (Printf.sprintf "a%d" i, Value.Int (Prng.int_in rng ~lo ~hi:99))))
+
+(* The hists of the baseline, as the clock exports them, rebuilt into
+   grids and measured against the live statistics: the drift a check
+   against that baseline reads. *)
+let drift_from_export stats (hists : Estimator.Export.t array) =
+  let axes = (Stats.decomp stats).Genas_filter.Decomp.axes in
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun attr h ->
+      let est = Result.get_ok (Estimator.of_export axes.(attr) h) in
+      let grid = Estimator.grid (Stats.observed_dist est) in
+      worst := Float.max !worst (Stats.grid_drift stats ~attr grid))
+    hists;
+  !worst
+
+let test_fold_resets_baseline () =
+  (* A rent fold re-plans from the skewed history while the clock's
+     last plan is the uniform-era bootstrap. The next scheduled check
+     must measure against the fold's plan, which fits the stream. *)
+  let s = Workload.normalized_schema ~attrs:3 ~points:100 () in
+  let rng = Prng.create ~seed:1 in
+  let engine =
+    Engine.create
+      ~adaptive:{ Adaptive.warmup = 500; check_every = 500; drift_threshold = 0.25 }
+      (paper_gen rng s 200)
+  in
+  let seen = ref 0 in
+  let feed n ~lo =
+    for _ = 1 to n do
+      ignore (Engine.match_event engine (paper_event rng s ~lo));
+      incr seen
+    done
+  in
+  feed 500 ~lo:0;
+  Alcotest.(check int) "bootstrap re-plan" 1 (rebuilds engine);
+  feed 300 ~lo:80;
+  Profile_set.iter (paper_gen rng s 400) (fun _ p ->
+      ignore (Engine.add_profile engine p));
+  while Engine.pending_rebuild engine > 0 do feed 1 ~lo:80 done;
+  (* The fold ran before the last event was observed. *)
+  let at_fold = !seen - 1 in
+  Alcotest.(check bool) "folded before the next check" true (!seen < 1000);
+  let planned = (Adaptive.export (clock engine)).Adaptive.Export.planned in
+  feed (1000 - !seen) ~lo:80;
+  Alcotest.(check int) "checked at 1000" 2 (checks engine);
+  Alcotest.(check int) "no drift re-plan after the fold" 1 (rebuilds engine);
+  let planned = Option.get planned in
+  Alcotest.(check (float 0.0)) "baseline holds the fold's history"
+    (float_of_int at_fold)
+    (Array.fold_left ( +. ) 0.0 planned.(0).Estimator.Export.counts);
+  Alcotest.(check (float 0.0)) "drift against the fold's plan"
+    (drift_from_export (Engine.stats engine) planned)
+    (last_drift engine);
+  Alcotest.(check bool) "under the threshold" true (last_drift engine < 0.25)
+
+let test_empty_plan_stays_stale () =
+  (* Subscribing, then compiling before any event (what a deployment
+     does), plans from empty statistics: the first check re-plans. *)
+  let s = Workload.normalized_schema ~attrs:3 ~points:100 () in
+  let rng = Prng.create ~seed:2 in
+  let engine =
+    Engine.create
+      ~adaptive:{ Adaptive.warmup = 100; check_every = 100; drift_threshold = 0.25 }
+      (Profile_set.create s)
+  in
+  Profile_set.iter (paper_gen rng s 200) (fun _ p ->
+      ignore (Engine.add_profile engine p));
+  Engine.refresh_keeping_history engine;
+  Alcotest.(check int) "compiled" 0 (Engine.pending_rebuild engine);
+  for _ = 1 to 100 do
+    ignore (Engine.match_event engine (paper_event rng s ~lo:0))
+  done;
+  Alcotest.(check int) "first check" 1 (checks engine);
+  Alcotest.(check int) "re-planned at the first check" 1 (rebuilds engine);
+  Alcotest.(check (float 0.0)) "measured as never planned" 2.0
+    (last_drift engine)
 
 (* ------------------------- allocation guard -------------------------- *)
 
@@ -362,10 +473,9 @@ let minor_words f =
 
 let test_allocation_guard () =
   let pset, events = paper_table () in
-  let engine = Engine.create pset in
-  let adaptive = Adaptive.create engine in
+  let engine = Engine.create ~adaptive:Adaptive.default_policy pset in
   for i = 0 to 19_999 do
-    ignore (Adaptive.match_event adaptive events.(i land 1023))
+    ignore (Engine.match_event engine events.(i land 1023))
   done;
   let stats = Engine.stats engine in
   let n = 10_000 in
@@ -379,15 +489,16 @@ let test_allocation_guard () =
   if w > 16.0 then
     Alcotest.failf "observe_event allocated %.0f words over %d events" w n;
   (* Settle on a plan, so the scheduled check below decides not to
-     rebuild: no events arrive between the checks. *)
-  while Adaptive.force_check adaptive do () done;
-  let rebuilds = Adaptive.rebuilds adaptive in
-  let checks = Adaptive.checks adaptive in
+     rebuild: the events that bring it due are a sliver of those the
+     plan saw, from the same stream. *)
+  while force_check engine do () done;
+  let rebuilt = rebuilds engine in
+  let checked = checks engine in
   let every = Adaptive.default_policy.Adaptive.check_every in
-  let w = minor_words (fun () -> Adaptive.note_events adaptive every) in
-  Alcotest.(check int) "one scheduled check" (checks + 1)
-    (Adaptive.checks adaptive);
-  Alcotest.(check int) "no rebuild" rebuilds (Adaptive.rebuilds adaptive);
+  let batch = Array.sub events 0 every in
+  let w = minor_words (fun () -> Engine.replay_batch engine batch) in
+  Alcotest.(check int) "one scheduled check" (checked + 1) (checks engine);
+  Alcotest.(check int) "no rebuild" rebuilt (rebuilds engine);
   if w > 1000.0 then Alcotest.failf "a drift check allocated %.0f words" w
 
 let () =
@@ -405,6 +516,10 @@ let () =
           Alcotest.test_case "correct across rebuilds" `Quick
             test_matching_correct_across_rebuilds;
           Alcotest.test_case "drift pinned" `Quick test_drift_pinned;
+          Alcotest.test_case "fold resets baseline" `Quick
+            test_fold_resets_baseline;
+          Alcotest.test_case "empty plan stays stale" `Quick
+            test_empty_plan_stays_stale;
           Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
           QCheck_alcotest.to_alcotest prop_drift_matches_reference;
         ] );

@@ -84,7 +84,7 @@ let test_rebuild_keeps_observations () =
   for _ = 1 to 50 do
     ignore (Engine.match_event engine (event s 9 9))
   done;
-  Engine.rebuild engine;
+  Engine.swap_now engine;
   Alcotest.(check int) "history kept across rebuild" 50
     (Genas_core.Stats.events_seen (Engine.stats engine))
 
@@ -160,7 +160,7 @@ let test_churn_joins_pending () =
   ignore (Engine.remove_profile engine c);
   Alcotest.(check int) "delta id dropped" 1 (Engine.pending_rebuild engine);
   let seen = Genas_core.Stats.events_seen (Engine.stats engine) in
-  Engine.rebuild engine;
+  Engine.swap_now engine;
   Alcotest.(check int) "rebuild folds" 0 (Engine.pending_rebuild engine);
   Alcotest.(check int) "history absorbed" seen
     (Genas_core.Stats.events_seen (Engine.stats engine));
@@ -264,7 +264,7 @@ let test_rebuild_after_drained_window () =
   let id = Engine.add_profile engine (Profile.create_exn s [ ("y", Predicate.Le (Value.Int 3)) ]) in
   ignore (Engine.remove_profile engine id);
   Alcotest.(check int) "nothing pending" 0 (Engine.pending_rebuild engine);
-  Engine.rebuild engine;
+  Engine.swap_now engine;
   Alcotest.(check int) "history kept" 20
     (Genas_core.Stats.events_seen (Engine.stats engine))
 
@@ -335,7 +335,7 @@ let prop_plain_churn_equals_naive =
               let g = Array.to_list g in
               ascending g && g = naive e)
             got arr
-        | `Rebuild -> Engine.rebuild engine; true
+        | `Rebuild -> Engine.swap_now engine; true
         | `Spec b ->
           Engine.set_spec engine (if b then v1a2 else Reorder.default_spec);
           true
