@@ -45,9 +45,12 @@ type t = {
   instruments : instruments option;
 }
 
-let create ?metrics policy =
+let validate policy =
   if policy.warmup < 0 || policy.check_every <= 0 then
-    invalid_arg "Adaptive.create: malformed policy";
+    invalid_arg "Adaptive.create: malformed policy"
+
+let create ?metrics policy =
+  validate policy;
   {
     policy;
     planned = None;

@@ -27,9 +27,12 @@ val default_policy : policy
 
 type t
 
+val validate : policy -> unit
+(** Rejects a negative [warmup] or a non-positive [check_every]. *)
+
 val create : ?metrics:Genas_obs.Metrics.t -> policy -> t
-(** A clock with no baseline. Raises [Invalid_argument] on a negative
-    [warmup] or a non-positive [check_every]. [metrics] registers
+(** A clock with no baseline; raises [Invalid_argument] when
+    {!validate} rejects the policy. [metrics] registers
     check/rebuild counters, a rebuild-duration histogram, and a
     last-drift gauge (names in docs/OBSERVABILITY.md). *)
 

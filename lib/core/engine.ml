@@ -1,6 +1,4 @@
-module Axis = Genas_model.Axis
-module Event = Genas_model.Event
-module Schema = Genas_model.Schema
+module Image = Genas_model.Image
 module Profile_set = Genas_profile.Profile_set
 module Lattice = Genas_profile.Lattice
 module Profile = Genas_profile.Profile
@@ -103,8 +101,6 @@ type agg = {
   compiled : (int, unit) Hashtbl.t;  (** ids present in the flat form *)
   mutable epoch : int;
   delta_cap : int;
-  domains : Genas_model.Domain.t array;  (** per attribute, for [coords] *)
-  coords : Float.Array.t;  (** the current event's axis coordinates *)
   agg_ins : agg_instruments option;
 }
 
@@ -120,6 +116,13 @@ type t = {
      steady-state path allocates no per-event match lists. *)
   mutable flat : Flat.t;
   mutable cursor : Flat.cursor;
+  (* The current event, resolved once ([Image.resolve]): statistics,
+     the flat matcher and lattice verification all read it. *)
+  image : Image.t;
+  (* [Some ops] and [Some image], built once: handing them to the flat
+     matcher's optional arguments then allocates nothing per event. *)
+  some_ops : Ops.t option;
+  some_image : Image.t option;
   (* Pending churn, shared by both modes: profiles registered since the
      matcher was compiled ([delta]; plain engines verify them directly,
      aggregated ones hold uncompiled root members) and compiled ids
@@ -249,6 +252,8 @@ let root_snapshot agg schema =
 
 let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
     ?(aggregate = false) ?(delta_cap = 512) pset =
+  (* Reject a malformed policy before any series is registered. *)
+  Option.iter Adaptive.validate adaptive;
   let agg =
     if not aggregate then None
     else begin
@@ -262,9 +267,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
           compiled = Hashtbl.create 256;
           epoch = 0;
           delta_cap = Stdlib.max 1 delta_cap;
-          domains =
-            Array.map (fun a -> a.Schema.domain) (Schema.attributes schema);
-          coords = Float.Array.make (Schema.arity schema) 0.0;
           agg_ins = Option.map make_agg_instruments metrics;
         }
       in
@@ -283,6 +285,7 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
   (* Exporters list series in registration order: engine's, then clock's. *)
   let instruments = Option.map make_instruments metrics in
   let adaptive = Option.map (Adaptive.create ?metrics) adaptive in
+  let image = Image.create (Profile_set.schema pset) and ops = Ops.create () in
   let t =
     {
       pset;
@@ -292,6 +295,9 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
       tree;
       flat;
       cursor = Flat.cursor flat;
+      image;
+      some_ops = Some ops;
+      some_image = Some image;
       (* A plain engine walks [delta] on every event while churn is
          pending; fewer buckets keep that walk short. *)
       delta = Hashtbl.create (if aggregate then 64 else 16);
@@ -301,7 +307,7 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
       rent_limit = 0;
       scratch = Array.make 64 0;
       fill = 0;
-      ops = Ops.create ();
+      ops;
       instruments;
       agg;
       adaptive;
@@ -507,7 +513,8 @@ let remove_profile t id =
 (* Match one event through the flat cursor; returns the match count,
    ids borrowed from the cursor. Counter semantics are bit-identical to
    the former Tree.match_event path. *)
-let match_flat t event = Flat.match_into ~ops:t.ops t.flat t.cursor event
+let match_flat t event =
+  Flat.match_into ?ops:t.some_ops ?image:t.some_image t.flat t.cursor event
 
 (* Append one matched id, doubling the buffer (filled prefix kept) when
    it is full. *)
@@ -568,14 +575,6 @@ let rec sort_ints (a : int array) lo hi =
     end
   end
 
-(* Resolve the event once into axis coordinates; the lattice checks
-   every candidate node against these. NaN stands for a value outside
-   its domain, which no constrained attribute accepts. *)
-let resolve agg event =
-  for i = 0 to Array.length agg.domains - 1 do
-    Axis.coord_into agg.domains.(i) (Event.value event i) agg.coords i
-  done
-
 (* Aggregated match: the compiled flat form decides the root
    representatives exactly; covered profiles are then collected by
    descending covering links from each matched root (plus the delta
@@ -586,13 +585,15 @@ let resolve agg event =
 let match_agg t agg event =
   let nflat = match_flat t event in
   let out = Flat.matches t.cursor in
-  resolve agg event;
+  (* NaN stands for a value outside its domain, which no constrained
+     attribute accepts. *)
+  let coords = Image.coords t.image in
   t.fill <- 0;
   Lattice.begin_visit agg.lat;
   let on_check () = t.ops.Ops.comparisons <- t.ops.Ops.comparisons + 1 in
   let emit id = push_scratch t id in
   let expand ~verified node =
-    Lattice.expand agg.lat ~coords:agg.coords ~verified node ~on_check ~emit
+    Lattice.expand agg.lat ~coords ~verified node ~on_check ~emit
   in
   for i = 0 to nflat - 1 do
     let id = out.(i) in
@@ -652,9 +653,15 @@ let result_buffer t =
   | None when pending_of t = 0 -> Flat.matches t.cursor
   | None | Some _ -> t.scratch
 
-let match_core t event =
+(* Before a match or a replay: fold or re-plan as due, then resolve the
+   event into the image and record it. *)
+let record t event =
   prepare t;
-  Stats.observe_event t.stats event;
+  Image.resolve t.image event;
+  Stats.observe t.stats t.image
+
+let match_core t event =
+  record t event;
   match t.instruments with
   | None -> match_dispatch t event
   | Some ins ->
@@ -705,19 +712,15 @@ let match_batch t events =
   tick t (Array.length events);
   results
 
-(* Journal replay: feed the statistics exactly as [match_core] would —
+(* Journal replay feeds the statistics exactly as [match_core] does —
    including a stale registry's history reset and a pending-churn
    fold — without matching or delivering anything. *)
-let replay_one t event =
-  prepare t;
-  Stats.observe_event t.stats event
-
 let replay_observe t event =
-  replay_one t event;
+  record t event;
   tick t 1
 
 let replay_batch t events =
-  Array.iter (replay_one t) events;
+  Array.iter (record t) events;
   tick t (Array.length events)
 
 type churn = {

@@ -1,6 +1,4 @@
 module Axis = Genas_model.Axis
-module Event = Genas_model.Event
-module Schema = Genas_model.Schema
 module Overlay = Genas_interval.Overlay
 module Dist = Genas_dist.Dist
 module Estimator = Genas_dist.Estimator
@@ -28,11 +26,9 @@ let create ?(bins = 64) decomp =
 
 let decomp t = t.decomp
 
-let observe_event t event =
-  let schema = t.decomp.Decomp.schema in
+let observe t image =
   for attr = 0 to Array.length t.hists - 1 do
-    Estimator.add_value t.hists.(attr)
-      (Schema.attribute schema attr).Schema.domain (Event.value event attr)
+    Estimator.observe t.hists.(attr) image attr
   done;
   t.events_seen <- t.events_seen + 1
 

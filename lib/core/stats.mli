@@ -23,7 +23,9 @@ val create : ?bins:int -> Genas_filter.Decomp.t -> t
 
 val decomp : t -> Genas_filter.Decomp.t
 
-val observe_event : t -> Genas_model.Event.t -> unit
+val observe : t -> Genas_model.Image.t -> unit
+(** Record one event, resolved over the decomposition's schema, in
+    every attribute's histogram ({!Genas_dist.Estimator.observe}). *)
 
 val events_seen : t -> int
 

@@ -1,4 +1,5 @@
 module Axis = Genas_model.Axis
+module Image = Genas_model.Image
 module Interval = Genas_interval.Interval
 
 type t = {
@@ -6,45 +7,63 @@ type t = {
   exact : bool;  (** one bin per inhabited discrete point *)
   bins : int;
   counts : float array;
-  slot : Float.Array.t;  (** the coordinate being recorded, unboxed *)
+  slot_bin : int array;  (** per image slot: its bin; empty if untabled *)
   mutable total : int;
   mutable dropped : int;
 }
+
+(* The bin of an in-axis coordinate (an integer on a discrete axis). *)
+let[@inline] bin_of axis ~exact ~bins x =
+  let lo = axis.Axis.lo and hi = axis.Axis.hi in
+  if exact then int_of_float (x -. lo)
+  else if hi <= lo then 0
+  else
+    Stdlib.min (bins - 1)
+      (int_of_float ((x -. lo) /. (hi -. lo) *. float_of_int bins))
+
+(* Statistics are rebuilt on every re-plan, so a wider axis keeps the
+   coordinate arithmetic instead of building a table of up to 2^16. *)
+let max_slot_table = 4096
 
 let create ?(bins = 64) axis =
   if bins <= 0 then invalid_arg "Estimator.create: bins must be positive";
   let exact = axis.Axis.discrete && Axis.size axis <= float_of_int bins in
   let bins = if exact then int_of_float (Axis.size axis) else bins in
-  let counts = Array.make bins 0.0 and slot = Float.Array.make 1 0.0 in
-  { axis; exact; bins; counts; slot; total = 0; dropped = 0 }
+  let slot_bin =
+    match Image.table_size axis with
+    | Some n when n <= max_slot_table ->
+      Array.init n (fun s ->
+          bin_of axis ~exact ~bins (axis.Axis.lo +. float_of_int s))
+    | Some _ | None -> [||]
+  in
+  let counts = Array.make bins 0.0 in
+  { axis; exact; bins; counts; slot_bin; total = 0; dropped = 0 }
 
 let axis t = t.axis
 
-(* Inlined into [add_value]: a float passed from another module comes
-   boxed, one through [t.slot] does not. NaN fails both bound tests. *)
+let[@inline] count_bin t b =
+  t.counts.(b) <- t.counts.(b) +. 1.0;
+  t.total <- t.total + 1
+
+(* Inlined into [observe]: a float passed from another module comes
+   boxed, one read from the image's coordinates does not. NaN fails
+   both bound tests. *)
 let[@inline] record t x =
   let lo = t.axis.Axis.lo and hi = t.axis.Axis.hi in
   if
     (not (lo <= x && x <= hi))
     || (t.axis.Axis.discrete && Float.rem x 1.0 <> 0.0)
   then t.dropped <- t.dropped + 1
-  else begin
-    let b =
-      if t.exact then int_of_float (x -. lo)
-      else if hi <= lo then 0
-      else
-        Stdlib.min (t.bins - 1)
-          (int_of_float ((x -. lo) /. (hi -. lo) *. float_of_int t.bins))
-    in
-    t.counts.(b) <- t.counts.(b) +. 1.0;
-    t.total <- t.total + 1
-  end
+  else count_bin t (bin_of t.axis ~exact:t.exact ~bins:t.bins x)
 
 let add = record
 
-let add_value t dom v =
-  Axis.coord_into dom v t.slot 0;
-  record t (Float.Array.unsafe_get t.slot 0)
+let observe t (img : Image.t) attr =
+  if Array.length t.slot_bin > 0 then begin
+    let s = (Image.slots img).(attr) in
+    if s < 0 then t.dropped <- t.dropped + 1 else count_bin t t.slot_bin.(s)
+  end
+  else record t (Float.Array.get (Image.coords img) attr)
 
 let count t = t.total
 

@@ -18,8 +18,12 @@ val add : t -> float -> unit
 (** Record one observed coordinate. Out-of-axis coordinates and NaN are
     ignored (counted in [dropped]). *)
 
-val add_value : t -> Genas_model.Domain.t -> Genas_model.Value.t -> unit
-(** [add] of a value's coordinate on [t]'s domain, allocation-free. *)
+val observe : t -> Genas_model.Image.t -> int -> unit
+(** [observe t img attr] records attribute [attr] of a resolved event,
+    whose domain's axis must be [t]'s: [add] of its coordinate, read
+    for a tabled axis of at most 4096 points as one load from a
+    slot→bin table that [create] computes with [add]'s own formula.
+    Allocation-free. *)
 
 val count : t -> int
 (** Number of recorded observations. *)

@@ -1,8 +1,5 @@
-module Event = Genas_model.Event
-module Schema = Genas_model.Schema
 module Axis = Genas_model.Axis
-module Domain = Genas_model.Domain
-module Value = Genas_model.Value
+module Image = Genas_model.Image
 
 (* Strategy codes, dispatched with plain int compares in the hot loop. *)
 let code_linear = 0
@@ -22,21 +19,14 @@ let out_of_domain = max_int
 
 let pos2_of_float p = int_of_float (2.0 *. p)
 
-(* Compiled coordinate lookup: discrete domains get a direct
-   value->target table (no option allocation, no Overlay.locate
-   bisection per event); float domains keep the generic path. *)
-type lookup =
-  | Int_table of { lo : int; tbl : int array }  (* index = value - lo *)
-  | Rank_table of int array  (* index = Domain.rank (enum / bool) *)
-  | Generic
-
 type t = {
   decomp : Decomp.t;
   arity : int;
   strategy : int array;  (* per natural attribute: strategy code *)
   pos2 : int array array;  (* per attribute, per global cell *)
-  domains : Domain.t array;  (* per attribute, for target lookup *)
-  lookup : lookup array;
+  slot_target : int array array;
+      (* per attribute: target of image slot [s] at [s + 1], slot 0
+         holding out_of_domain; empty for an untabled attribute *)
   (* Node table: one slot per flat node, leaves marked by attr = -1. *)
   node_attr : int array;
   edge_first : int array;  (* per node: first slot in the edge arrays *)
@@ -54,6 +44,7 @@ type t = {
 }
 
 type cursor = {
+  image : Image.t;  (* resolves events passed without an image *)
   targets : int array;
   seen : int array;  (* epoch stamps, by profile id *)
   out : int array;
@@ -61,32 +52,20 @@ type cursor = {
   mutable epoch : int;
 }
 
-(* Tables above this many slots fall back to the generic bisection
-   path: a sparse gigantic int domain must not inflate the compiled
-   form. *)
-let max_table = 1 lsl 16
+(* [nan], an out-of-domain coordinate, is in no cell. *)
+let target_of_coord decomp pos2 attr c =
+  match Decomp.cell_of_coord decomp ~attr c with
+  | Some cell -> pos2.(attr).(cell)
+  | None -> out_of_domain
 
-let build_lookup decomp pos2 attr dom =
-  let target_of_coord c =
-    match Decomp.cell_of_coord decomp ~attr c with
-    | Some cell -> pos2.(attr).(cell)
-    | None -> out_of_domain
-  in
-  match dom with
-  | Domain.Int_range { lo; hi } when hi - lo < max_table ->
-    Int_table
-      {
-        lo;
-        tbl =
-          Array.init (hi - lo + 1) (fun i ->
-              target_of_coord (float_of_int (lo + i)));
-      }
-  | Domain.Enum vs ->
-    Rank_table
-      (Array.init (Array.length vs) (fun r -> target_of_coord (float_of_int r)))
-  | Domain.Bool_dom ->
-    Rank_table (Array.init 2 (fun r -> target_of_coord (float_of_int r)))
-  | Domain.Int_range _ | Domain.Float_range _ -> Generic
+(* Slot [s] of a tabled axis stands for the coordinate [lo + s]. *)
+let slot_table decomp pos2 attr (axis : Axis.t) =
+  match Image.table_size axis with
+  | None -> [||]
+  | Some n ->
+    Array.init (n + 1) (fun s ->
+        if s = 0 then out_of_domain
+        else target_of_coord decomp pos2 attr (axis.Axis.lo +. float_of_int (s - 1)))
 
 let compile (tree : Tree.t) =
   let decomp = tree.Tree.decomp in
@@ -99,11 +78,7 @@ let compile (tree : Tree.t) =
       (fun (tb : Order.table) -> Array.map pos2_of_float tb.Order.positions)
       tree.Tree.tables
   in
-  let schema = decomp.Decomp.schema in
-  let domains =
-    Array.init arity (fun i -> (Schema.attribute schema i).Schema.domain)
-  in
-  let lookup = Array.mapi (build_lookup decomp pos2) domains in
+  let slot_target = Array.mapi (slot_table decomp pos2) decomp.Decomp.axes in
   (* Construction ids are dense over the unique nodes, so the memo is
      an int array and every table has its final size up front. *)
   let s = tree.Tree.stats in
@@ -156,8 +131,7 @@ let compile (tree : Tree.t) =
     arity;
     strategy;
     pos2;
-    domains;
-    lookup;
+    slot_target;
     node_attr;
     edge_first;
     edge_count;
@@ -185,6 +159,7 @@ let posting_count t = Array.length t.postings
    the slack slot instead of falling off the end. *)
 let cursor t =
   {
+    image = Image.create t.decomp.Decomp.schema;
     targets = Array.make t.arity 0;
     seen = Array.make t.seen_size 0;
     out = Array.make (t.out_size + 1) 0;
@@ -292,36 +267,27 @@ let run ?ops t cur =
   | None -> ());
   cur.len
 
-let generic_target t attr v =
-  match Axis.coord t.domains.(attr) v with
-  | None -> out_of_domain
-  | Some c -> (
-    match Decomp.cell_of_coord t.decomp ~attr c with
-    | Some cell -> t.pos2.(attr).(cell)
-    | None -> out_of_domain)
-
-let target_of_value t attr v =
-  match Array.unsafe_get t.lookup attr with
-  | Int_table { lo; tbl } -> (
-    match v with
-    | Value.Int x ->
-      let i = x - lo in
-      if i >= 0 && i < Array.length tbl then Array.unsafe_get tbl i
-      else out_of_domain
-    | _ -> out_of_domain)
-  | Rank_table tbl ->
-    let r = Domain.rank t.domains.(attr) v in
-    if r < 0 then out_of_domain else tbl.(r)
-  | Generic -> generic_target t attr v
-
-let match_into ?ops t cur event =
+let match_into ?ops ?image t cur event =
   if
     Array.length cur.targets <> t.arity
     || Array.length cur.seen < t.seen_size
     || Array.length cur.out < t.out_size + 1
   then invalid_arg "Flat.match_into: cursor built for a different matcher";
+  let img =
+    match image with
+    | Some img -> img
+    | None ->
+      Image.resolve cur.image event;
+      cur.image
+  in
+  let slots = Image.slots img and coords = Image.coords img in
+  if Array.length slots <> t.arity then
+    invalid_arg "Flat.match_into: image of a different schema";
   for attr = 0 to t.arity - 1 do
-    cur.targets.(attr) <- target_of_value t attr (Event.value event attr)
+    let tbl = Array.unsafe_get t.slot_target attr in
+    cur.targets.(attr) <-
+      (if Array.length tbl > 0 then tbl.(Array.unsafe_get slots attr + 1)
+       else target_of_coord t.decomp t.pos2 attr (Float.Array.get coords attr))
   done;
   run ?ops t cur
 

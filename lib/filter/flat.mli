@@ -18,12 +18,12 @@
     {!Tree.match_event} — the paper's figures are unchanged; only the
     wall clock moves.
 
-    Matching runs through a reusable {!cursor} holding the target
-    scratch buffer, the output buffer, and an epoch-stamped seen-array
-    that dedups matched ids without clearing between events: the
-    steady-state path performs no per-event allocation of match lists
-    or arrays. A cursor belongs to one compiled matcher and one thread
-    of control. *)
+    Matching runs through a reusable {!cursor} holding an event image
+    ({!Genas_model.Image}), the target scratch buffer, the output
+    buffer, and an epoch-stamped seen-array that dedups matched ids
+    without clearing between events: the steady-state path performs no
+    per-event allocation of match lists or arrays. A cursor belongs to
+    one compiled matcher and one thread of control. *)
 
 type t
 
@@ -47,14 +47,19 @@ val cursor : t -> cursor
     live profile-id range, output buffer for the worst-case match
     count). Reusable across any number of events. *)
 
-val match_into : ?ops:Ops.t -> t -> cursor -> Genas_model.Event.t -> int
+val match_into :
+  ?ops:Ops.t -> ?image:Genas_model.Image.t -> t -> cursor ->
+  Genas_model.Event.t -> int
 (** Match one event into the cursor, returning the number of matched
-    profile ids (readable via {!matches}, ascending).
-    Allocation-free on the steady-state path apart from the boxed
-    coordinate options the model layer returns.
+    profile ids (readable via {!matches}, ascending): one table load
+    per tabled attribute's image slot, a coordinate lookup otherwise.
+    [image], when given, holds [event] already resolved over the
+    matcher's schema and the event is not read again; otherwise the
+    cursor's own image resolves it. Allocation-free on the steady-state
+    path apart from the cell option of an untabled attribute.
 
     @raise Invalid_argument if the cursor was built for a different
-    matcher. *)
+    matcher, or the image for a schema of another arity. *)
 
 val matches : cursor -> int array
 (** The cursor's output buffer, borrowed: only the first [n] slots of

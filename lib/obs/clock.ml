@@ -1,9 +1,10 @@
-let default : unit -> int64 = Monotonic_clock.now
+(* [None] reads the monotonic clock directly: the call's unboxed int64
+   never passes through a closure, so the common case boxes nothing. *)
+let fake : (unit -> int64) option ref = ref None
 
-let source = ref default
+let[@inline] now_ns () =
+  match !fake with None -> Monotonic_clock.now () | Some f -> f ()
 
-let now_ns () = !source ()
+let set_source f = fake := Some f
 
-let set_source f = source := f
-
-let reset_source () = source := default
+let reset_source () = fake := None

@@ -228,14 +228,21 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
       (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
 
 module Counter = struct
+  (* Far below [max_int], one fetch-and-add: even [far] adders racing
+     past the check cannot wrap. Near it, a CAS loop saturates exactly. *)
+  let far = 1 lsl 30
+
   let add c n =
     if n < 0 then invalid_arg "Metrics.Counter.add: negative amount";
-    let rec go () =
-      let cur = Atomic.get c.c_value in
-      let next = if max_int - cur < n then max_int else cur + n in
-      if not (Atomic.compare_and_set c.c_value cur next) then go ()
-    in
-    go ()
+    if n < far && Atomic.get c.c_value < max_int - (far * far) then
+      ignore (Atomic.fetch_and_add c.c_value n)
+    else
+      let rec go () =
+        let cur = Atomic.get c.c_value in
+        let next = if max_int - cur < n then max_int else cur + n in
+        if not (Atomic.compare_and_set c.c_value cur next) then go ()
+      in
+      go ()
 
   let incr c = add c 1
 
@@ -310,14 +317,17 @@ module Histogram = struct
     done;
     !lo
 
+  (* The locked body cannot raise ([i] is in range), so a plain
+     lock/unlock pair replaces [Mutex.protect] and its closure. *)
   let observe h v =
     let i = bucket_index h v in
-    Mutex.protect h.h_mu @@ fun () ->
+    Mutex.lock h.h_mu;
     h.counts.(i) <- h.counts.(i) + 1;
     h.h_count <- h.h_count + 1;
     h.h_sum <- h.h_sum +. v;
     if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
+    if v > h.h_max then h.h_max <- v;
+    Mutex.unlock h.h_mu
 
   let count h = (hsnap h).s_count
 

@@ -49,7 +49,7 @@ type t = {
   clock : unit -> int64;
   ring : trace option array;
   mutable ring_next : int;
-  mutable started : int;
+  started : int Atomic.t;  (** bumped outside [mu] by the skip path *)
   mutable sampled : int;
   mutable completed : int;
   mutable evicted : int;
@@ -105,7 +105,7 @@ let create ?(sample = 1.0) ?(capacity = 16) ?metrics ?on_dump ?clock ~seed () =
     clock = (match clock with Some c -> c | None -> Clock.now_ns);
     ring = Array.make capacity None;
     ring_next = 0;
-    started = 0;
+    started = Atomic.make 0;
     sampled = 0;
     completed = 0;
     evicted = 0;
@@ -125,7 +125,7 @@ let active t = t.current <> None
 
 let depth t = with_mu t (fun () -> List.length t.stack)
 
-let started t = t.started
+let started t = Atomic.get t.started
 
 let sampled t = t.sampled
 
@@ -227,7 +227,10 @@ let finish_span_locked t ?error = function
       observe_span t span
     end
 
-let finish_span t ?error s = with_mu t (fun () -> finish_span_locked t ?error s)
+(* A span never opened (tracing off or unsampled) needs no lock. *)
+let finish_span t ?error = function
+  | None -> ()
+  | s -> with_mu t (fun () -> finish_span_locked t ?error s)
 
 let add_attr t k v =
   with_mu t (fun () ->
@@ -284,7 +287,7 @@ let with_span t ~name f =
       raise exn)
 
 let sample_decision t =
-  t.started <- t.started + 1;
+  Atomic.incr t.started;
   if t.sample >= 1.0 then true
   else if t.sample <= 0.0 then false
   else Prng.float t.rng ~bound:1.0 < t.sample
@@ -304,7 +307,7 @@ let run_root t root tr f =
         complete_trace_locked t tr);
     raise exn
 
-let with_trace t ~name f =
+let with_trace_locked t ~name f =
   let action =
     with_mu t (fun () ->
         if t.current <> None then
@@ -334,6 +337,15 @@ let with_trace t ~name f =
   | `Skip -> f ()
   | `Root (root, tr) -> run_root t root tr f
 
+let with_trace t ~name f =
+  (* A never-sampling tracer with no trace open skips without the lock:
+     the locked path reaches [`Skip] too, and neither draws from the PRNG. *)
+  if t.sample <= 0.0 && Option.is_none t.current then begin
+    Atomic.incr t.started;
+    f ()
+  end
+  else with_trace_locked t ~name f
+
 let with_remote_trace t ~name ~origin ctx f =
   match ctx with
   | None -> with_trace t ~name f
@@ -346,7 +358,7 @@ let with_remote_trace t ~name ~origin ctx f =
                when it attached the context; adopting never consumes a
                local PRNG draw, so the decision stream stays aligned
                with purely local traffic. *)
-            t.started <- t.started + 1;
+            Atomic.incr t.started;
             t.sampled <- t.sampled + 1;
             let tr =
               {
@@ -780,7 +792,7 @@ let dump t =
     (Printf.sprintf
        "flight recorder: %d/%d trace(s) held, %d evicted, %d started, %d \
         sampled\n"
-       held t.capacity t.evicted t.started t.sampled);
+       held t.capacity t.evicted (Atomic.get t.started) t.sampled);
   let dump_trace ~in_flight tr =
     let spans = span_list tr in
     let root_start =

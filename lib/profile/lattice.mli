@@ -125,7 +125,7 @@ val expand :
   emit:(Profile_set.id -> unit) ->
   unit
 (** Expand one node in the current visit round. [coords] holds the
-    event's axis coordinates ({!Genas_model.Axis.coord_into}) by
+    event's axis coordinates ({!Genas_model.Image.coords}) by
     natural attribute index, NaN where the value lies outside its
     domain. Unless [verified] (the caller already knows the node
     matches), the node is checked first: [on_check] runs once per

@@ -112,6 +112,26 @@ let test_policy_validation () =
            ~adaptive:{ Adaptive.warmup = -1; check_every = 10; drift_threshold = 0.1 }
            pset))
 
+(* A malformed policy is rejected before the engine registers its
+   series: the caller's registry keeps none for an engine never built. *)
+let test_policy_rejected_before_metrics () =
+  let reg = Genas_obs.Metrics.create () in
+  Alcotest.check_raises "bad policy"
+    (Invalid_argument "Adaptive.create: malformed policy") (fun () ->
+      ignore
+        (Engine.create ~metrics:reg
+           ~adaptive:{ Adaptive.warmup = -1; check_every = 10; drift_threshold = 0.1 }
+           (Profile_set.create (schema ()))));
+  let json = Genas_obs.Metrics.to_json reg in
+  let mentions sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length json && (String.sub json i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "no genas_engine_ series" false (mentions "genas_engine_")
+
 let test_first_check_always_rebuilds () =
   (* Before any adaptive rebuild the tree was planned without data, so
      the first due check must re-plan (drift = infinity). *)
@@ -471,23 +491,28 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
+(* The whole plain, in-sync match path of an engine with no registry:
+   resolving the event into the image, recording it in the statistics,
+   and matching it through the flat kernel. *)
 let test_allocation_guard () =
   let pset, events = paper_table () in
+  let plain = Engine.create pset in
+  let f ~ids:_ ~len = len in
+  let n = 10_000 in
+  let run () =
+    for i = 0 to n - 1 do
+      ignore (Engine.match_with plain events.(i land 1023) ~f)
+    done
+  in
+  run ();
+  let w = minor_words run in
+  (* The measurement's own boxed floats are all that may show. *)
+  if w > 16.0 then
+    Alcotest.failf "Engine.match_with allocated %.0f words over %d events" w n;
   let engine = Engine.create ~adaptive:Adaptive.default_policy pset in
   for i = 0 to 19_999 do
     ignore (Engine.match_event engine events.(i land 1023))
   done;
-  let stats = Engine.stats engine in
-  let n = 10_000 in
-  let w =
-    minor_words (fun () ->
-        for i = 0 to n - 1 do
-          Stats.observe_event stats events.(i land 1023)
-        done)
-  in
-  (* The measurement's own boxed floats are all that may show. *)
-  if w > 16.0 then
-    Alcotest.failf "observe_event allocated %.0f words over %d events" w n;
   (* Settle on a plan, so the scheduled check below decides not to
      rebuild: the events that bring it due are a sliver of those the
      plan saw, from the same stream. *)
@@ -507,6 +532,8 @@ let () =
       ( "adaptive",
         [
           Alcotest.test_case "policy validation" `Quick test_policy_validation;
+          Alcotest.test_case "policy rejected before metrics" `Quick
+            test_policy_rejected_before_metrics;
           Alcotest.test_case "first check at warmup" `Quick test_first_check_at_warmup;
           Alcotest.test_case "last_drift clamped" `Quick test_last_drift_clamped;
           Alcotest.test_case "bootstrap rebuild" `Quick test_first_check_always_rebuilds;

@@ -289,14 +289,31 @@ let test_estimator_drops_nan () =
       ("discrete exact", Axis.make ~discrete:true ~lo:0.0 ~hi:9.0);
       ("discrete binned", Axis.make ~discrete:true ~lo:0.0 ~hi:999.0);
     ];
-  (* The same through [add_value]: an out-of-domain value is dropped. *)
-  let dom = Genas_model.Domain.float_range ~lo:0.0 ~hi:1.0 in
+  (* The same through an event image: an out-of-domain value, of the
+     right kind or not, is dropped. Each value travels in an event of a
+     schema that admits it. (A NaN value cannot be carried in an event.) *)
+  let module Value = Genas_model.Value in
+  let module Domain = Genas_model.Domain in
+  let module Image = Genas_model.Image in
+  let dom = Domain.float_range ~lo:0.0 ~hi:1.0 in
+  let loose v =
+    Genas_model.Schema.create_exn
+      [
+        ( "x",
+          match v with
+          | Value.Str s -> Domain.enum [ s ]
+          | _ -> Domain.float_range ~lo:(-5.0) ~hi:5.0 );
+      ]
+  in
   let e = Estimator.create (Axis.of_domain dom) in
+  let img = Image.create (Genas_model.Schema.create_exn [ ("x", dom) ]) in
   List.iter
-    (Estimator.add_value e dom)
-    Genas_model.Value.[ Float Float.nan; Float 2.0; Int 5; Str "x"; Float 0.5 ];
-  Alcotest.(check int) "add_value: total" 1 (Estimator.count e);
-  Alcotest.(check int) "add_value: dropped" 4 (Estimator.dropped e)
+    (fun v ->
+      Image.resolve img (Genas_model.Event.of_values_exn (loose v) [| v |]);
+      Estimator.observe e img 0)
+    Value.[ Float 2.0; Int 5; Float (-1.0); Str "x"; Float 0.5 ];
+  Alcotest.(check int) "observe: total" 1 (Estimator.count e);
+  Alcotest.(check int) "observe: dropped" 4 (Estimator.dropped e)
 
 let test_estimator_any_bin_count () =
   (* Adjacent bins share their boundary exactly. Computing a bin's end

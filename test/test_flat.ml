@@ -8,6 +8,7 @@ module Value = Genas_model.Value
 module Domain = Genas_model.Domain
 module Schema = Genas_model.Schema
 module Event = Genas_model.Event
+module Image = Genas_model.Image
 module Predicate = Genas_profile.Predicate
 module Profile = Genas_profile.Profile
 module Profile_set = Genas_profile.Profile_set
@@ -50,19 +51,23 @@ let ops_eq a b =
   && a.Ops.events = b.Ops.events
   && a.Ops.matches = b.Ops.matches
 
-(* The matched ids of one event, ascending: [Tree.match_event]'s list. *)
-let match_list ?ops flat cur e =
-  let n = Flat.match_into ?ops flat cur e in
+(* The matched ids of one event, ascending: [Tree.match_event]'s list.
+   With [image], the event is resolved into it first and matched
+   through it, as the engine does. *)
+let match_list ?ops ?image flat cur e =
+  Option.iter (fun img -> Image.resolve img e) image;
+  let n = Flat.match_into ?ops ?image flat cur e in
   Array.to_list (Array.sub (Flat.matches cur) 0 n)
 
 let check_tree_vs_flat ~name tree events =
   let flat = Flat.compile tree in
   let cur = Flat.cursor flat in
+  let image = Image.create tree.Tree.decomp.Decomp.schema in
   let tree_ops = Ops.create () and flat_ops = Ops.create () in
   List.for_all
     (fun e ->
       let expect = Tree.match_event ~ops:tree_ops tree e in
-      let got = match_list ~ops:flat_ops flat cur e in
+      let got = match_list ~ops:flat_ops ~image flat cur e in
       if got <> expect then
         QCheck.Test.fail_reportf "%s: flat %s <> tree %s" name
           (String.concat "," (List.map string_of_int got))
@@ -257,6 +262,7 @@ let test_out_of_domain_coords () =
   let tree = Reorder.build stats Reorder.default_spec in
   let flat = Flat.compile tree in
   let cur = Flat.cursor flat in
+  let image = Image.create s in
   let loose =
     Schema.create_exn
       [
@@ -279,7 +285,7 @@ let test_out_of_domain_coords () =
       let tree_ops = Ops.create () and flat_ops = Ops.create () in
       let expect = Tree.match_event ~ops:tree_ops tree e in
       Alcotest.(check (list int)) (label ^ ": matches") expect
-        (match_list ~ops:flat_ops flat cur e);
+        (match_list ~ops:flat_ops ~image flat cur e);
       Alcotest.(check bool) (label ^ ": ops") true (ops_eq tree_ops flat_ops))
     [
       ("in domain", s, Value.Int 7, Value.Str "b", Value.Float 1.0);
@@ -290,6 +296,38 @@ let test_out_of_domain_coords () =
       ("unknown enum", loose, Value.Int 7, Value.Str "zz", Value.Float 1.0);
       ("wrong kinds", kinds, Value.Float 7.0, Value.Int 1, Value.Str "a");
     ]
+
+(* An int range whose bounds lie beyond 2^53 (nanosecond timestamps):
+   its axis floats are rounded (the upper bound here by 32), so it must
+   match through coordinates, never through a slot table sized by the
+   rounded axis. The plain engine resolves, records and matches through
+   one image and must agree with the tree; the aggregated engine must
+   run (its lattice verifies on coordinates and can differ from the
+   tree on rounded bounds, as it did before the image). *)
+let test_huge_int_bounds () =
+  let lo = 1_700_000_000_000_000_000 in
+  let s = Schema.create_exn [ ("t", Domain.int_range ~lo ~hi:(lo + 800)) ] in
+  let pset =
+    pset_of s
+      [
+        [ ("t", Predicate.Ge (Value.Int (lo + 500))) ];
+        [ ("t", Predicate.Le (Value.Int (lo + 100))) ];
+        [];
+      ]
+  in
+  let tree = Reorder.build (Stats.create (Decomp.build pset)) Reorder.default_spec in
+  let flat = Flat.compile tree in
+  let cur = Flat.cursor flat and image = Image.create s in
+  let plain = Engine.create pset and agg = Engine.create ~aggregate:true pset in
+  List.iter
+    (fun x ->
+      let e = Event.create_exn s [ ("t", Value.Int (lo + x)) ] in
+      let expect = Tree.match_event tree e in
+      let label = Printf.sprintf "lo + %d" x in
+      Alcotest.(check (list int)) (label ^ ": flat") expect (match_list ~image flat cur e);
+      Alcotest.(check (list int)) (label ^ ": plain") expect (Engine.match_event plain e);
+      ignore (Engine.match_event agg e))
+    [ 0; 100; 500; 780; 800 ]
 
 let test_foreign_cursor_rejected () =
   let s = schema () in
@@ -355,6 +393,7 @@ let () =
           Alcotest.test_case "all don't-care" `Quick test_all_dont_care;
           Alcotest.test_case "out-of-domain coords" `Quick
             test_out_of_domain_coords;
+          Alcotest.test_case "huge int bounds" `Quick test_huge_int_bounds;
           Alcotest.test_case "foreign cursor" `Quick
             test_foreign_cursor_rejected;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;

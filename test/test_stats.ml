@@ -13,6 +13,7 @@ module Profile = Genas_profile.Profile
 module Profile_set = Genas_profile.Profile_set
 module Decomp = Genas_filter.Decomp
 module Stats = Genas_core.Stats
+module Image = Genas_model.Image
 
 let close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -35,6 +36,11 @@ let setup ?(with_dontcare = false) () =
           [ ("x", Predicate.Eq (Value.Int 2)); ("y", Predicate.Ge (Value.Int 5)) ]));
   (schema, Stats.create (Decomp.build pset))
 
+let observe_event schema stats e =
+  let img = Image.create schema in
+  Image.resolve img e;
+  Stats.observe stats img
+
 let test_default_uniform () =
   let _, stats = setup () in
   let d = Stats.event_dist stats ~attr:0 in
@@ -43,7 +49,7 @@ let test_default_uniform () =
 let test_observation_estimates () =
   let schema, stats = setup () in
   for _ = 1 to 100 do
-    Stats.observe_event stats
+    observe_event schema stats
       (Event.create_exn schema [ ("x", Value.Int 2); ("y", Value.Int 7) ])
   done;
   Alcotest.(check int) "seen" 100 (Stats.events_seen stats);
@@ -55,7 +61,7 @@ let test_assumed_takes_precedence () =
   let schema, stats = setup () in
   let axis = (Stats.decomp stats).Decomp.axes.(0) in
   for _ = 1 to 50 do
-    Stats.observe_event stats
+    observe_event schema stats
       (Event.create_exn schema [ ("x", Value.Int 9); ("y", Value.Int 0) ])
   done;
   Stats.assume_event_dist stats ~attr:0 (Dist.of_atoms axis [ (1.0, 1.0) ]);
@@ -132,10 +138,132 @@ let test_priorities_weight_pp () =
 
 let test_reset () =
   let schema, stats = setup () in
-  Stats.observe_event stats
+  observe_event schema stats
     (Event.create_exn schema [ ("x", Value.Int 1); ("y", Value.Int 1) ]);
   Stats.reset_observations stats;
   Alcotest.(check int) "zeroed" 0 (Stats.events_seen stats)
+
+(* -- One event image ------------------------------------------------ *)
+
+module Estimator = Genas_dist.Estimator
+
+(* Attribute domains of every kind: int ranges inside the slot-table cap
+   (exact and binned), at it and above it, with huge bounds, float
+   ranges (degenerate too), enumerations and bool. *)
+let gen_domain =
+  let open QCheck.Gen in
+  let cap = Image.max_table in
+  oneof
+    [
+      map2 (fun lo w -> Domain.int_range ~lo ~hi:(lo + w)) (-50 -- 50) (0 -- 200);
+      map2
+        (fun lo w -> Domain.int_range ~lo ~hi:(lo + w))
+        (-50 -- 50)
+        (oneofl [ cap - 2; cap - 1; cap; cap + 1; 4 * cap ]);
+      (* Bounds beyond 2^53 round as floats (near 2^60, by up to 128):
+         nanosecond timestamps. *)
+      map2
+        (fun lo w -> Domain.int_range ~lo ~hi:(lo + w))
+        (oneofl
+           [ 1_700_000_000_000_000_000; (1 lsl 53) - 1000; (1 lsl 53) - 300;
+             -(1 lsl 53) - 5; (1 lsl 60) - 400 ])
+        (0 -- 900);
+      map2
+        (fun lo w -> Domain.float_range ~lo ~hi:(lo +. w))
+        (float_range (-10.0) 10.0)
+        (oneof [ return 0.0; float_range 0.0 100.0 ]);
+      map
+        (fun n -> Domain.enum (List.init n (Printf.sprintf "v%d")))
+        (1 -- 6);
+      return Domain.bool_dom;
+    ]
+
+(* A value for [dom], in its domain or outside it: out of range, or of
+   the wrong kind. *)
+let gen_value dom =
+  let open QCheck.Gen in
+  let foreign =
+    oneof
+      [
+        map (fun x -> Value.Int x) (-100 -- 100);
+        map (fun f -> Value.Float f) (float_range (-20.0) 20.0);
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Str (Printf.sprintf "v%d" i)) (0 -- 8);
+      ]
+  in
+  let native =
+    match dom with
+    | Domain.Int_range { lo; hi } ->
+      map (fun x -> Value.Int x) (oneof [ (lo - 3) -- (lo + 300); (hi - 3) -- (hi + 3) ])
+    | Domain.Float_range { lo; hi } ->
+      oneof
+        [
+          map (fun f -> Value.Float f) (float_range (lo -. 1.0) (hi +. 1.0));
+          map (fun x -> Value.Int x) (int_of_float lo - 1 -- (int_of_float hi + 1));
+        ]
+    | Domain.Enum vs ->
+      map (fun i -> Value.Str (Printf.sprintf "v%d" i)) (0 -- Array.length vs)
+    | Domain.Bool_dom -> map (fun b -> Value.Bool b) bool
+  in
+  frequency [ (5, native); (1, foreign) ]
+
+(* An event carrying arbitrary values: validated against a schema that
+   admits exactly them. *)
+let loose_event values =
+  let dom = function
+    | Value.Int x -> Domain.int_range ~lo:x ~hi:x
+    | Value.Float f -> Domain.float_range ~lo:f ~hi:f
+    | Value.Str s -> Domain.enum [ s ]
+    | Value.Bool _ -> Domain.bool_dom
+  in
+  let loose =
+    Schema.create_exn
+      (Array.to_list (Array.mapi (fun i v -> (Printf.sprintf "a%d" i, dom v)) values))
+  in
+  Event.of_values_exn loose values
+
+let gen_case =
+  let open QCheck.Gen in
+  list_size (1 -- 4) gen_domain >>= fun doms ->
+  let doms = Array.of_list doms in
+  let event = map Array.of_list (flatten_l (Array.to_list (Array.map gen_value doms))) in
+  map3 (fun bins events () -> (doms, bins, events)) (1 -- 100)
+    (list_size (0 -- 60) event) unit
+
+let prop_image_histograms =
+  QCheck.Test.make ~name:"image histograms = coordinate histograms" ~count:200
+    (QCheck.make gen_case)
+    (fun (doms, bins, events) ->
+      let schema =
+        Schema.create_exn
+          (Array.to_list (Array.mapi (fun i d -> (Printf.sprintf "a%d" i, d)) doms))
+      in
+      let stats = Stats.create ~bins (Decomp.build (Profile_set.create schema)) in
+      let refs = Array.map (fun d -> Estimator.create ~bins (Axis.of_domain d)) doms in
+      let img = Image.create schema in
+      List.iter
+        (fun values ->
+          let e = loose_event values in
+          Image.resolve img e;
+          Stats.observe stats img;
+          Array.iteri
+            (fun i h ->
+              Estimator.add h
+                (Option.value ~default:Float.nan (Axis.coord doms.(i) values.(i))))
+            refs)
+        events;
+      let got = (Stats.export stats).Stats.Export.hists in
+      Array.for_all2
+        (fun (g : Estimator.Export.t) r ->
+          let r = Estimator.export r in
+          g.exact = r.exact && g.bins = r.bins && g.total = r.total
+          && g.dropped = r.dropped
+          && Array.for_all2
+               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+               g.counts r.counts
+          || QCheck.Test.fail_reportf "total %d/%d dropped %d/%d" g.total r.total
+               g.dropped r.dropped)
+        got refs)
 
 let () =
   Alcotest.run "stats"
@@ -155,4 +283,5 @@ let () =
           Alcotest.test_case "priorities" `Quick test_priorities_weight_pp;
           Alcotest.test_case "D0 probability" `Quick test_d0_event_prob;
         ] );
+      ("event image", [ QCheck_alcotest.to_alcotest prop_image_histograms ]);
     ]
