@@ -2,7 +2,7 @@
 # + the seconds-scale bench smoke).
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
-  netcheck meshcheck obscheck bench bench-smoke bench-json \
+  netcheck meshcheck obscheck bench-smoke bench-json \
   perfsmoke loc clean
 
 all: build
@@ -92,9 +92,6 @@ obscheck:
 	./_build/default/test/test_obs.exe -q
 	./_build/default/test/test_trace.exe -q
 	timeout 300 ./_build/default/test/test_mesh.exe test -q observability
-
-bench:
-	dune exec bench/main.exe -- all
 
 # End-to-end benchmark smoke (perf/README.md): builds the benchmark,
 # a project of its own that the targets above never compile, against

@@ -1,7 +1,8 @@
 (* GENAS command-line interface.
 
    Subcommands:
-     genas figures [TARGET...]   regenerate the paper's tables/figures
+     genas figures [--csv DIR] [TARGET...]
+                                 regenerate the paper's tables/figures
      genas dists [NAME]          list the distribution catalog / show one
      genas match ...             filter an event file against a profile file
      genas plan ...              show the tree configuration the engine picks
@@ -239,7 +240,7 @@ let run_dists name =
       (fun i p -> if p > 0.02 then Printf.printf "  bin %2d: %.3f\n" i p)
       probs
 
-let run_figures targets =
+let run_figures csv_dir targets =
   let targets =
     if targets = [] || targets = [ "all" ] then List.map fst Figures.all
     else targets
@@ -247,7 +248,22 @@ let run_figures targets =
   List.iter
     (fun name ->
       match List.assoc_opt name Figures.all with
-      | Some tables -> List.iter Report.print (tables ())
+      | Some tables ->
+        let tables = tables () in
+        let n = List.length tables in
+        List.iteri
+          (fun i table ->
+            Report.print table;
+            Option.iter
+              (fun dir ->
+                let file =
+                  if n = 1 then name ^ ".csv"
+                  else Printf.sprintf "%s_%d.csv" name (i + 1)
+                in
+                Out_channel.with_open_text (Filename.concat dir file)
+                  (fun oc -> Out_channel.output_string oc (Report.to_csv table)))
+              csv_dir)
+          tables
       | None -> or_die (Error (Printf.sprintf "unknown figure %S" name)))
     targets
 
@@ -827,9 +843,15 @@ let dists_cmd =
 
 let figures_cmd =
   let targets_arg = Arg.(value & pos_all string [] & info [] ~docv:"TARGET") in
+  let csv_arg =
+    Arg.(value & opt (some dir) None
+         & info [ "csv" ] ~docv:"DIR"
+             ~doc:"Also write each table to $(docv) as TARGET.csv, or \
+                   TARGET_I.csv for a target of several tables.")
+  in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run_figures $ targets_arg)
+    Term.(const run_figures $ csv_arg $ targets_arg)
 
 let simulate_cmd =
   let dists_arg =

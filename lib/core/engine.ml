@@ -318,8 +318,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
   (match agg with Some a -> observe_agg t a | None -> observe_pending t);
   t
 
-let spec t = t.spec
-
 let profiles t = t.pset
 
 let tree t = t.tree

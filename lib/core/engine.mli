@@ -53,8 +53,6 @@ val create :
     adds the absorbed/lattice/pending gauges and the epoch-swap
     counter of docs/OBSERVABILITY.md. *)
 
-val spec : t -> Reorder.spec
-
 val set_spec : t -> Reorder.spec -> unit
 (** Install a new reordering spec and rebuild the tree. *)
 

@@ -72,12 +72,6 @@ let walk tree ~cell_of =
   | Some root -> go 0 [] 0 root
   | None -> { steps = []; leaf = None; matched = []; total_comparisons = 0 }
 
-let trace_coords tree coords =
-  let decomp = tree.Tree.decomp in
-  if Array.length coords <> Decomp.arity decomp then
-    invalid_arg "Explain.trace_coords: wrong arity";
-  walk tree ~cell_of:(fun attr -> Decomp.cell_of_coord decomp ~attr coords.(attr))
-
 let trace tree event =
   let decomp = tree.Tree.decomp in
   walk tree ~cell_of:(fun attr -> Decomp.cell_of_event decomp ~attr event)

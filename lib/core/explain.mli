@@ -34,9 +34,6 @@ type t = {
 
 val trace : Genas_filter.Tree.t -> Genas_model.Event.t -> t
 
-val trace_coords : Genas_filter.Tree.t -> float array -> t
-(** From raw axis coordinates in natural attribute order. *)
-
 val pp : Genas_filter.Tree.t -> Format.formatter -> t -> unit
 (** One line per step plus the verdict; [tree] is the one [t] was
     traced in. *)

@@ -175,11 +175,6 @@ let prob_interval t itv =
   in
   from_pieces +. from_atoms
 
-let prob_iset t iset =
-  List.fold_left
-    (fun acc itv -> acc +. prob_interval t itv)
-    0.0 (Iset.intervals iset)
-
 let cell_probs t overlay =
   Array.map (fun (c : Overlay.cell) -> prob_interval t c.Overlay.itv)
     overlay.Overlay.cells

@@ -58,8 +58,6 @@ val mix : (float * t) list -> t
 val prob_interval : t -> Genas_interval.Interval.t -> float
 (** Exact probability mass of an interval. *)
 
-val prob_iset : t -> Genas_interval.Iset.t -> float
-
 val cell_probs : t -> Genas_interval.Overlay.t -> float array
 (** Quantization of §3: mass of each overlay cell, index-aligned with
     [Overlay.cells]. Sums to 1 up to rounding (the overlay covers the

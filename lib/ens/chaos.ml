@@ -31,15 +31,11 @@ type spec = {
   stall : float;
 }
 
-let default = { steps = 20; kill = 0.2; partition = 0.2; stall = 0.1 }
-
 let action_name = function
   | Calm -> "calm"
   | Kill_restart -> "kill-restart"
   | Partition i -> Printf.sprintf "partition(%d)" i
   | Stall i -> Printf.sprintf "stall(%d)" i
-
-let pp_action ppf a = Format.pp_print_string ppf (action_name a)
 
 let to_string plan =
   String.concat " " (Array.to_list (Array.map action_name plan))

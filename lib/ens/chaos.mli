@@ -29,9 +29,6 @@ type spec = {
   stall : float;  (** … of [Stall]; remainder is [Calm] *)
 }
 
-val default : spec
-(** 20 steps: 20% kill, 20% partition, 10% stall. *)
-
 val plan : seed:int -> clients:int -> spec -> action array
 (** Pregenerate the scenario. Targets are uniform over
     [[0, clients-1]], drawn from their own substream so category
@@ -45,8 +42,6 @@ val counts : action array -> int * int * int * int
 (** [(calm, kill, partition, stall)] totals. *)
 
 val action_name : action -> string
-
-val pp_action : Format.formatter -> action -> unit
 
 val to_string : action array -> string
 (** Space-separated action names — stable, printable plan identity. *)

@@ -35,8 +35,6 @@ let push t entry =
     Queue.add entry t.q
   end
 
-let take t = Queue.take_opt t.q
-
 let entries t = List.of_seq (Queue.to_seq t.q)
 
 let iter t f = Queue.iter f t.q

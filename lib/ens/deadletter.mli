@@ -41,9 +41,6 @@ val dropped : t -> int
 
 val push : t -> entry -> unit
 
-val take : t -> entry option
-(** Pop the oldest entry (e.g. to replay it). *)
-
 val entries : t -> entry list
 (** Oldest first; the queue is left untouched. *)
 

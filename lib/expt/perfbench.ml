@@ -97,16 +97,10 @@ let elapsed_s t0 = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9
 
 let rate n dt = if dt > 0.0 then float_of_int n /. dt else 0.0
 
-let measure ~events entry =
-  ignore (entry.timed (min pool_size events)) (* warmup *);
-  let t0 = Clock.now_ns () in
-  let n = entry.timed events in
-  row entry ~timed_events:n ~events_per_sec:(rate n (elapsed_s t0))
-
-(* Rows whose ratio is pinned share the budget in [slices] slices,
-   taken in turn, forward then reverse order so no row always runs
-   first; each row reports the median of its per-slice rates. A host
-   stall then costs one slice of one row, not one row's only sample. *)
+(* The rows of one group share the budget in [slices] slices, taken
+   in turn, forward then reverse order so no row always runs first;
+   each row reports the median of its per-slice rates. A host stall
+   then costs one slice of one row, not one row's only sample. *)
 let slices = 16
 
 let measure_interleaved ~events entries =
@@ -146,6 +140,16 @@ let paper_profiles ?(profiles = 500) rng =
       range_width = None;
     }
 
+(* [pool_size] events drawn from [dists], one coordinate per attribute
+   in attribute order. *)
+let event_pool rng dists =
+  Array.init pool_size (fun _ ->
+      let coords = Workload.event_coords rng dists in
+      Event.of_values_exn schema
+        (Array.mapi
+           (fun i c -> Axis.value (Schema.attribute schema i).Schema.domain c)
+           coords))
+
 let v1a2 =
   {
     Reorder.attr_choice = Reorder.Attr_measured (Selectivity.A2, `Descending);
@@ -173,15 +177,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
   let pset = paper_profiles ~profiles rng in
   let decomp = Decomp.build pset in
   let stats = Stats.create decomp in
-  let dists = Array.map Dist.uniform axes in
-  let pool_events =
-    Array.init pool_size (fun _ ->
-        let coords = Workload.event_coords rng dists in
-        Event.of_values_exn schema
-          (Array.mapi
-             (fun i c -> Axis.value (Schema.attribute schema i).Schema.domain c)
-             coords))
-  in
+  let pool_events = event_pool rng (Array.map Dist.uniform axes) in
   let mask = pool_size - 1 in
   let naive = Naive.build pset in
   let counting = Counting.build pset in
@@ -269,14 +265,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
     let skew_stats = Stats.create (Decomp.build skew_pset) in
     Flat.compile (Reorder.build skew_stats v1a2)
   in
-  let skew_events =
-    Array.init pool_size (fun _ ->
-        let coords = Workload.event_coords rng skew_dists in
-        Event.of_values_exn schema
-          (Array.mapi
-             (fun i c -> Axis.value (Schema.attribute schema i).Schema.domain c)
-             coords))
-  in
+  let skew_events = event_pool rng skew_dists in
   let skew_entry =
     let cur = Flat.cursor skew_flat in
     entry "flat-skew/v1+a2" "flat-skew" "v1+a2"
@@ -370,7 +359,7 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
       [ ("net-untraced", None); ("net-traced-off", Some 0.0) ]
   in
   let results =
-    List.map (measure ~events)
+    measure_interleaved ~events
       (baseline_entries @ tree_entries @ [ skew_entry ])
     @ measure_interleaved ~events publish_entries
     @ measure_interleaved ~events net_publish_entries
@@ -415,12 +404,6 @@ type scale = {
 let scale ?(points = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 99)
     ?(events = 2_048) ?(samples = 32) ?(baseline_samples = 2)
     ?(baseline_max = 2_000) () =
-  let attrs = 3 in
-  let schema = Workload.normalized_schema ~attrs ~points:100 () in
-  let axes =
-    Array.init attrs (fun i ->
-        Axis.of_domain (Schema.attribute schema i).Schema.domain)
-  in
   let measure_point ~population ~samples ~aggregate =
     let rng = Prng.create ~seed in
     let source = Workload.gen_covering_profiles rng schema ~p:population () in
@@ -429,16 +412,7 @@ let scale ?(points = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 99)
       Profile_set.iter source (fun _ pr -> acc := pr :: !acc);
       Array.of_list (List.rev !acc)
     in
-    let dists = Array.map Dist.uniform axes in
-    let pool_events =
-      Array.init pool_size (fun _ ->
-          let coords = Workload.event_coords rng dists in
-          Event.of_values_exn schema
-            (Array.mapi
-               (fun i c ->
-                 Axis.value (Schema.attribute schema i).Schema.domain c)
-               coords))
-    in
+    let pool_events = event_pool rng (Array.map Dist.uniform axes) in
     let mask = pool_size - 1 in
     let ev_i = ref 0 in
     let next_ev () =

@@ -11,9 +11,8 @@
     [Ops]-counted replay of the event pool, so the figures are stable
     across runs even though events/sec is not.
 
-    [genas bench] and [bench/main.exe json] both render these results;
-    the JSON form is the `BENCH_*.json` perf-trajectory record (see
-    docs/PERFORMANCE.md). *)
+    [genas bench] renders these results; its JSON form is the
+    `BENCH_*.json` perf-trajectory record (see docs/PERFORMANCE.md). *)
 
 type result = {
   name : string;  (** e.g. ["flat/v1+a2"], ["publish/untraced"] *)
@@ -29,9 +28,10 @@ type result = {
   strategy : string;  (** value strategy, or ["n/a"] *)
   timed_events : int;
   events_per_sec : float;
-      (** the [publish] rows, and the [publish-net] rows, share their
-          budget in 16 slices taken in turn, and report the median
-          slice rate; every other row times one run *)
+      (** median slice rate: the rows of one group share the budget in
+          16 slices taken in turn; the groups are the classic matchers
+          (naive to flat-skew), the [publish] rows and the
+          [publish-net] rows *)
   comparisons_per_event : float;
   matches_per_event : float;
   plan_ms : float option;

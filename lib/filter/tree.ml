@@ -306,9 +306,11 @@ let match_targets ?ops t targets =
 let targets_of_coords t coords =
   Array.mapi
     (fun attr c ->
-      match Decomp.cell_of_coord t.decomp ~attr c with
-      | Some cell -> t.tables.(attr).Order.positions.(cell)
-      | None -> Float.infinity)
+      if Float.is_nan c then Float.infinity
+      else
+        match Decomp.cell_of_coord t.decomp ~attr c with
+        | Some cell -> t.tables.(attr).Order.positions.(cell)
+        | None -> Float.infinity)
     coords
 
 let match_coords ?ops t coords =
@@ -325,17 +327,7 @@ let match_event ?ops t event =
         | Some c -> c
         | None -> Float.nan)
   in
-  let targets =
-    Array.mapi
-      (fun attr c ->
-        if Float.is_nan c then Float.infinity
-        else
-          match Decomp.cell_of_coord t.decomp ~attr c with
-          | Some cell -> t.tables.(attr).Order.positions.(cell)
-          | None -> Float.infinity)
-      coords
-  in
-  match_targets ?ops t targets
+  match_targets ?ops t (targets_of_coords t coords)
 
 let revision t = t.decomp.Decomp.revision
 

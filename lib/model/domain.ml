@@ -50,10 +50,6 @@ let mem t v =
   | Bool_dom, Value.Bool _ -> true
   | (Int_range _ | Float_range _ | Enum _ | Bool_dom), _ -> false
 
-let is_discrete = function
-  | Int_range _ | Enum _ | Bool_dom -> true
-  | Float_range _ -> false
-
 let materialize_limit = 100_000
 
 let values = function

@@ -36,8 +36,6 @@ val kind : t -> Value.kind
 val mem : t -> Value.t -> bool
 (** Is the value admissible (right kind and within range / listed)? *)
 
-val is_discrete : t -> bool
-
 val values : t -> Value.t list option
 (** All values of a discrete domain in natural order; [None] for
     continuous domains and for int ranges with more than [100_000]

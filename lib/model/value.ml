@@ -36,11 +36,6 @@ let hash = function
   | Str x -> Hashtbl.hash (2, x)
   | Bool x -> Hashtbl.hash (3, x)
 
-let as_float = function
-  | Int x -> Some (float_of_int x)
-  | Float x -> Some x
-  | Str _ | Bool _ -> None
-
 (* Shortest decimal form that parses back to the same float, with a
    decimal marker so the literal stays visibly a float. *)
 let float_to_string x =

@@ -25,9 +25,6 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val as_float : t -> float option
-(** Numeric view: [Int] and [Float] values convert, others do not. *)
-
 val to_string : t -> string
 (** Render in the profile-language syntax ([Str] values are quoted;
     floats use the shortest decimal form that parses back exactly). *)

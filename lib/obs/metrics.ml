@@ -12,11 +12,15 @@ type histogram = {
   bounds : float array;  (** finite upper bounds, strictly increasing *)
   counts : int array;  (** per-bucket; [counts.(length bounds)] = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_acc : Float.Array.t;
+      (** sum, min, max: a float field of this mixed record would box
+          on every store *)
   h_mu : Mutex.t;
 }
+
+let sum_i = 0
+let min_i = 1
+let max_i = 2
 
 type instrument =
   | Counter_i of counter
@@ -215,9 +219,7 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
         bounds = Array.copy buckets;
         counts = Array.make (Array.length buckets + 1) 0;
         h_count = 0;
-        h_sum = 0.0;
-        h_min = Float.infinity;
-        h_max = Float.neg_infinity;
+        h_acc = Float.Array.of_list [ 0.0; Float.infinity; Float.neg_infinity ];
         h_mu = Mutex.create ();
       }
   in
@@ -273,9 +275,9 @@ let hsnap h =
     s_bounds = h.bounds;
     s_counts = Array.copy h.counts;
     s_count = h.h_count;
-    s_sum = h.h_sum;
-    s_min = h.h_min;
-    s_max = h.h_max;
+    s_sum = Float.Array.get h.h_acc sum_i;
+    s_min = Float.Array.get h.h_acc min_i;
+    s_max = Float.Array.get h.h_acc max_i;
   }
 
 let percentile_of s q =
@@ -324,9 +326,10 @@ module Histogram = struct
     Mutex.lock h.h_mu;
     h.counts.(i) <- h.counts.(i) + 1;
     h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
+    let a = h.h_acc in
+    Float.Array.set a sum_i (Float.Array.get a sum_i +. v);
+    if v < Float.Array.get a min_i then Float.Array.set a min_i v;
+    if v > Float.Array.get a max_i then Float.Array.set a max_i v;
     Mutex.unlock h.h_mu
 
   let count h = (hsnap h).s_count

@@ -354,8 +354,6 @@ let cover_tests t = t.cover_tests
 
 let node_of t id = Hashtbl.find_opt t.by_id id
 
-let node_members (n : node) = n.members
-
 let begin_visit t = t.stamp <- t.stamp + 1
 
 let seen t (n : node) =

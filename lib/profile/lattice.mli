@@ -110,9 +110,6 @@ type node
 
 val node_of : t -> Profile_set.id -> node option
 
-val node_members : node -> Profile_set.id list
-(** Ascending; head = representative. *)
-
 val begin_visit : t -> unit
 (** Start a visit round (invalidates previous marks in O(1)). *)
 

@@ -193,6 +193,32 @@ let test_histogram_percentile () =
     (Invalid_argument "Metrics.Histogram.percentile: q outside [0,1]")
     (fun () -> ignore (Metrics.Histogram.percentile h 1.5))
 
+(* Two histograms are observed per engine event, so an observation
+   of an already-boxed float must not allocate: sum, min and max live
+   in unboxed storage. *)
+let test_histogram_observe_alloc () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram reg "alloc_h" ~buckets:[| 1.0; 10.0 |] in
+  let lo = Sys.opaque_identity 0.5 and hi = Sys.opaque_identity 50.0 in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Metrics.Histogram.observe h lo;
+    Metrics.Histogram.observe h hi
+  done;
+  let w = Gc.minor_words () -. w0 in
+  (* The measurement's own boxed floats are all that may show. *)
+  if w > 16.0 then
+    Alcotest.failf "Histogram.observe allocated %.0f words over %d calls" w
+      (2 * n);
+  Alcotest.(check int) "count" (2 * n) (Metrics.Histogram.count h);
+  Alcotest.(check (float 0.0)) "sum" (50.5 *. float_of_int n)
+    (Metrics.Histogram.sum h);
+  Alcotest.(check (float 0.0)) "clamped p0 = min" 0.5
+    (Metrics.Histogram.percentile h 0.0);
+  Alcotest.(check (float 0.0)) "p100 = max" 50.0
+    (Metrics.Histogram.percentile h 1.0)
+
 let test_exponential_buckets () =
   Alcotest.(check (array (float 1e-9)))
     "start * factor^i"
@@ -595,6 +621,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_histogram_empty;
           Alcotest.test_case "percentiles" `Quick test_histogram_percentile;
           Alcotest.test_case "exponential buckets" `Quick test_exponential_buckets;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_histogram_observe_alloc;
         ] );
       ( "export",
         [
