@@ -3,7 +3,7 @@
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
   netcheck meshcheck obscheck bench-smoke bench-json \
-  perfsmoke loc clean
+  perfsmoke loc options clean
 
 all: build
 
@@ -130,6 +130,12 @@ bench-json:
 # the figure CHANGES.md and ROADMAP.md quote for lib/.
 loc:
 	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
+
+# Count of optional parameters declared in the library interfaces,
+# the figure CHANGES.md quotes beside `make loc`: every option should
+# have a caller.
+options:
+	@grep -ho '?[a-z_0-9]*:' lib/*/*.mli | wc -l
 
 clean:
 	dune clean

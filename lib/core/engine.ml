@@ -132,12 +132,14 @@ type t = {
      match path, [rent] — the sum over the events observed since churn
      last became pending of [|delta| + |dead|] — exceeds [rent_limit],
      the compiled tree's size times [fold_rent]. [synced] is the
-     registry revision the compiled form plus pending churn accounts
-     for; any other revision means the registry was edited behind the
-     engine's back. *)
+     registry revision the engine's own calls left; any other revision
+     means the registry was edited behind the engine's back, which
+     every entry point refuses. [planned] is the revision a plain
+     engine's statistics were planned for. *)
   delta : (int, unit) Hashtbl.t;
   dead : (int, Profile.t) Hashtbl.t;
   mutable synced : int;
+  mutable planned : int;
   mutable rent : int;
   mutable rent_limit : int;
   mutable scratch : int array;  (** reusable sorted-match buffer *)
@@ -190,10 +192,9 @@ let count_rebuild t =
     observe_tree t
 
 (* What a re-plan does with the observed event history: [Keep] the live
-   statistics while they describe the same profile-set revision (else
-   restart), [Absorb] them into fresh statistics over the new cells, or
-   [Restart] from fresh statistics. *)
-type history = Keep | Absorb | Restart
+   statistics, which describe the registry being planned, or [Absorb]
+   them into fresh statistics over the new cells. *)
+type history = Keep | Absorb
 
 (* Rent a plain engine's pending churn may accrue, per node and edge of
    the compiled tree, before it is folded into a re-plan: the measured
@@ -213,17 +214,13 @@ let reset_pending t =
 (* The one re-plan path: decompose [pset], build statistics, reorder,
    compile and install. *)
 let replan t pset history =
-  let decomp = Decomp.build pset in
   let stats =
     match history with
-    | Keep
-      when (Stats.decomp t.stats).Decomp.revision = decomp.Decomp.revision ->
-      t.stats
+    | Keep -> t.stats
     | Absorb ->
-      let stats = Stats.create ~bins:t.bins decomp in
+      let stats = Stats.create ~bins:t.bins (Decomp.build pset) in
       Stats.absorb stats ~from:t.stats;
       stats
-    | Keep | Restart -> Stats.create ~bins:t.bins decomp
   in
   t.stats <- stats;
   Option.iter (fun a -> Adaptive.replanned a stats) t.adaptive;
@@ -237,7 +234,7 @@ let replan t pset history =
    pending. *)
 let replan_plain t history =
   replan t t.pset history;
-  t.synced <- Profile_set.revision t.pset;
+  t.planned <- Profile_set.revision t.pset;
   count_rebuild t;
   observe_pending t
 
@@ -303,6 +300,7 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
       delta = Hashtbl.create (if aggregate then 64 else 16);
       dead = Hashtbl.create 64;
       synced = Profile_set.revision pset;
+      planned = Profile_set.revision pset;
       rent = 0;
       rent_limit = 0;
       scratch = Array.make 64 0;
@@ -386,46 +384,45 @@ let ensure_reachable t agg members =
     | [] -> ()
     | m :: _ -> Hashtbl.replace t.delta m ()
 
-let in_sync t = Profile_set.revision t.pset = t.synced
+(* An edit behind the engine's back would leave the compiled matcher,
+   the statistics and the lattice describing another registry. *)
+let check_synced t =
+  if Profile_set.revision t.pset <> t.synced then
+    invalid_arg "Engine: profile set edited outside the engine"
 
 let swap_now t =
+  check_synced t;
   match t.agg with
   | Some agg -> swap_agg t agg
   | None ->
-    (* Keep the statistics when they describe the current registry (the
-       normal re-optimization path); absorb them across engine-mediated
-       churn, pending or drained; restart them after an edit behind the
-       engine's back. *)
-    let churned =
-      (Stats.decomp t.stats).Decomp.revision <> Profile_set.revision t.pset
-    in
-    replan_plain t (if in_sync t && churned then Absorb else Keep)
+    (* Keep the statistics while they describe the current registry (the
+       normal re-optimization path); absorb them across churn, pending
+       or drained. *)
+    replan_plain t
+      (if t.planned = Profile_set.revision t.pset then Keep else Absorb)
 
 let set_spec t spec =
   t.spec <- spec;
   swap_now t
 
 let refresh_keeping_history t =
-  match t.agg with
-  | Some _ -> if pending_of t > 0 then fold t
-  | None -> if pending_of t > 0 || not (in_sync t) then fold t
+  check_synced t;
+  if pending_of t > 0 then fold t
 
-(* Before a plain engine observes an event: a registry edited behind
-   its back restarts the plan (the observed history refers to stale
-   cells); otherwise pending churn pays one unit of rent per entry and
-   is folded once the rent crosses the limit. Journal replay runs the
-   same step, so fold points are identical live and on replay. *)
+(* Before the engine observes an event: on a plain engine pending churn
+   pays one unit of rent per entry and is folded once the rent crosses
+   the limit. Journal replay runs the same step, so fold points are
+   identical live and on replay. *)
 let prepare t =
+  check_synced t;
   match t.agg with
   | Some _ -> ()
   | None ->
-    if not (in_sync t) then replan_plain t Restart
-    else
-      let p = pending_of t in
-      if p > 0 then begin
-        t.rent <- t.rent + p;
-        if t.rent > t.rent_limit then fold t
-      end
+    let p = pending_of t in
+    if p > 0 then begin
+      t.rent <- t.rent + p;
+      if t.rent > t.rent_limit then fold t
+    end
 
 (* -- Registry churn ------------------------------------------------ *)
 
@@ -462,46 +459,43 @@ let agg_removed t agg id profile =
   maybe_swap t agg;
   observe_agg t agg
 
-(* Plain churn joins the pending tables only while the engine is in
-   sync with its registry; after an edit behind its back, the next
-   match re-plans everything anyway. Rent is charged per pending
+(* Plain churn joins the pending tables. Rent is charged per pending
    window: once unsubscribes drain the tables, a fold would buy
    nothing, and the next window starts from zero. So a state with
    nothing pending carries no rent. *)
-let plain_churn t ~was_synced f =
-  if was_synced then begin
-    f ();
-    t.synced <- Profile_set.revision t.pset;
-    if pending_of t = 0 then t.rent <- 0;
-    observe_pending t
-  end
+let plain_churn t f =
+  f ();
+  if pending_of t = 0 then t.rent <- 0;
+  observe_pending t
 
-let added t ~was_synced id profile =
+let added t id profile =
+  t.synced <- Profile_set.revision t.pset;
   match t.agg with
   | Some agg -> agg_added t agg id profile
-  | None -> plain_churn t ~was_synced (fun () -> Hashtbl.replace t.delta id ())
+  | None -> plain_churn t (fun () -> Hashtbl.replace t.delta id ())
 
 let add_profile t profile =
-  let was_synced = in_sync t in
+  check_synced t;
   let id = Profile_set.add t.pset profile in
-  added t ~was_synced id profile;
+  added t id profile;
   id
 
 let add_profile_with_id t ~id profile =
-  let was_synced = in_sync t in
+  check_synced t;
   Profile_set.add_with_id t.pset ~id profile;
-  added t ~was_synced id profile
+  added t id profile
 
 let remove_profile t id =
-  let was_synced = in_sync t in
+  check_synced t;
   match Profile_set.find t.pset id with
   | None -> false
   | Some profile ->
     ignore (Profile_set.remove t.pset id);
+    t.synced <- Profile_set.revision t.pset;
     (match t.agg with
     | Some agg -> agg_removed t agg id profile
     | None ->
-      plain_churn t ~was_synced (fun () ->
+      plain_churn t (fun () ->
           if Hashtbl.mem t.delta id then Hashtbl.remove t.delta id
           else Hashtbl.replace t.dead id profile));
     true
@@ -711,8 +705,8 @@ let match_batch t events =
   results
 
 (* Journal replay feeds the statistics exactly as [match_core] does —
-   including a stale registry's history reset and a pending-churn
-   fold — without matching or delivering anything. *)
+   including a pending-churn fold — without matching or delivering
+   anything. *)
 let replay_observe t event =
   record t event;
   tick t 1
@@ -733,13 +727,13 @@ let sorted_bindings tbl =
 
 let pending_churn t =
   match t.agg with
-  | None when in_sync t ->
+  | None ->
     {
       delta = List.map fst (sorted_bindings t.delta);
       dead = sorted_bindings t.dead;
       rent = t.rent;
     }
-  | None | Some _ -> { delta = []; dead = []; rent = 0 }
+  | Some _ -> { delta = []; dead = []; rent = 0 }
 
 (* Recompile the set the churn was recorded against — the live profiles
    without [delta], plus [dead] — then record the churn against it
@@ -749,8 +743,11 @@ let restore_churn t c =
     let delta = List.map (fun id -> (id, Profile_set.find_exn t.pset id)) c.delta in
     List.iter (fun (id, _) -> ignore (Profile_set.remove t.pset id)) delta;
     List.iter (fun (id, p) -> Profile_set.add_with_id t.pset ~id p) c.dead;
-    replan t t.pset Restart;
+    (* The engine was just created, so absorbing its empty statistics
+       starts the plan afresh. *)
+    replan t t.pset Absorb;
     t.synced <- Profile_set.revision t.pset;
+    t.planned <- t.synced;
     observe_tree t;
     List.iter (fun (id, _) -> ignore (remove_profile t id)) c.dead;
     List.iter (fun (id, p) -> add_profile_with_id t ~id p) delta;

@@ -4,10 +4,13 @@
     Owns a profile registry, a decomposition snapshot, statistics
     objects, and the (possibly reordered) profile tree. Churn through
     {!add_profile}/{!remove_profile} is matched incrementally until it
-    is folded into a re-plan; a registry edited directly is
-    re-snapshotted on the next match. Every filtered event is recorded
-    in the statistics, so a later {!swap_now} re-optimizes for the
-    observed distribution; an engine created with an {!Adaptive}
+    is folded into a re-plan. All registry churn must go through the
+    engine: once the profile set was edited directly (its
+    {!Genas_profile.Profile_set.revision} differs from the one the
+    engine's own calls left), every entry point raises
+    [Invalid_argument]. Every filtered event is recorded in the
+    statistics, so a later {!swap_now} re-optimizes for the observed
+    distribution; an engine created with an {!Adaptive}
     policy does so by itself when the distribution drifts. *)
 
 type t
@@ -42,9 +45,7 @@ val create :
     the registry is indexed by a {!Genas_profile.Lattice} and the flat
     matcher is compiled over the covering-minimal roots only, with
     churn folded in incrementally and installed by epoch swaps (see
-    docs/SCALING.md). An aggregated engine requires all registry churn
-    to go through {!add_profile}/{!remove_profile}; mutating the
-    profile set directly leaves the index behind. [delta_cap] bounds
+    docs/SCALING.md). [delta_cap] bounds
     the structural changes accumulated between swaps (default 512):
     when exceeded, the churn operation that exceeds it performs the
     swap on the calling thread, so swaps land at the same operation
@@ -76,8 +77,7 @@ val profiles : t -> Genas_profile.Profile_set.t
     re-plan's cost to a pending check's; docs/PERFORMANCE.md). The
     rule is deterministic, so journal replay folds at the same
     events, and a snapshot records pending churn ({!pending_churn})
-    instead of folding it. Mutating the profile set directly instead still works: the
-    next match re-plans everything from fresh statistics. *)
+    instead of folding it. *)
 
 val add_profile : t -> Genas_profile.Profile.t -> Genas_profile.Profile_set.id
 (** Register a profile. Plain engines: the id joins the pending delta.
@@ -140,8 +140,8 @@ val ops : t -> Genas_filter.Ops.t
 
 val match_event :
   t -> Genas_model.Event.t -> Genas_profile.Profile_set.id list
-(** Filter one event: re-plans if the profile set was edited directly
-    or pending churn is due to fold, records the event in the
+(** Filter one event: folds pending churn if it is due, records the
+    event in the
     statistics, counts operations, and returns the matched profile ids
     (ascending).
 
@@ -168,13 +168,12 @@ val match_batch :
     the drift clock, which advances once, after the whole batch. *)
 
 val refresh_keeping_history : t -> unit
-(** Compile everything now: fold pending churn, or re-plan a registry
-    edited behind the engine's back, absorbing the observed event
-    history of the previous statistics ({!Stats.absorb}) either way —
+(** Compile everything now: fold pending churn, absorbing the observed
+    event history of the previous statistics ({!Stats.absorb}) —
     learned event distributions survive the profile change instead of
-    being restarted. No-op when nothing is pending and the registry is
-    unchanged. Call it after bulk subscription, so the first publishes
-    run on a fully compiled matcher. *)
+    being restarted. No-op when nothing is pending. Call it after bulk
+    subscription, so the first publishes run on a fully compiled
+    matcher. *)
 
 val report : t -> Cost.report
 (** Analytic expectation for the current tree under the current
@@ -187,12 +186,10 @@ val adaptive : t -> Adaptive.t option
 
 val replay_observe : t -> Genas_model.Event.t -> unit
 (** Record one event in the statistics exactly as the match path would
-    — including the pending-churn rent and fold, and the implicit
-    re-plan (with its history reset) of a profile set edited directly —
-    without matching or counting operations, then ticks the drift
-    clock. Journal replay uses this to regrow the learned distributions
-    and reach the same fold points and drift re-plans from the logged
-    event stream. *)
+    — including the pending-churn rent and fold — without matching or
+    counting operations, then ticks the drift clock. Journal replay
+    uses this to regrow the learned distributions and reach the same
+    fold points and drift re-plans from the logged event stream. *)
 
 val replay_batch : t -> Genas_model.Event.t array -> unit
 (** {!replay_observe} for one {!match_batch}: one clock tick. *)
@@ -207,10 +204,8 @@ type churn = {
 (** A plain engine's pending churn, as a snapshot records it. *)
 
 val pending_churn : t -> churn
-(** The pending churn of a plain engine whose registry went through
-    the churn calls only; empty otherwise (aggregated engines, a
-    registry edited directly), where recovery rebuilds a fully
-    compiled engine. *)
+(** The pending churn of a plain engine; empty on aggregated engines,
+    where recovery rebuilds a fully compiled engine. *)
 
 val restore_churn : t -> churn -> unit
 (** Re-establish [churn] on a plain engine just created over the live

@@ -726,8 +726,6 @@ let supervisor t = t.super
 
 let deadletter t = Supervise.deadletter t.super
 
-let faults t = t.faults
-
 let published t = t.published
 
 let notifications t = t.notifications
@@ -753,7 +751,5 @@ let rebuilds t =
   match Engine.adaptive t.engine with
   | Some a -> Adaptive.rebuilds a
   | None -> 0
-
-let tracer t = t.tracer
 
 let dump_flight_recorder t = Option.map Trace.dump t.tracer

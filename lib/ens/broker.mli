@@ -148,9 +148,6 @@ val supervisor : t -> Supervise.t
 val deadletter : t -> Deadletter.t
 (** Terminally failed notifications, oldest first, bounded. *)
 
-val faults : t -> Fault.t option
-(** The fault plan the broker was created with, if any. *)
-
 val published : t -> int
 
 val notifications : t -> int
@@ -173,9 +170,6 @@ val rebuilds : t -> int
 (** Adaptive re-optimizations performed (0 without [adaptive]). *)
 
 (** {1 Tracing} *)
-
-val tracer : t -> Genas_obs.Trace.t option
-(** The tracer the broker was created with, if any. *)
 
 val dump_flight_recorder : t -> string option
 (** On-demand text dump of the tracer's flight recorder (held traces,
@@ -235,5 +229,10 @@ val recover :
     Known limits (documented in docs/ROBUSTNESS.md): composite detector
     state {e spanning} a snapshot boundary is not captured (occurrences
     straddling the snapshot are regrown only from post-snapshot
-    events), and the statistics' {e assumed} (provider-declared)
-    distributions are not persisted. *)
+    events), the statistics' {e assumed} (provider-declared)
+    distributions are not persisted, and an [aggregate] broker
+    recovered from a snapshot taken with structural churn pending is
+    not bit-identical: its snapshot records no pending churn, so
+    recovery compiles every root. It delivers the same notifications,
+    but its epoch, pending count and comparisons per event differ from
+    the uncrashed broker's. *)

@@ -59,6 +59,10 @@ type sub = {
 
 type inbox_entry = Msg of Transport.message | Closed of string
 
+(* Receive-mailbox bound: a server flooding frames faster than the
+   client applies them tears the link down instead of growing memory. *)
+let inbox_cap = 65_536
+
 type redial = {
   policy : Supervise.policy;
   max_backoff_s : float;
@@ -71,13 +75,10 @@ type t = {
   schema : Schema.t;
   name : string;
   addr : Transport.addr;
-  seed : int;
-  max_frame : int;
   deadline_s : float;
   heartbeat : Transport.heartbeat option;
   tick_s : float;
   auto_drain : bool;
-  inbox_cap : int;
   tracer : Trace.t option;
   on_deliver :
     (cursor:int ->
@@ -132,13 +133,9 @@ type t = {
 
 let local t = t.local
 
-let name t = t.name
-
 let upstream t = t.upstream
 
 let connected t = t.conn <> None
-
-let complete_to t = t.complete_to
 
 let applied_total t = t.applied_total
 
@@ -240,7 +237,7 @@ let spawn_rx t conn =
                | msg ->
                  let overflowed =
                    Mutex.lock t.inbox_mutex;
-                   let ov = Queue.length t.inbox >= t.inbox_cap in
+                   let ov = Queue.length t.inbox >= inbox_cap in
                    Queue.push
                      (if ov then Closed "inbox overflow" else Msg msg)
                      t.inbox;
@@ -537,7 +534,7 @@ let handshake t conn =
 (* Dial + handshake + receiver spawn. Assumes [op_mutex] and no
    current link. Returns the server's cursor. *)
 let dial_locked t =
-  match Transport.dial ~seed:t.seed ~max_frame:t.max_frame t.addr with
+  match Transport.dial t.addr with
   | exception (Unix.Unix_error _ as e) ->
     Error
       (Printf.sprintf "dial %s: %s"
@@ -694,12 +691,10 @@ let spawn_ticker t =
   t.ticker_tid <- Thread.id th;
   t.ticker <- Some th
 
-let connect ?(name = "client") ?(seed = Transport.default_seed)
-    ?(max_frame = Codec.default_max_frame) ?(deadline_s = 30.0)
+let connect ?(name = "client") ?(deadline_s = 30.0)
     ?(heartbeat = Some Transport.default_heartbeat) ?reconnect
     ?(max_backoff_s = 30.0) ?metrics ?tracer ?(tick_s = 0.02)
-    ?(auto_drain = false) ?(inbox_cap = 65536) ?on_deliver ?skip_origin ?local
-    schema addr =
+    ?(auto_drain = false) ?on_deliver ?skip_origin ?local schema addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   if not (deadline_s > 0.0) then
@@ -752,13 +747,10 @@ let connect ?(name = "client") ?(seed = Transport.default_seed)
       schema;
       name;
       addr;
-      seed;
-      max_frame;
       deadline_s;
       heartbeat;
       tick_s;
       auto_drain;
-      inbox_cap;
       tracer;
       on_deliver;
       skip_origin;
@@ -885,15 +877,7 @@ let forward_profile t ?subscriber body =
         ignore (sync_forwarded_locked t);
         Ok token)
 
-let retire_profile t token =
-  with_op t (fun () ->
-      match Hashtbl.find_opt t.subs token with
-      | None -> ()
-      | Some sub ->
-        Option.iter (fun sid -> ignore (Broker.unsubscribe t.local sid)) sub.sid;
-        Hashtbl.remove t.subs token;
-        ignore (Lattice.remove t.lat token);
-        ignore (sync_forwarded_locked t))
+let retire_profile t token = ignore (unsubscribe t token)
 
 let publish t event =
   with_op t (fun () ->

@@ -18,7 +18,8 @@
     (cursor, idx) pairs are remembered and duplicates dropped, making
     local application exactly-once relative to the server's journal.
     After a disconnect, {!reconnect} re-sends the forwarded set and
-    {!replay} redelivers everything after {!complete_to} out of the
+    {!replay} redelivers everything after its completeness cursor (the
+    journal cursor up to which it is known complete) out of the
     server's WAL. See docs/NETWORKING.md.
 
     Self-healing (docs/ROBUSTNESS.md): every request takes the
@@ -26,16 +27,14 @@
     of blocking forever; a ticker thread pings idle links, reaps a
     link silent past the heartbeat deadline, and — when a [reconnect]
     policy is given — redials with capped exponential backoff and
-    seeded jitter, re-sends the forwarded set, and replays from
-    {!complete_to}, so a server kill/restart cycle needs no operator
-    action. *)
+    seeded jitter, re-sends the forwarded set, and replays from the
+    completeness cursor, so a server kill/restart cycle needs no
+    operator action. *)
 
 type t
 
 val connect :
   ?name:string ->
-  ?seed:int ->
-  ?max_frame:int ->
   ?deadline_s:float ->
   ?heartbeat:Transport.heartbeat option ->
   ?reconnect:Supervise.policy ->
@@ -44,7 +43,6 @@ val connect :
   ?tracer:Genas_obs.Trace.t ->
   ?tick_s:float ->
   ?auto_drain:bool ->
-  ?inbox_cap:int ->
   ?on_deliver:
     (cursor:int ->
     idx:int ->
@@ -70,12 +68,13 @@ val connect :
     redial: attempts are scheduled at capped ([max_backoff_s], default
     30) exponential backoff with the policy's multiplier and seeded
     jitter; each successful redial re-sends the forwarded set and
-    replays from {!complete_to}. [tick_s] (default 0.02) is the ticker
-    granularity — also the resolution of request deadlines.
+    replays from the completeness cursor. [tick_s] (default 0.02) is
+    the ticker granularity — also the resolution of request
+    deadlines.
     [auto_drain] applies queued deliveries from the ticker (relays
     need this; interactive callers use {!drain}/{!await_deliveries}).
-    [inbox_cap] (default 65536) bounds the receive mailbox — overflow
-    tears the link down rather than growing without limit.
+    The receive mailbox holds at most 65,536 frames — overflow tears
+    the link down rather than growing without limit.
 
     With [tracer], {!publish} runs under a [net.publish] root span
     whose context travels on the wire, and every applied delivery runs
@@ -108,8 +107,6 @@ val close : t -> unit
 
 val connected : t -> bool
 
-val name : t -> string
-
 val local : t -> Broker.t
 (** The local broker (all local subscriptions, local counters). *)
 
@@ -138,10 +135,11 @@ val publish : t -> Genas_model.Event.t -> (int, string) result
     never re-delivers the client's own events. *)
 
 val replay : t -> (int * bool, string) result
-(** Request catch-up from {!complete_to}: the server re-delivers every
-    retained matching publish after it. Returns [(newly_applied,
-    complete)]; [complete = false] means a server snapshot discarded
-    part of the range. Advances {!complete_to} to the server cursor. *)
+(** Request catch-up from the completeness cursor: the server
+    re-delivers every retained matching publish after it. Returns
+    [(newly_applied, complete)]; [complete = false] means a server
+    snapshot discarded part of the range. Advances the completeness
+    cursor to the server cursor. *)
 
 (** {1 Relay plumbing}
 
@@ -156,9 +154,8 @@ val forward_profile : t -> ?subscriber:string -> string -> (int, string) result
     reconnect. *)
 
 val retire_profile : t -> int -> unit
-(** Remove a {!forward_profile} (or any) subscription token,
-    re-syncing the covering-minimal forward set. Unknown tokens are
-    ignored. *)
+(** {!unsubscribe} with the result ignored: remove a {!forward_profile}
+    (or any) subscription token; unknown tokens are ignored. *)
 
 val forward_up :
   ?ctx:Transport.ctx -> t -> origin:string -> Genas_model.Event.t array -> unit
@@ -206,10 +203,6 @@ val status_request : t -> (Transport.node_status list, string) result
 val upstream : t -> string
 (** The connected server's node name (from its [Welcome]; [""] before
     the first successful handshake). *)
-
-val complete_to : t -> int
-(** Journal cursor up to which this client is known complete (the
-    [since] a replay would send). *)
 
 val applied_total : t -> int
 (** Remote deliveries applied locally (lifetime). *)

@@ -79,8 +79,6 @@ type t = {
   tracer : Trace.t option;
   metrics : Metrics.t option;
   started_s : float;
-  seed : int;
-  max_frame : int;
   max_queue : int;
   sndbuf : int option;
   heartbeat : Transport.heartbeat option;
@@ -115,9 +113,8 @@ type t = {
   m_queue_wait : Metrics.histogram option;
 }
 
-let create ?faults ?(seed = Transport.default_seed)
-    ?(max_frame = Codec.default_max_frame) ?(name = "server")
-    ?(role = "server") ?tracer ?(max_queue = 1024) ?sndbuf
+let create ?faults ?(name = "server") ?(role = "server") ?tracer
+    ?(max_queue = 1024) ?sndbuf
     ?(heartbeat = Some Transport.default_heartbeat) ?(tick_s = 0.05) ?metrics
     ?on_accept ?on_subscribe ?on_unsubscribe ~broker addr =
   if max_queue < 1 then
@@ -178,8 +175,6 @@ let create ?faults ?(seed = Transport.default_seed)
     tracer;
     metrics;
     started_s = Transport.now_s ();
-    seed;
-    max_frame;
     max_queue;
     sndbuf;
     heartbeat;
@@ -210,12 +205,6 @@ let create ?faults ?(seed = Transport.default_seed)
     m_rx_apply;
     m_queue_wait;
   }
-
-let broker t = t.broker
-
-let name t = t.name
-
-let crashed t = t.crashed
 
 let slow_disconnects t = t.slow_disconnects
 
@@ -782,7 +771,7 @@ let ensure_listening t =
   | None -> t.lsock <- Some (Transport.listen t.addr)
 
 let accept_one t sock =
-  let conn = Transport.accept ~seed:t.seed ~max_frame:t.max_frame sock in
+  let conn = Transport.accept sock in
   (match t.sndbuf with
   | Some n -> (
     try Unix.setsockopt_int (Transport.conn_fd conn) Unix.SO_SNDBUF n

@@ -40,8 +40,6 @@ type t
 
 val create :
   ?faults:Fault.t ->
-  ?seed:int ->
-  ?max_frame:int ->
   ?name:string ->
   ?role:string ->
   ?tracer:Genas_obs.Trace.t ->
@@ -62,9 +60,9 @@ val create :
   broker:Broker.t ->
   Transport.addr ->
   t
-(** [seed] is the frame-checksum seed (must match the clients');
-    [max_frame] bounds accepted frame payloads (hostile length
-    prefixes fail before allocation). [name] is this node's mesh name
+(** Frames use {!Transport.default_seed} and are bounded by
+    {!Codec.default_max_frame}: hostile length prefixes fail before
+    allocation. [name] is this node's mesh name
     (default ["server"]) — events it publishes locally carry it as
     origin, and it must be unique within a mesh for no-echo to be
     sound. [role] only labels metrics and [Status] rows (default
@@ -127,18 +125,11 @@ val publish :
     for the publish's hop span and [via] names the peer that sent it.
     Returns the cursor of the first record. *)
 
-val broker : t -> Broker.t
-
-val name : t -> string
-
 val connections : t -> int
 (** Currently connected peers. *)
 
 val cursor : t -> int
 (** The op index the next accepted publish record will carry. *)
-
-val crashed : t -> bool
-(** An injected journal crash stopped the server. *)
 
 val slow_disconnects : t -> int
 (** Connections dropped by the bounded-queue slow-consumer policy. *)
@@ -160,5 +151,3 @@ val set_on_status : t -> (unit -> Transport.node_status list) -> unit
     its own {!status} to the rows collected from the rest of its
     upstream chain; without it a request answers with [[status t]]. *)
 
-val statuses : t -> Transport.node_status list
-(** What a [Status_req] on this node would answer. *)

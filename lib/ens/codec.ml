@@ -67,7 +67,7 @@ let w_array w b xs =
 
 type reader = { buf : string; mutable pos : int }
 
-let reader ?(pos = 0) buf = { buf; pos }
+let reader buf = { buf; pos = 0 }
 
 let need r n =
   if n < 0 || r.pos + n > String.length r.buf then corrupt "truncated payload"

@@ -36,7 +36,7 @@ val w_array : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a array -> unit
 
 type reader
 
-val reader : ?pos:int -> string -> reader
+val reader : string -> reader
 
 val r_u8 : reader -> int
 val r_int : reader -> int

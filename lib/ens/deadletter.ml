@@ -39,8 +39,6 @@ let entries t = List.of_seq (Queue.to_seq t.q)
 
 let iter t f = Queue.iter f t.q
 
-let clear t = Queue.clear t.q
-
 let replay t ~deliver =
   (* Drain first: a failed redelivery that goes back through supervised
      delivery may push itself (or a fresh failure) right back onto this

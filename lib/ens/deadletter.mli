@@ -46,8 +46,6 @@ val entries : t -> entry list
 
 val iter : t -> (entry -> unit) -> unit
 
-val clear : t -> unit
-
 val replay : t -> deliver:(entry -> bool) -> int * int
 (** [replay t ~deliver] drains the queue and feeds every held entry to
     [deliver], oldest first; returns [(redelivered, failed)] counts of

@@ -45,7 +45,6 @@ type fault =
 let trace_cap = 65536
 
 type t = {
-  seed : int;
   spec : spec;
   (* One substream per fault category: injecting (or removing) handler
      faults never perturbs the link draws, and vice versa — the same
@@ -60,7 +59,6 @@ type t = {
   mutable injected : int;
   mutable trace : fault list;  (** newest first, bounded *)
   mutable trace_len : int;
-  mutable trace_dropped : int;
 }
 
 let check_prob what p =
@@ -89,7 +87,6 @@ let plan ~seed spec =
      decision streams (the faults.t cram output is a contract). *)
   let crash_rng = Prng.split base in
   {
-    seed;
     spec;
     handler_rng;
     link_rng;
@@ -99,17 +96,11 @@ let plan ~seed spec =
     injected = 0;
     trace = [];
     trace_len = 0;
-    trace_dropped = 0;
   }
-
-let seed t = t.seed
-
-let spec t = t.spec
 
 let record t fault =
   t.injected <- t.injected + 1;
-  if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
-  else begin
+  if t.trace_len < trace_cap then begin
     t.trace <- fault :: t.trace;
     t.trace_len <- t.trace_len + 1
   end
@@ -186,7 +177,6 @@ let injected t = t.injected
 
 let trace t = List.rev t.trace
 
-let trace_dropped t = t.trace_dropped
 
 let pp_fault ppf = function
   | Handler_raise { subscriber } ->

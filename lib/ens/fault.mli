@@ -73,10 +73,6 @@ val plan : seed:int -> spec -> t
 (** @raise Invalid_argument on probabilities outside [[0,1]] or when
     the three link probabilities sum above 1. *)
 
-val seed : t -> int
-
-val spec : t -> spec
-
 (** {1 Decision points} (consumed by Broker/Router; drawing only
     happens for categories with non-zero probability, so a plan with
     [none] injects nothing and consumes no randomness) *)
@@ -109,8 +105,6 @@ val injected : t -> int
 
 val trace : t -> fault list
 (** Injected faults, oldest first, bounded at 65536 entries (excess is
-    counted in {!trace_dropped}). *)
-
-val trace_dropped : t -> int
+    not recorded; {!injected} still counts it). *)
 
 val pp_fault : Format.formatter -> fault -> unit

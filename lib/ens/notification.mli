@@ -29,6 +29,4 @@ val make :
   unit ->
   t
 
-val pp_origin : Format.formatter -> origin -> unit
-
 val pp : Genas_model.Schema.t -> Format.formatter -> t -> unit

@@ -9,7 +9,6 @@ type t = {
   schema : Schema.t;
   axes : Axis.t array;
   wanted : [ `All | `Region of Iset.t ] array;  (** per attribute *)
-  revision : int;
   mutable suppressed : int;
 }
 
@@ -32,9 +31,7 @@ let build pset =
         in
         if !dont_care then `All else `Region union)
   in
-  { schema; axes; wanted; revision = Profile_set.revision pset; suppressed = 0 }
-
-let revision t = t.revision
+  { schema; axes; wanted; suppressed = 0 }
 
 let wanted_coord t ~attr c =
   match t.wanted.(attr) with `All -> true | `Region r -> Iset.mem r c

@@ -13,8 +13,6 @@ type t
 
 val build : Genas_profile.Profile_set.t -> t
 
-val revision : t -> int
-
 val wanted_coord : t -> attr:int -> float -> bool
 (** Is this coordinate of this attribute accepted by at least one
     subscription (directly or via don't-care)? *)

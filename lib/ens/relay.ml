@@ -40,7 +40,6 @@ module Event = Genas_model.Event
 type t = {
   name : string;
   broker : Broker.t;
-  owns_broker : bool;
   server : Broker_server.t;
   mutable client : Broker_client.t option;  (* None only mid-create *)
   mu : Mutex.t;
@@ -48,30 +47,16 @@ type t = {
   fwd : (string, int * int) Hashtbl.t;  (* body -> (client token, refcount) *)
 }
 
-let name t = t.name
-
 let server t = t.server
 
 let client t = Option.get t.client
 
-let broker t = t.broker
-
-let origins_below t =
-  Mutex.lock t.mu;
-  let l = Hashtbl.fold (fun o () acc -> o :: acc) t.origins_below [] in
-  Mutex.unlock t.mu;
-  List.sort String.compare l
-
-let create ?(seed = Transport.default_seed) ?journal ?metrics ?tracer
+let create ?journal ?metrics ?tracer
     ?(heartbeat = Some Transport.default_heartbeat)
     ?(reconnect = Supervise.retry_policy ~backoff_ns:5e7 ~jitter:0.5 ())
-    ?(deadline_s = 30.0) ?max_queue ?tick_s ?(start = true) ?broker:broker_arg
-    ~name ~up ~listen schema =
-  let owns_broker, broker =
-    match broker_arg with
-    | Some b -> (false, b)
-    | None -> (true, Broker.create ?journal ?metrics schema)
-  in
+    ?(deadline_s = 30.0) ?max_queue ?tick_s ?(start = true) ~name ~up ~listen
+    schema =
+  let broker = Broker.create ?journal ?metrics schema in
   let mu = Mutex.create () in
   let origins_below = Hashtbl.create 8 in
   let fwd = Hashtbl.create 8 in
@@ -138,7 +123,7 @@ let create ?(seed = Transport.default_seed) ?journal ?metrics ?tracer
     | None -> ()
   in
   let server =
-    Broker_server.create ~seed ~name ~role:"relay" ?metrics ?tracer ~heartbeat
+    Broker_server.create ~name ~role:"relay" ?metrics ?tracer ~heartbeat
       ?max_queue ~on_accept ~on_subscribe ~on_unsubscribe ~broker listen
   in
   let skip_origin o =
@@ -156,13 +141,13 @@ let create ?(seed = Transport.default_seed) ?journal ?metrics ?tracer
     ignore (Broker_server.publish ~origin ~via ~ctx server [| event |])
   in
   match
-    Broker_client.connect ~name ~seed ~deadline_s ~heartbeat ~reconnect
+    Broker_client.connect ~name ~deadline_s ~heartbeat ~reconnect
       ?metrics ?tracer ?tick_s ~auto_drain:true ~on_deliver ~skip_origin
       ~local:broker schema up
   with
   | Error e ->
     Broker_server.stop server;
-    if owns_broker then Broker.close broker;
+    Broker.close broker;
     Error (Printf.sprintf "relay %s: upstream %s: %s" name
              (Transport.addr_to_string up) e)
   | Ok c ->
@@ -177,8 +162,7 @@ let create ?(seed = Transport.default_seed) ?journal ?metrics ?tracer
         | Ok nodes -> nodes
         | Error _ -> []));
     let t =
-      { name; broker; owns_broker; server; client = Some c; mu;
-        origins_below; fwd }
+      { name; broker; server; client = Some c; mu; origins_below; fwd }
     in
     if start then Broker_server.start t.server;
     Ok t
@@ -195,4 +179,4 @@ let publish t events =
 let close t =
   (match t.client with Some c -> Broker_client.close c | None -> ());
   Broker_server.stop t.server;
-  if t.owns_broker then Broker.close t.broker
+  Broker.close t.broker

@@ -24,7 +24,6 @@
 type t
 
 val create :
-  ?seed:int ->
   ?journal:Journal.config ->
   ?metrics:Genas_obs.Metrics.t ->
   ?tracer:Genas_obs.Trace.t ->
@@ -34,7 +33,6 @@ val create :
   ?max_queue:int ->
   ?tick_s:float ->
   ?start:bool ->
-  ?broker:Broker.t ->
   name:string ->
   up:Transport.addr ->
   listen:Transport.addr ->
@@ -48,9 +46,7 @@ val create :
     automatically), and start serving [listen]. [start = false] skips
     spawning the accept loop: the caller runs it, e.g.
     [Broker_server.serve ~connections (server t)] for a bounded
-    foreground run (the CLI [relay] command). [broker] substitutes a
-    caller-owned broker (e.g. one from [Broker.recover]); the caller
-    then owns its lifecycle.
+    foreground run (the CLI [relay] command).
 
     With [tracer] (shared by both faces), wire trace contexts flow
     through the relay in both directions: a downstream publish's hop
@@ -65,18 +61,10 @@ val publish : t -> Genas_model.Event.t array -> int
     origin-tagged with the relay's name. Returns the local journal
     cursor of the first record. *)
 
-val name : t -> string
-
 val server : t -> Broker_server.t
 (** The downstream face. *)
 
 val client : t -> Broker_client.t
 (** The upstream face (reconnects, outbox depth, applied counters). *)
-
-val broker : t -> Broker.t
-
-val origins_below : t -> string list
-(** Node names ever seen as publish origins from downstream,
-    ascending — the no-echo filter set. *)
 
 val close : t -> unit

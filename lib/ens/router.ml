@@ -4,51 +4,6 @@ module Profile = Genas_profile.Profile
 module Profile_set = Genas_profile.Profile_set
 module Lattice = Genas_profile.Lattice
 module Engine = Genas_core.Engine
-module Metrics = Genas_obs.Metrics
-module Trace = Genas_obs.Trace
-
-type instruments = {
-  sub_messages_total : Metrics.counter;
-  unsub_messages_total : Metrics.counter;
-  event_messages_total : Metrics.counter;
-  publishes_total : Metrics.counter;
-  notifications_total : Metrics.counter;
-  link_drops_total : Metrics.counter;
-  link_duplicates_total : Metrics.counter;
-  link_delays_total : Metrics.counter;
-  broker_pauses_total : Metrics.counter;
-}
-
-let make_instruments registry =
-  {
-    sub_messages_total =
-      Metrics.counter registry "genas_router_sub_messages_total"
-        ~help:"Inter-broker subscription-propagation messages";
-    unsub_messages_total =
-      Metrics.counter registry "genas_router_unsub_messages_total"
-        ~help:"Inter-broker subscription-retraction messages";
-    event_messages_total =
-      Metrics.counter registry "genas_router_event_messages_total"
-        ~help:"Inter-broker event forwards (hops)";
-    publishes_total =
-      Metrics.counter registry "genas_router_publishes_total"
-        ~help:"Events injected via Router.publish";
-    notifications_total =
-      Metrics.counter registry "genas_router_notifications_total"
-        ~help:"Notifications delivered network-wide";
-    link_drops_total =
-      Metrics.counter registry "genas_router_link_drops_total"
-        ~help:"Event forwards lost to injected link faults";
-    link_duplicates_total =
-      Metrics.counter registry "genas_router_link_duplicates_total"
-        ~help:"Event forwards duplicated by injected link faults";
-    link_delays_total =
-      Metrics.counter registry "genas_router_link_delays_total"
-        ~help:"Event forwards delayed by injected link faults";
-    broker_pauses_total =
-      Metrics.counter registry "genas_router_broker_pauses_total"
-        ~help:"Event arrivals deferred by injected broker pauses";
-  }
 
 type node_id = int
 
@@ -77,7 +32,6 @@ type live_sub = {
 
 type t = {
   schema : Schema.t;
-  spec : Genas_core.Reorder.spec option;
   nodes : node array;
   live : (sub_handle, live_sub) Hashtbl.t;
   mutable next_handle : int;
@@ -92,19 +46,7 @@ type t = {
   mutable broker_pauses : int;
   super : Supervise.t;
   faults : Fault.t option;
-  instruments : instruments option;
-  tracer : Trace.t option;
 }
-
-let count_incr t pick =
-  match t.instruments with
-  | None -> ()
-  | Some ins -> Metrics.Counter.incr (pick ins)
-
-let count_add t pick n =
-  match t.instruments with
-  | None -> ()
-  | Some ins -> Metrics.Counter.add (pick ins) n
 
 let validate_tree ~nodes ~edges =
   if nodes <= 0 then Error "need at least one broker"
@@ -141,29 +83,26 @@ let validate_tree ~nodes ~edges =
       else Error "broker topology is not connected"
   end
 
-let make_nodes ?spec ?aggregate schema adj =
+let make_nodes schema adj =
   Array.init (Array.length adj) (fun id ->
       let pset = Profile_set.create schema in
       {
         id;
         neighbors = adj.(id);
         pset;
-        engine = Engine.create ?spec ?aggregate pset;
+        engine = Engine.create pset;
         dests = Hashtbl.create 32;
         forwarded = Hashtbl.create 4;
       })
 
-let create ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
-    ?aggregate schema ~nodes ~edges =
+let make ?retry ?faults ?deadletter_capacity schema ~nodes ~edges =
   match validate_tree ~nodes ~edges with
   | Error e -> Error e
   | Ok adj ->
-    let nodes = make_nodes ?spec ?aggregate schema adj in
     Ok
       {
         schema;
-        spec;
-        nodes;
+        nodes = make_nodes schema adj;
         live = Hashtbl.create 32;
         next_handle = 0;
         next_fwd = 0;
@@ -176,32 +115,26 @@ let create ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
         link_delays = 0;
         broker_pauses = 0;
         super =
-          Supervise.create ?policy:retry ?deadletter_capacity ?metrics ?tracer
+          Supervise.create ?policy:retry ?deadletter_capacity
             ~prefix:"genas_router" ();
         faults;
-        instruments = Option.map make_instruments metrics;
-        tracer;
       }
 
-let create_exn ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
-    ?aggregate schema ~nodes ~edges =
-  match
-    create ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
-      ?aggregate schema ~nodes ~edges
-  with
+let make_exn ?retry ?faults ?deadletter_capacity schema ~nodes ~edges =
+  match make ?retry ?faults ?deadletter_capacity schema ~nodes ~edges with
   | Ok t -> t
   | Error msg -> invalid_arg ("Router.create: " ^ msg)
 
-let line ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer ?aggregate
-    schema ~nodes =
-  create_exn ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
-    ?aggregate schema ~nodes
+let create schema ~nodes ~edges = make schema ~nodes ~edges
+
+let create_exn schema ~nodes ~edges = make_exn schema ~nodes ~edges
+
+let line ?retry ?faults ?deadletter_capacity schema ~nodes =
+  make_exn ?retry ?faults ?deadletter_capacity schema ~nodes
     ~edges:(List.init (nodes - 1) (fun i -> (i, i + 1)))
 
-let star ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer ?aggregate
-    schema ~leaves =
-  create_exn ?spec ?metrics ?retry ?faults ?deadletter_capacity ?tracer
-    ?aggregate schema
+let star schema ~leaves =
+  make_exn schema
     ~nodes:(leaves + 1)
     ~edges:(List.init leaves (fun i -> (0, i + 1)))
 
@@ -230,10 +163,7 @@ let rec add_interest t ~count node profile dest =
           let fid = t.next_fwd in
           t.next_fwd <- fid + 1;
           ignore (Lattice.add fwd ~id:fid profile);
-          if count then begin
-            t.sub_msgs <- t.sub_msgs + 1;
-            count_incr t (fun i -> i.sub_messages_total)
-          end;
+          if count then t.sub_msgs <- t.sub_msgs + 1;
           add_interest t ~count t.nodes.(nb) profile (Link node.id)
         end
       end)
@@ -313,7 +243,6 @@ let unsubscribe t handle =
           links)
       before;
     t.unsub_msgs <- t.unsub_msgs + !charged;
-    count_add t (fun i -> i.unsub_messages_total) !charged;
     true
 
 (* One unit of routing work: an event arriving at a broker. [deferred]
@@ -334,25 +263,19 @@ let route t event ~at =
   let park job = Queue.add job parked in
   let forward ~src job =
     t.event_msgs <- t.event_msgs + 1;
-    count_incr t (fun i -> i.event_messages_total);
     match t.faults with
     | None -> stack := job :: !stack
     | Some plan -> (
       match Fault.link_fate plan ~src ~dst:job.node with
       | `Forward -> stack := job :: !stack
-      | `Drop ->
-        t.link_drops <- t.link_drops + 1;
-        count_incr t (fun i -> i.link_drops_total)
+      | `Drop -> t.link_drops <- t.link_drops + 1
       | `Duplicate ->
         (* The duplicate is a second message on the wire. *)
         t.event_msgs <- t.event_msgs + 1;
-        count_incr t (fun i -> i.event_messages_total);
         t.link_duplicates <- t.link_duplicates + 1;
-        count_incr t (fun i -> i.link_duplicates_total);
         stack := job :: job :: !stack
       | `Delay ->
         t.link_delays <- t.link_delays + 1;
-        count_incr t (fun i -> i.link_delays_total);
         park job)
   in
   let pauses job =
@@ -362,27 +285,12 @@ let route t event ~at =
     | None -> false
     | Some plan ->
       let hit = Fault.broker_pauses plan ~node:job.node in
-      if hit then begin
-        t.broker_pauses <- t.broker_pauses + 1;
-        count_incr t (fun i -> i.broker_pauses_total)
-      end;
+      if hit then t.broker_pauses <- t.broker_pauses + 1;
       hit
-  in
-  let hop_span job f =
-    match t.tracer with
-    | Some tr when Trace.active tr ->
-      Trace.with_span tr ~name:"router.hop" (fun () ->
-          Trace.add_attr tr "broker" (string_of_int job.node);
-          (match job.from with
-          | Some src -> Trace.add_attr tr "from" (string_of_int src)
-          | None -> ());
-          f ())
-    | _ -> f ()
   in
   let process job =
     if pauses job then park { job with deferred = true }
     else
-      hop_span job @@ fun () ->
       let node = t.nodes.(job.node) in
       let matched = Engine.match_event node.engine event in
       let links = ref [] in
@@ -395,10 +303,7 @@ let route t event ~at =
               Supervise.deliver t.super ?faults:t.faults ~subscriber ~handler
                 (Notification.make ~broker:node.id ~event
                    ~origin:(Notification.Primitive id) ~subscriber ())
-            then begin
-              t.notifications <- t.notifications + 1;
-              count_incr t (fun i -> i.notifications_total)
-            end
+            then t.notifications <- t.notifications + 1
           | Some (Link nb) ->
             if Some nb <> job.from && not (List.mem nb !links) then
               links := nb :: !links)
@@ -425,21 +330,12 @@ let route t event ~at =
   in
   drain ()
 
-let publish_core t ~at event =
-  count_incr t (fun i -> i.publishes_total);
-  let before = t.notifications in
-  route t event ~at;
-  t.notifications - before
-
 let publish t ~at event =
   if at < 0 || at >= Array.length t.nodes then
     invalid_arg "Router.publish: no such broker";
-  match t.tracer with
-  | None -> publish_core t ~at event
-  | Some tr ->
-    Trace.with_trace tr ~name:"router.publish" (fun () ->
-        Trace.add_attr tr "at" (string_of_int at);
-        publish_core t ~at event)
+  let before = t.notifications in
+  route t event ~at;
+  t.notifications - before
 
 let sub_messages t = t.sub_msgs
 
@@ -459,13 +355,7 @@ let broker_pauses t = t.broker_pauses
 
 let supervisor t = t.super
 
-let tracer t = t.tracer
-
-let dump_flight_recorder t = Option.map Trace.dump t.tracer
-
 let deadletter t = Supervise.deadletter t.super
-
-let faults t = t.faults
 
 let broker_ops t id = Engine.ops t.nodes.(id).engine
 

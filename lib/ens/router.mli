@@ -24,85 +24,38 @@ type t
 type node_id = int
 
 val create :
-  ?spec:Genas_core.Reorder.spec ->
-  ?metrics:Genas_obs.Metrics.t ->
-  ?retry:Supervise.policy ->
-  ?faults:Fault.t ->
-  ?deadletter_capacity:int ->
-  ?tracer:Genas_obs.Trace.t ->
-  ?aggregate:bool ->
   Genas_model.Schema.t ->
   nodes:int ->
   edges:(node_id * node_id) list ->
   (t, string) result
 (** The edge list must form a tree: connected, acyclic, node ids in
-    [[0, nodes-1]].
-
-    [aggregate] turns on subscription aggregation in every broker's
-    engine ({!Genas_core.Engine.create}); the per-link forwarded
-    tables are covering lattices either way, so the covered-check that
-    gates subscription propagation scans only covering-minimal
-    roots. See docs/SCALING.md.
-
-    [tracer] traces each {!publish} as one span tree: a
-    ["router.publish"] root (attribute [at] = injection broker), one
-    ["router.hop"] span per broker visit (attributes [broker] and, for
-    forwarded arrivals, [from]), and the usual ["deliver"] /
-    ["deliver.attempt"] spans from the shared delivery supervisor —
-    so one event's full multi-hop causal path lands in the tracer's
-    flight-recorder ring. See docs/OBSERVABILITY.md, "Tracing".
-
-    [metrics] registers network-level counters (subscription/retraction
-    messages, event hops, publishes, notifications, link faults,
-    delivery supervision; names in docs/OBSERVABILITY.md). Per-broker
-    engines are left uninstrumented so that a shared registry never
-    aggregates across brokers.
-
-    [retry], [faults], and [deadletter_capacity] configure the
-    network-wide delivery supervisor and fault plan as in
-    {!Broker.create}; omitted, no faults are injected and fault-free
-    routing behavior (delivery order, all message counters) is
-    identical to an unsupervised network as long as no handler
-    raises. *)
+    [[0, nodes-1]]. Every broker runs a plain engine with the default
+    spec. The per-link forwarded tables are covering lattices, so the
+    covered-check that gates subscription propagation scans only
+    covering-minimal roots. No faults are injected and delivery runs
+    the default retry policy, so routing behavior (delivery order, all
+    message counters) is identical to an unsupervised network as long
+    as no handler raises. *)
 
 val create_exn :
-  ?spec:Genas_core.Reorder.spec ->
-  ?metrics:Genas_obs.Metrics.t ->
-  ?retry:Supervise.policy ->
-  ?faults:Fault.t ->
-  ?deadletter_capacity:int ->
-  ?tracer:Genas_obs.Trace.t ->
-  ?aggregate:bool ->
   Genas_model.Schema.t ->
   nodes:int ->
   edges:(node_id * node_id) list ->
   t
 
 val line :
-  ?spec:Genas_core.Reorder.spec ->
-  ?metrics:Genas_obs.Metrics.t ->
   ?retry:Supervise.policy ->
   ?faults:Fault.t ->
   ?deadletter_capacity:int ->
-  ?tracer:Genas_obs.Trace.t ->
-  ?aggregate:bool ->
   Genas_model.Schema.t ->
   nodes:int ->
   t
-(** Convenience: brokers 0 — 1 — … — (nodes−1). *)
+(** Brokers 0 — 1 — … — (nodes−1). [retry], [faults], and
+    [deadletter_capacity] configure the network-wide delivery
+    supervisor and fault plan as in {!Broker.create}. *)
 
-val star :
-  ?spec:Genas_core.Reorder.spec ->
-  ?metrics:Genas_obs.Metrics.t ->
-  ?retry:Supervise.policy ->
-  ?faults:Fault.t ->
-  ?deadletter_capacity:int ->
-  ?tracer:Genas_obs.Trace.t ->
-  ?aggregate:bool ->
-  Genas_model.Schema.t ->
-  leaves:int ->
-  t
-(** Convenience: broker 0 in the center, leaves 1…n around it. *)
+val star : Genas_model.Schema.t -> leaves:int -> t
+(** Broker 0 in the center, leaves 1…n around it. *)
 
 type sub_handle
 
@@ -163,16 +116,7 @@ val broker_pauses : t -> int
 val supervisor : t -> Supervise.t
 (** The network-wide delivery supervisor. *)
 
-val tracer : t -> Genas_obs.Trace.t option
-(** The tracer the network was created with, if any. *)
-
-val dump_flight_recorder : t -> string option
-(** On-demand text dump of the tracer's flight recorder; [None] on an
-    untraced network. *)
-
 val deadletter : t -> Deadletter.t
-
-val faults : t -> Fault.t option
 
 (** {1 Per-broker inspection} *)
 

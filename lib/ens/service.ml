@@ -6,13 +6,9 @@ module Ops = Genas_filter.Ops
 type t = {
   schemas : (string, Schema.t) Hashtbl.t;
   brokers : (string, string * Broker.t) Hashtbl.t;  (** name → (schema, broker) *)
-  metrics : Genas_obs.Metrics.t option;
-      (** service-wide default registry for brokers created without an
-          explicit one *)
 }
 
-let create ?metrics () =
-  { schemas = Hashtbl.create 8; brokers = Hashtbl.create 8; metrics }
+let create () = { schemas = Hashtbl.create 8; brokers = Hashtbl.create 8 }
 
 let define_schema t ~name specs =
   if Hashtbl.mem t.schemas name then
@@ -49,33 +45,14 @@ let find_schema t name = Hashtbl.find_opt t.schemas name
 let schemas t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.schemas [] |> List.sort String.compare
 
-let create_broker t ~name ~schema ?spec ?adaptive ?metrics ?retry ?faults
-    ?journal () =
+let create_broker t ~name ~schema ?spec ?adaptive () =
   if Hashtbl.mem t.brokers name then
     Error (Printf.sprintf "broker %S already defined" name)
   else
     match find_schema t schema with
     | None -> Error (Printf.sprintf "unknown schema %S" schema)
     | Some s ->
-      let metrics = match metrics with Some _ -> metrics | None -> t.metrics in
-      Hashtbl.replace t.brokers name
-        (schema, Broker.create ?spec ?adaptive ?metrics ?retry ?faults ?journal s);
-      Ok ()
-
-let recover_broker t ~name ~schema ?spec ?adaptive ?metrics ?retry ?faults
-    ?handlers ~journal () =
-  if Hashtbl.mem t.brokers name then
-    Error (Printf.sprintf "broker %S already defined" name)
-  else
-    match find_schema t schema with
-    | None -> Error (Printf.sprintf "unknown schema %S" schema)
-    | Some s ->
-      let metrics = match metrics with Some _ -> metrics | None -> t.metrics in
-      let* b =
-        Broker.recover ?spec ?adaptive ?metrics ?retry ?faults ?handlers
-          ~journal s
-      in
-      Hashtbl.replace t.brokers name (schema, b);
+      Hashtbl.replace t.brokers name (schema, Broker.create ?spec ?adaptive s);
       Ok ()
 
 let find_broker t name = Option.map snd (Hashtbl.find_opt t.brokers name)

@@ -12,14 +12,7 @@
 
 type t
 
-val create : ?metrics:Genas_obs.Metrics.t -> unit -> t
-(** [metrics] is the service-wide default registry: every broker
-    created through {!create_broker} without its own [?metrics] is
-    instrumented into it. Brokers sharing one registry share the
-    broker-level instruments (the unlabelled counters aggregate across
-    them; per-subscriber delivery counters stay distinct through their
-    labels) — pass a per-broker registry to {!create_broker} when
-    brokers must not alias. *)
+val create : unit -> t
 
 (** {1 Schemas} *)
 
@@ -45,35 +38,11 @@ val create_broker :
   schema:string ->
   ?spec:Genas_core.Reorder.spec ->
   ?adaptive:Genas_core.Adaptive.policy ->
-  ?metrics:Genas_obs.Metrics.t ->
-  ?retry:Supervise.policy ->
-  ?faults:Fault.t ->
-  ?journal:Journal.config ->
   unit ->
   (unit, string) result
-(** Fails on duplicate broker names or unknown schemas. [metrics]
-    overrides the service-wide registry passed to {!create}; omitted,
-    the service registry (if any) is used, so brokers created through
-    the service layer are never silently uninstrumentable. [retry],
-    [faults], and [journal] (durability — a fresh write-ahead journal)
-    are forwarded to {!Broker.create}. *)
-
-val recover_broker :
-  t ->
-  name:string ->
-  schema:string ->
-  ?spec:Genas_core.Reorder.spec ->
-  ?adaptive:Genas_core.Adaptive.policy ->
-  ?metrics:Genas_obs.Metrics.t ->
-  ?retry:Supervise.policy ->
-  ?faults:Fault.t ->
-  ?handlers:(subscriber:string -> Notification.handler) ->
-  journal:Journal.config ->
-  unit ->
-  (unit, string) result
-(** Register a broker rebuilt from a journal directory via
-    {!Broker.recover}. Fails like {!create_broker}, or when recovery
-    itself fails (no journal, corrupt snapshot, schema mismatch). *)
+(** Fails on duplicate broker names or unknown schemas. [spec] and
+    [adaptive] are forwarded to {!Broker.create}; everything else takes
+    its defaults (no metrics, the default retry policy, no journal). *)
 
 val find_broker : t -> string -> Broker.t option
 

@@ -47,9 +47,6 @@ type data = Codec.prim list contents
 type records = { count : int; iter : (string -> unit) -> unit }
 (** [count] {!Codec.prim} records, which [iter] emits by ascending id. *)
 
-val file : string -> string
-(** [file dir] is the snapshot path, [dir/snapshot.bin]. *)
-
 val write :
   ?faults:Fault.t ->
   ?tracer:Genas_obs.Trace.t ->

@@ -122,7 +122,6 @@ type t = {
   mutable open_circuits : int;
   mutable trace : record list;  (** newest first, bounded *)
   mutable trace_len : int;
-  mutable trace_dropped : int;
   tracer : Trace.t option;
   instruments : instruments option;
 }
@@ -146,7 +145,6 @@ let create ?(policy = default_policy) ?(deadletter_capacity = 1024) ?metrics
     open_circuits = 0;
     trace = [];
     trace_len = 0;
-    trace_dropped = 0;
     tracer;
     instruments =
       Option.map (fun registry -> make_instruments registry prefix) metrics;
@@ -192,8 +190,7 @@ let close t c =
    traced; callers build the record on those branches only, so a clean
    first-attempt delivery allocates none. *)
 let record_trace t r =
-  if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
-  else begin
+  if t.trace_len < trace_cap then begin
     t.trace <- r :: t.trace;
     t.trace_len <- t.trace_len + 1
   end
@@ -351,8 +348,6 @@ let deliver t ?faults ~subscriber ~handler notification =
       else finish_short_circuit c
   end
 
-let deliveries t = t.deliveries
-
 let delivered t = t.delivered
 
 let failures t = t.failures
@@ -366,8 +361,6 @@ let short_circuited t = t.short_circuited
 let trips t = t.trips
 
 let trace t = List.rev t.trace
-
-let trace_dropped t = t.trace_dropped
 
 let circuits t =
   Hashtbl.fold (fun s c acc -> (s, c.state, c.count) :: acc) t.circuits []

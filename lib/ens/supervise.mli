@@ -77,8 +77,8 @@ val create :
   prefix:string ->
   unit ->
   t
-(** [prefix] names the metric family ("genas_broker",
-    "genas_router", …); see docs/OBSERVABILITY.md for the suffixes.
+(** [prefix] names the metric family (["genas_broker"] for a broker);
+    see docs/OBSERVABILITY.md for the suffixes.
 
     [tracer] records one ["deliver"] span (with a [subscriber]
     attribute) per supervised delivery and one ["deliver.attempt"]
@@ -108,9 +108,6 @@ val circuit : t -> string -> circuit_state
 (** {1 Counters} (plain integers, maintained with or without a metrics
     registry) *)
 
-val deliveries : t -> int
-(** Deliveries attempted (sequence numbers handed out). *)
-
 val delivered : t -> int
 
 val failures : t -> int
@@ -132,10 +129,6 @@ val trace : t -> record list
     bounded at 4096 entries. Identical seeds and workloads produce
     bit-identical traces. *)
 
-val trace_dropped : t -> int
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val pp_record : Format.formatter -> record -> unit
 
 (** {1 Serialization}
@@ -145,11 +138,6 @@ val pp_record : Format.formatter -> record -> unit
     draw count — recovery replays the seed and discards that many
     draws, so post-recovery backoff schedules continue the original
     sequence exactly). The diagnostic trace is not persisted. *)
-
-val circuits : t -> (string * circuit_state * int) list
-(** Every circuit ever touched, sorted by subscriber, with its state
-    and internal count (consecutive terminal failures when [Closed],
-    short-circuits since the trip when [Open]). *)
 
 module Export : sig
   type t = {
@@ -162,6 +150,9 @@ module Export : sig
     trips : int;
     jitter_draws : int;
     circuits : (string * circuit_state * int) list;
+        (** every circuit ever touched, sorted by subscriber, with its
+            state and count (consecutive terminal failures when
+            [Closed], short-circuits since the trip when [Open]) *)
   }
 end
 

@@ -357,28 +357,23 @@ type conn = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
-  seed : int;
-  max_frame : int;
   send_mutex : Mutex.t;
       (* deliveries fan out from whichever connection's thread
          published, so writes to one peer interleave without this *)
 }
 
-let conn_of_fd ?(seed = default_seed) ?(max_frame = Codec.default_max_frame) fd
-    =
+let conn_of_fd fd =
   {
     fd;
     ic = Unix.in_channel_of_descr fd;
     oc = Unix.out_channel_of_descr fd;
-    seed;
-    max_frame;
     send_mutex = Mutex.create ();
   }
 
 let conn_fd c = c.fd
 
 let send c msg =
-  let framed = Codec.frame ~seed:c.seed (encode_message msg) in
+  let framed = Codec.frame ~seed:default_seed (encode_message msg) in
   Mutex.lock c.send_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.send_mutex)
@@ -387,7 +382,9 @@ let send c msg =
       flush c.oc)
 
 let recv c schema =
-  match Codec.read_frame ~max_frame:c.max_frame ~seed:c.seed c.ic with
+  match
+    Codec.read_frame ~max_frame:Codec.default_max_frame ~seed:default_seed c.ic
+  with
   | Error _ as e -> e
   | exception Sys_blocked_io ->
     (* A kernel receive deadline (SO_RCVTIMEO) expired: the channel
@@ -429,7 +426,7 @@ let close_conn c =
 
 (* {1 Listening and dialing} *)
 
-let listen ?(backlog = 16) addr =
+let listen addr =
   let sock =
     match addr with
     | Unix_sock path ->
@@ -444,14 +441,14 @@ let listen ?(backlog = 16) addr =
    with e ->
      Unix.close sock;
      raise e);
-  Unix.listen sock backlog;
+  Unix.listen sock 16;
   sock
 
-let accept ?seed ?max_frame sock =
+let accept sock =
   let fd, _ = Unix.accept sock in
-  conn_of_fd ?seed ?max_frame fd
+  conn_of_fd fd
 
-let dial ?seed ?max_frame addr =
+let dial addr =
   let domain =
     match addr with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
   in
@@ -460,4 +457,4 @@ let dial ?seed ?max_frame addr =
    with e ->
      Unix.close fd;
      raise e);
-  conn_of_fd ?seed ?max_frame fd
+  conn_of_fd fd

@@ -151,9 +151,9 @@ val message_name : message -> string
 type conn
 
 val default_seed : int
-(** Default frame-checksum seed; both peers must use the same one. *)
-
-val conn_of_fd : ?seed:int -> ?max_frame:int -> Unix.file_descr -> conn
+(** The frame-checksum seed every connection uses; a peer framing with
+    another seed fails every checksum. Frames are bounded by
+    {!Codec.default_max_frame}. *)
 
 val conn_fd : conn -> Unix.file_descr
 
@@ -185,11 +185,11 @@ val close_conn : conn -> unit
 
 (** {1 Listening and dialing} *)
 
-val listen : ?backlog:int -> addr -> Unix.file_descr
-(** Bind and listen. A stale Unix-domain socket file is replaced; TCP
-    sockets set [SO_REUSEADDR]. *)
+val listen : addr -> Unix.file_descr
+(** Bind and listen (backlog 16). A stale Unix-domain socket file is
+    replaced; TCP sockets set [SO_REUSEADDR]. *)
 
-val accept : ?seed:int -> ?max_frame:int -> Unix.file_descr -> conn
+val accept : Unix.file_descr -> conn
 (** Block for one inbound connection. *)
 
-val dial : ?seed:int -> ?max_frame:int -> addr -> conn
+val dial : addr -> conn

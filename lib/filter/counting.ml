@@ -50,8 +50,6 @@ let build pset =
     epoch = 0;
   }
 
-let revision t = t.decomp.Decomp.revision
-
 let ceil_log2 m =
   if m <= 1 then if m = 1 then 1 else 0
   else

@@ -14,7 +14,6 @@ type t = {
   cell_first : int array array;
   cell_list : int array array;
   ids : int array;
-  revision : int;
 }
 
 let build pset =
@@ -62,7 +61,6 @@ let build pset =
     cell_first;
     cell_list;
     ids;
-    revision = Profile_set.revision pset;
   }
 
 let arity t = Array.length t.axes

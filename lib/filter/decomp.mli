@@ -2,9 +2,7 @@
 
     For every attribute, the denotations of all registered profiles are
     overlaid into the global subrange cells of §3. All matchers are
-    built against one decomposition snapshot; [revision] records the
-    profile-set revision it was taken at so callers can detect
-    staleness. *)
+    built against one decomposition snapshot. *)
 
 type t = private {
   schema : Genas_model.Schema.t;
@@ -19,7 +17,6 @@ type t = private {
           empty range means don't-care. [cell_first.(a)] has one slot
           per id up to the largest live id, plus one. *)
   ids : int array;  (** live profile ids at snapshot time, ascending *)
-  revision : int;
 }
 
 val build : Genas_profile.Profile_set.t -> t

@@ -8,7 +8,6 @@ module Profile_set = Genas_profile.Profile_set
 type t = {
   schema : Schema.t;
   profiles : (int * Profile.t) array;  (** ascending id *)
-  revision : int;
 }
 
 let build pset =
@@ -16,13 +15,7 @@ let build pset =
     Profile_set.fold pset ~init:[] ~f:(fun acc id p -> (id, p) :: acc)
     |> List.rev |> Array.of_list
   in
-  {
-    schema = Profile_set.schema pset;
-    profiles;
-    revision = Profile_set.revision pset;
-  }
-
-let revision t = t.revision
+  { schema = Profile_set.schema pset; profiles }
 
 let match_event ?ops t event =
   let n = Schema.arity t.schema in

@@ -10,8 +10,6 @@ type t
 val build : Genas_profile.Profile_set.t -> t
 (** Snapshot the current profiles. *)
 
-val revision : t -> int
-
 val match_event :
   ?ops:Ops.t -> t -> Genas_model.Event.t -> Genas_profile.Profile_set.id list
 (** Matched profile ids, ascending. *)

@@ -329,8 +329,6 @@ let match_event ?ops t event =
   in
   match_targets ?ops t (targets_of_coords t coords)
 
-let revision t = t.decomp.Decomp.revision
-
 let pp ppf t =
   let schema = t.decomp.Decomp.schema in
   let attr_name a = (Schema.attribute schema a).Schema.name in

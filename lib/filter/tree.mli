@@ -93,8 +93,6 @@ val match_coords :
     index (the simulation path: sampled workloads bypass event
     construction). *)
 
-val revision : t -> int
-
 val scan :
   Order.strategy -> edge_positions:float array -> target:float ->
   int * int option

@@ -6,6 +6,9 @@ let make ~discrete ~lo ~hi =
   if hi < lo then invalid_arg "Axis.make: hi < lo";
   if discrete && (Float.rem lo 1.0 <> 0.0 || Float.rem hi 1.0 <> 0.0) then
     invalid_arg "Axis.make: discrete axis needs integer bounds";
+  let exact = float_of_int Domain.exact_bound in
+  if discrete && not (-.exact < lo && hi < exact) then
+    invalid_arg "Axis.make: discrete bounds outside (-2^53, 2^53)";
   { discrete; lo; hi }
 
 let of_domain = function

@@ -23,7 +23,8 @@ val make : discrete:bool -> lo:float -> hi:float -> t
     catalog's normalized 0–100 axis).
 
     @raise Invalid_argument if [hi < lo], bounds are not finite, or a
-    discrete axis has non-integer bounds. *)
+    discrete axis has non-integer bounds or bounds outside
+    [(-2{^53}, 2{^53})] ({!Domain.exact_bound}). *)
 
 val coord : Domain.t -> Value.t -> float option
 (** Coordinate of a value on its domain's axis; [None] if the value

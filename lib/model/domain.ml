@@ -4,8 +4,12 @@ type t =
   | Enum of string array
   | Bool_dom
 
+let exact_bound = 1 lsl 53
+
 let int_range ~lo ~hi =
   if hi < lo then invalid_arg "Domain.int_range: hi < lo";
+  if not (-exact_bound < lo && hi < exact_bound) then
+    invalid_arg "Domain.int_range: bounds outside (-2^53, 2^53)";
   Int_range { lo; hi }
 
 let float_range ~lo ~hi =
@@ -101,7 +105,10 @@ let of_string s =
       match String.split_on_char ',' body with
       | [ lo; hi ] -> (
         match (int_of_string_opt (String.trim lo), int_of_string_opt (String.trim hi)) with
-        | Some lo, Some hi when lo <= hi -> Ok (int_range ~lo ~hi)
+        | Some lo, Some hi -> (
+          match int_range ~lo ~hi with
+          | d -> Ok d
+          | exception Invalid_argument msg -> Error msg)
         | _ -> fail ())
       | _ -> fail ())
     | None -> (

@@ -5,9 +5,10 @@
     discrete domains and the Lebesgue measure for continuous ranges.
     Attribute-selectivity measures A1/A2 are ratios of such sizes. *)
 
-type t =
+type t = private
   | Int_range of { lo : int; hi : int }
-      (** Integers in the inclusive range [[lo, hi]]. *)
+      (** Integers in the inclusive range [[lo, hi]], with
+          [-2{^53} < lo] and [hi < 2{^53}]. *)
   | Float_range of { lo : float; hi : float }
       (** Reals in the inclusive range [[lo, hi]]. *)
   | Enum of string array
@@ -15,8 +16,14 @@ type t =
           order is the domain's natural order. *)
   | Bool_dom  (** [false < true]. *)
 
+val exact_bound : int
+(** [2{^53}]: every int of smaller magnitude is exactly a float, so int
+    bounds strictly inside [±exact_bound] keep axis coordinates,
+    decomposition cells and table slots exact. *)
+
 val int_range : lo:int -> hi:int -> t
-(** @raise Invalid_argument if [hi < lo]. *)
+(** @raise Invalid_argument if [hi < lo], or unless
+    [-exact_bound < lo] and [hi < exact_bound]. *)
 
 val float_range : lo:float -> hi:float -> t
 (** @raise Invalid_argument if [hi < lo] or a bound is not finite. *)
@@ -55,4 +62,5 @@ val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse the concrete domain syntax used by schema files and the CLI:
-    ["int[lo,hi]"], ["float[lo,hi]"], ["enum{a,b,c}"], ["bool"]. *)
+    ["int[lo,hi]"], ["float[lo,hi]"], ["enum{a,b,c}"], ["bool"]. Text
+    that {!int_range} would reject is an [Error]. *)

@@ -7,17 +7,12 @@ type t = {
 
 let max_table = 1 lsl 16
 
-(* Every int below 2^53 in magnitude is a float, so within these bounds
-   [lo + s] and the axis size are exact; a slot beyond them could
-   stand for a rounded coordinate, or index past a float-sized table. *)
-let exact = 0x1p53
-
+(* Discrete axes have bounds within ±2^53 ([Domain.exact_bound]), so
+   [lo + s] and the axis size are exact. *)
 let table_size (axis : Axis.t) =
   let n = Axis.size axis in
-  if
-    axis.Axis.discrete && n <= float_of_int max_table
-    && -.exact < axis.Axis.lo && axis.Axis.hi < exact
-  then Some (int_of_float n)
+  if axis.Axis.discrete && n <= float_of_int max_table then
+    Some (int_of_float n)
   else None
 
 let create schema =

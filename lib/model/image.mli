@@ -18,8 +18,7 @@ val max_table : int
 
 val table_size : Axis.t -> int option
 (** [Some n] when the axis is tabled (its slots are [0 .. n-1]): a
-    discrete axis of at most {!max_table} points whose bounds lie
-    strictly within ±2{^53}, where every int is exactly a float. *)
+    discrete axis of at most {!max_table} points. *)
 
 val create : Schema.t -> t
 

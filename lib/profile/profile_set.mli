@@ -2,8 +2,7 @@
 
     The set [P] of profiles defined in an ENS (§3), with stable integer
     identifiers. All matchers and trees are built from a registry
-    snapshot; the adaptive engine rebuilds when the registry's revision
-    changes. Removal keeps identifiers stable (ids are never reused). *)
+    snapshot. Removal keeps identifiers stable (ids are never reused). *)
 
 type id = int
 
@@ -50,8 +49,9 @@ val size : t -> int
 (** [p], the number of live profiles. *)
 
 val revision : t -> int
-(** Monotone counter bumped by every [add]/[remove]; lets caches detect
-    staleness. *)
+(** Monotone counter bumped by every [add]/[remove]. The engine
+    compares it with the revision its own churn calls left and refuses
+    a registry edited behind its back. *)
 
 val ids : t -> id list
 (** Live ids, ascending. *)

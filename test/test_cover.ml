@@ -282,6 +282,89 @@ let recovery_case ~snapshot_every () =
 let test_recovery_minimal_cover_journal () = recovery_case ~snapshot_every:100 ()
 let test_recovery_minimal_cover_snapshot () = recovery_case ~snapshot_every:2 ()
 
+let copy_dir src =
+  let dst = fresh_dir () in
+  Sys.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      let bytes =
+        In_channel.with_open_bin (Filename.concat src f) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          Out_channel.output_string oc bytes))
+    (Sys.readdir src);
+  dst
+
+(* An aggregated broker recovered from a snapshot taken with churn
+   pending matches exactly what the live one matches. It is not
+   bit-identical: aggregated snapshots record no pending churn, so
+   recovery compiles every root (epoch 0, nothing pending) where the
+   live engine still verifies its pending roots, and the two count
+   different comparisons per event (docs/ROBUSTNESS.md, "Known
+   limits"). Only the matches are pinned here. *)
+let test_recovery_aggregated_matches () =
+  let s =
+    Schema.create_exn
+      [ ("x", Domain.int_range ~lo:0 ~hi:99); ("y", Domain.int_range ~lo:0 ~hi:99) ]
+  in
+  let dir = fresh_dir () in
+  let b =
+    Broker.create ~aggregate:true
+      ~journal:(Journal.config ~snapshot_every:100_000 ~fsync:false dir)
+      s
+  in
+  let sub tests =
+    Broker.subscribe b ~subscriber:"t" ~profile:(p s tests) (fun _ -> ())
+  in
+  let range a lo hi =
+    [ (a, Predicate.Ge (Value.Int lo)); (a, Predicate.Le (Value.Int hi)) ]
+  in
+  (* 25 disjoint roots on x, each covering a chain of 7 narrower
+     profiles: 200 subscriptions. *)
+  let handles =
+    List.concat_map
+      (fun r ->
+        let root = range "x" (4 * r) ((4 * r) + 3) in
+        let narrower k = root @ [ ("y", Predicate.Ge (Value.Int (10 * k))) ] in
+        sub root :: List.init 7 (fun k -> sub (narrower (k + 1))))
+      (List.init 25 Fun.id)
+  in
+  Engine.refresh_keeping_history (Broker.engine b);
+  let rng = Genas_prng.Prng.create ~seed:3 in
+  let event () =
+    Event.create_exn s
+      [ ("x", Value.Int (Genas_prng.Prng.int rng ~bound:100));
+        ("y", Value.Int (Genas_prng.Prng.int rng ~bound:100)) ]
+  in
+  let publish n = for _ = 1 to n do ignore (Broker.publish b (event ())) done in
+  publish 300;
+  (* Six broad roots, each demoting three of the old ones. *)
+  for j = 0 to 5 do ignore (sub (range "x" (16 * j) ((16 * j) + 11))) done;
+  List.iteri
+    (fun i h -> if i mod 37 = 0 then ignore (Broker.unsubscribe b h))
+    handles;
+  publish 50;
+  Broker.snapshot_now b;
+  publish 50;
+  let copy = copy_dir dir in
+  match
+    Broker.recover ~aggregate:true
+      ~journal:(Journal.config ~fsync:false copy)
+      s
+  with
+  | Error e -> Alcotest.fail ("recover: " ^ e)
+  | Ok r ->
+    let live = Broker.engine b and recovered = Broker.engine r in
+    Alcotest.(check int) "same subscriptions" (Broker.subscription_count b)
+      (Broker.subscription_count r);
+    for i = 1 to 2000 do
+      let e = event () in
+      Alcotest.(check (list int)) (Printf.sprintf "event %d" i)
+        (Engine.match_event live e) (Engine.match_event recovered e)
+    done;
+    Broker.close r;
+    Broker.close b
+
 (* ------------- aggregated ≡ plain engine differential ------------- *)
 
 let ids_equal a b = List.equal Int.equal a b
@@ -568,6 +651,8 @@ let () =
             `Quick test_recovery_minimal_cover_journal;
           Alcotest.test_case "minimal cover deterministic (snapshot rebuild)"
             `Quick test_recovery_minimal_cover_snapshot;
+          Alcotest.test_case "aggregated snapshot with pending churn" `Quick
+            test_recovery_aggregated_matches;
         ] );
       ( "engine",
         [

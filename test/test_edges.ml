@@ -27,6 +27,18 @@ let test_axis_guards () =
   Alcotest.check_raises "inverted"
     (Invalid_argument "Axis.make: hi < lo") (fun () ->
       ignore (Axis.make ~discrete:false ~lo:1.0 ~hi:0.0));
+  (* Discrete bounds must lie strictly inside ±2^53, as an int range's
+     do; a continuous axis may reach further. *)
+  let exact = 0x1p53 in
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "discrete [%g, %g]" lo hi)
+        (Invalid_argument "Axis.make: discrete bounds outside (-2^53, 2^53)")
+        (fun () -> ignore (Axis.make ~discrete:true ~lo ~hi)))
+    [ (0.0, exact); (-.exact, 0.0); (1.7e18, 1.7e18 +. 1024.0) ];
+  ignore (Axis.make ~discrete:true ~lo:(1.0 -. exact) ~hi:(exact -. 1.0));
+  ignore (Axis.make ~discrete:false ~lo:0.0 ~hi:exact);
   (* Degenerate single-point axis is legal. *)
   let a = Axis.make ~discrete:true ~lo:3.0 ~hi:3.0 in
   Alcotest.(check (float 1e-9)) "singleton size" 1.0 (Axis.size a)

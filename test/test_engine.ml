@@ -1,5 +1,5 @@
-(* The filter engine facade: matching, staleness refresh, spec changes,
-   and operation accounting. *)
+(* The filter engine facade: matching, refusal of registry edits made
+   outside it, spec changes, and operation accounting. *)
 
 module Value = Genas_model.Value
 module Domain = Genas_model.Domain
@@ -31,18 +31,43 @@ let test_basic_matching () =
   Alcotest.(check (list int)) "hit" [ id ] (Engine.match_event engine (event s 7 0));
   Alcotest.(check (list int)) "miss" [] (Engine.match_event engine (event s 2 0))
 
-let test_refresh_on_subscription_change () =
+(* A registry edited behind the engine's back is refused by every entry
+   point, in both modes: the compiled matcher, the statistics and the
+   lattice would describe another set. *)
+let test_refuses_edit_outside () =
   let s = schema () in
-  let pset = Profile_set.create s in
-  let engine = Engine.create pset in
-  Alcotest.(check (list int)) "empty" [] (Engine.match_event engine (event s 5 5));
-  let id = Result.get_ok (Profile_set.add_spec pset [ ("y", Predicate.Le (Value.Int 5)) ]) in
-  (* The engine must notice the registry revision change. *)
-  Alcotest.(check (list int)) "after add" [ id ]
-    (Engine.match_event engine (event s 5 5));
-  ignore (Profile_set.remove pset id);
-  Alcotest.(check (list int)) "after remove" []
-    (Engine.match_event engine (event s 5 5))
+  List.iter
+    (fun aggregate ->
+      let pset = Profile_set.create s in
+      let p = Profile.create_exn s [ ("y", Predicate.Le (Value.Int 5)) ] in
+      let engine = Engine.create ~aggregate pset in
+      let id = Engine.add_profile engine p in
+      Alcotest.(check (list int)) "engine churn is fine" [ id ]
+        (Engine.match_event engine (event s 5 5));
+      ignore (Profile_set.add pset p);
+      let refused name f =
+        Alcotest.check_raises name
+          (Invalid_argument "Engine: profile set edited outside the engine")
+          (fun () -> ignore (f ()))
+      in
+      let e = event s 5 5 in
+      refused "match_event" (fun () -> Engine.match_event engine e);
+      refused "match_with" (fun () ->
+          Engine.match_with engine e ~f:(fun ~ids:_ ~len -> len));
+      refused "match_batch" (fun () -> Engine.match_batch engine [| e |]);
+      refused "replay_observe" (fun () -> Engine.replay_observe engine e);
+      refused "replay_batch" (fun () -> Engine.replay_batch engine [| e |]);
+      refused "add_profile" (fun () -> Engine.add_profile engine p);
+      refused "add_profile_with_id" (fun () ->
+          Engine.add_profile_with_id engine ~id:100 p);
+      refused "remove_profile" (fun () -> Engine.remove_profile engine id);
+      refused "swap_now" (fun () -> Engine.swap_now engine);
+      refused "set_spec" (fun () -> Engine.set_spec engine Reorder.default_spec);
+      refused "refresh_keeping_history" (fun () ->
+          Engine.refresh_keeping_history engine);
+      Alcotest.(check int) "nothing observed after the edit" 1
+        (Engine.ops engine).Ops.events)
+    [ false; true ]
 
 let test_ops_accumulate_and_observe () =
   let s = schema () in
@@ -268,9 +293,9 @@ let test_rebuild_after_drained_window () =
   Alcotest.(check int) "history kept" 20
     (Genas_core.Stats.events_seen (Engine.stats engine))
 
-(* Random interleavings of engine churn, direct registry edits, every
-   match entry point, rebuilds and spec changes, checked against Naive
-   over the live set: ascending ids, and exact event/match counters. *)
+(* Random interleavings of engine churn, every match entry point,
+   rebuilds and spec changes, checked against Naive over the live set:
+   ascending ids, and exact event/match counters. *)
 let prop_plain_churn_equals_naive =
   QCheck.Test.make ~name:"plain engine under churn = Naive" ~count:60
     (QCheck.make
@@ -282,8 +307,6 @@ let prop_plain_churn_equals_naive =
               [
                 (4, Gen.profile s >|= fun pr -> `Add pr);
                 (3, int_bound 1000 >|= fun i -> `Remove i);
-                (1, Gen.profile s >|= fun pr -> `Direct_add pr);
-                (1, int_bound 1000 >|= fun i -> `Direct_remove i);
                 (4, Gen.event s >|= fun e -> `Match e);
                 (2, Gen.event s >|= fun e -> `Match_with e);
                 (2, Gen.events ~n:5 s >|= fun es -> `Batch es);
@@ -314,11 +337,6 @@ let prop_plain_churn_equals_naive =
           match pick i with
           | None -> true
           | Some id -> Engine.remove_profile engine id)
-        | `Direct_add pr -> ignore (Profile_set.add pset pr); true
-        | `Direct_remove i -> (
-          match pick i with
-          | None -> true
-          | Some id -> Profile_set.remove pset id)
         | `Match e ->
           let got = Engine.match_event engine e in
           ascending got && got = naive e
@@ -397,8 +415,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "matching" `Quick test_basic_matching;
-          Alcotest.test_case "refresh on registry change" `Quick
-            test_refresh_on_subscription_change;
+          Alcotest.test_case "edit outside the engine refused" `Quick
+            test_refuses_edit_outside;
           Alcotest.test_case "ops + observation" `Quick test_ops_accumulate_and_observe;
           Alcotest.test_case "set_spec" `Quick test_set_spec_rebuilds;
           Alcotest.test_case "rebuild keeps history" `Quick

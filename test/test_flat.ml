@@ -297,37 +297,55 @@ let test_out_of_domain_coords () =
       ("wrong kinds", kinds, Value.Float 7.0, Value.Int 1, Value.Str "a");
     ]
 
-(* An int range whose bounds lie beyond 2^53 (nanosecond timestamps):
-   its axis floats are rounded (the upper bound here by 32), so it must
-   match through coordinates, never through a slot table sized by the
-   rounded axis. The plain engine resolves, records and matches through
-   one image and must agree with the tree; the aggregated engine must
-   run (its lattice verifies on coordinates and can differ from the
-   tree on rounded bounds, as it did before the image). *)
+(* Int bounds beyond ±2^53 (nanosecond timestamps) would round on the
+   float axis and make the tree, the flat kernel and the plain engine
+   disagree with Naive, so the domain refuses them. Just inside the
+   bound every coordinate is exact: Flat (through an image), the plain
+   engine and the aggregated engine all agree with Naive at every
+   probe point. *)
 let test_huge_int_bounds () =
-  let lo = 1_700_000_000_000_000_000 in
-  let s = Schema.create_exn [ ("t", Domain.int_range ~lo ~hi:(lo + 800)) ] in
-  let pset =
-    pset_of s
-      [
-        [ ("t", Predicate.Ge (Value.Int (lo + 500))) ];
-        [ ("t", Predicate.Le (Value.Int (lo + 100))) ];
-        [];
-      ]
+  let exact = 1 lsl 53 in
+  let refused lo hi =
+    Alcotest.check_raises (Printf.sprintf "int[%d,%d] refused" lo hi)
+      (Invalid_argument "Domain.int_range: bounds outside (-2^53, 2^53)")
+      (fun () -> ignore (Domain.int_range ~lo ~hi))
   in
-  let tree = Reorder.build (Stats.create (Decomp.build pset)) Reorder.default_spec in
-  let flat = Flat.compile tree in
-  let cur = Flat.cursor flat and image = Image.create s in
-  let plain = Engine.create pset and agg = Engine.create ~aggregate:true pset in
+  let ts = 1_700_000_000_000_000_000 in
+  refused ts (ts + 800);
+  refused min_int max_int;
+  refused (-exact) 0;
+  refused 0 exact;
+  Alcotest.(check bool) "of_string refuses" true
+    (Result.is_error
+       (Domain.of_string (Printf.sprintf "int[%d,%d]" ts (ts + 800))));
   List.iter
-    (fun x ->
-      let e = Event.create_exn s [ ("t", Value.Int (lo + x)) ] in
-      let expect = Tree.match_event tree e in
-      let label = Printf.sprintf "lo + %d" x in
-      Alcotest.(check (list int)) (label ^ ": flat") expect (match_list ~image flat cur e);
-      Alcotest.(check (list int)) (label ^ ": plain") expect (Engine.match_event plain e);
-      ignore (Engine.match_event agg e))
-    [ 0; 100; 500; 780; 800 ]
+    (fun lo ->
+      let s = Schema.create_exn [ ("t", Domain.int_range ~lo ~hi:(lo + 800)) ] in
+      let pset =
+        pset_of s
+          [
+            [ ("t", Predicate.Ge (Value.Int (lo + 500))) ];
+            [ ("t", Predicate.Le (Value.Int (lo + 100))) ];
+            [];
+          ]
+      in
+      let naive = Naive.build pset in
+      let flat = flat_of pset in
+      let cur = Flat.cursor flat and image = Image.create s in
+      let plain = Engine.create pset and agg = Engine.create ~aggregate:true pset in
+      List.iter
+        (fun x ->
+          let e = Event.create_exn s [ ("t", Value.Int (lo + x)) ] in
+          let expect = Naive.match_event naive e in
+          let label = Printf.sprintf "%d + %d" lo x in
+          Alcotest.(check (list int)) (label ^ ": flat") expect
+            (match_list ~image flat cur e);
+          Alcotest.(check (list int)) (label ^ ": plain") expect
+            (Engine.match_event plain e);
+          Alcotest.(check (list int)) (label ^ ": aggregated") expect
+            (Engine.match_event agg e))
+        [ 0; 100; 500; 780; 800 ])
+    [ exact - 801; -exact + 1 ]
 
 let test_foreign_cursor_rejected () =
   let s = schema () in

@@ -105,21 +105,6 @@ let test_ops_accounting () =
   Alcotest.(check int) "reset" 0 a.Ops.comparisons;
   Alcotest.(check bool) "nan before events" true (Float.is_nan (Ops.per_event a))
 
-let test_snapshot_revisions () =
-  let s = schema () in
-  let pset =
-    pset_of s [ [ ("x", Predicate.Eq (Value.Int 1)) ] ]
-  in
-  let rev = Genas_profile.Profile_set.revision pset in
-  Alcotest.(check int) "naive snapshot" rev (Naive.revision (Naive.build pset));
-  Alcotest.(check int) "counting snapshot" rev
-    (Counting.revision (Counting.build pset));
-  ignore
-    (Genas_profile.Profile_set.add pset
-       (Profile.create_exn s [ ("x", Predicate.Eq (Value.Int 2)) ]));
-  Alcotest.(check bool) "stale detectable" true
-    (Naive.revision (Naive.build pset) > rev)
-
 let () =
   Alcotest.run "matchers"
     [
@@ -128,7 +113,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_naive_basic;
           Alcotest.test_case "short circuit ops" `Quick test_naive_ops_short_circuit;
           Alcotest.test_case "ops accounting" `Quick test_ops_accounting;
-          Alcotest.test_case "snapshot revisions" `Quick test_snapshot_revisions;
         ] );
       ( "counting",
         [

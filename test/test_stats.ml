@@ -160,13 +160,12 @@ let gen_domain =
         (fun lo w -> Domain.int_range ~lo ~hi:(lo + w))
         (-50 -- 50)
         (oneofl [ cap - 2; cap - 1; cap; cap + 1; 4 * cap ]);
-      (* Bounds beyond 2^53 round as floats (near 2^60, by up to 128):
-         nanosecond timestamps. *)
+      (* Bounds just inside ±2^53, the largest a domain admits. *)
       map2
         (fun lo w -> Domain.int_range ~lo ~hi:(lo + w))
-        (oneofl
-           [ 1_700_000_000_000_000_000; (1 lsl 53) - 1000; (1 lsl 53) - 300;
-             -(1 lsl 53) - 5; (1 lsl 60) - 400 ])
+        (oneofl [ (1 lsl 53) - 1000; -(1 lsl 53) + 1 ])
+        (0 -- 900);
+      map (fun w -> Domain.int_range ~lo:((1 lsl 53) - 1 - w) ~hi:((1 lsl 53) - 1))
         (0 -- 900);
       map2
         (fun lo w -> Domain.float_range ~lo ~hi:(lo +. w))
@@ -208,10 +207,11 @@ let gen_value dom =
   frequency [ (5, native); (1, foreign) ]
 
 (* An event carrying arbitrary values: validated against a schema that
-   admits exactly them. *)
+   admits exactly them. A float range admits an int, also one beyond
+   the ±2^53 an int range may span. *)
 let loose_event values =
   let dom = function
-    | Value.Int x -> Domain.int_range ~lo:x ~hi:x
+    | Value.Int x -> Domain.float_range ~lo:(float_of_int x) ~hi:(float_of_int x)
     | Value.Float f -> Domain.float_range ~lo:f ~hi:f
     | Value.Str s -> Domain.enum [ s ]
     | Value.Bool _ -> Domain.bool_dom
@@ -229,6 +229,17 @@ let gen_case =
   let event = map Array.of_list (flatten_l (Array.to_list (Array.map gen_value doms))) in
   map3 (fun bins events () -> (doms, bins, events)) (1 -- 100)
     (list_size (0 -- 60) event) unit
+
+(* Bounds beyond ±2^53 would round as floats (near 2^60, by up to 128):
+   nanosecond timestamps. The domain refuses them. *)
+let test_out_of_bound_ranges () =
+  List.iter
+    (fun (lo, w) ->
+      match Domain.int_range ~lo ~hi:(lo + w) with
+      | _ -> Alcotest.failf "int[%d,%d] accepted" lo (lo + w)
+      | exception Invalid_argument _ -> ())
+    [ (1_700_000_000_000_000_000, 800); ((1 lsl 53) - 300, 900);
+      (-(1 lsl 53) - 5, 10); ((1 lsl 60) - 400, 0); ((1 lsl 53) - 1, 1) ]
 
 let prop_image_histograms =
   QCheck.Test.make ~name:"image histograms = coordinate histograms" ~count:200
@@ -283,5 +294,10 @@ let () =
           Alcotest.test_case "priorities" `Quick test_priorities_weight_pp;
           Alcotest.test_case "D0 probability" `Quick test_d0_event_prob;
         ] );
-      ("event image", [ QCheck_alcotest.to_alcotest prop_image_histograms ]);
+      ( "event image",
+        [
+          QCheck_alcotest.to_alcotest prop_image_histograms;
+          Alcotest.test_case "out-of-bound int ranges" `Quick
+            test_out_of_bound_ranges;
+        ] );
     ]

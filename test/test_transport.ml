@@ -416,6 +416,47 @@ let test_covering_on_the_wire () =
                   ("narrow", (7, 0)) ]
                 got)))
 
+(* Unsubscribing on the wire: an unknown token is an error, an absorbed
+   profile leaves sends nothing, and the last forwarded root leaves
+   with one wire unsubscribe, after which nothing is delivered. *)
+let test_unsubscribe_on_the_wire () =
+  with_server (fun s _srv a ->
+      let c = or_fail (Broker_client.connect ~name:"unsub" s a) in
+      let p = or_fail (Broker_client.connect ~name:"pub" s a) in
+      Fun.protect
+        ~finally:(fun () ->
+          Broker_client.close p;
+          Broker_client.close c)
+        (fun () ->
+          Alcotest.(check bool) "unknown token" true
+            (Result.is_error (Broker_client.unsubscribe c 999));
+          let hits = ref 0 in
+          let sub body =
+            or_fail (Broker_client.subscribe c body (fun _ -> incr hits))
+          in
+          let t_root = sub "x >= 2" in
+          let t_narrow = sub "x >= 6" in
+          or_fail (Broker_client.unsubscribe c t_narrow);
+          Alcotest.(check int) "absorbed: no wire unsubscribe" 0
+            (Broker_client.wire_unsubscribes c);
+          Alcotest.(check (list int)) "root still forwarded" [ t_root ]
+            (Broker_client.forwarded_tokens c);
+          ignore (or_fail (Broker_client.publish p (event s 7 0)));
+          Alcotest.(check int) "root delivers" 1
+            (Broker_client.await_deliveries c 1);
+          Alcotest.(check int) "one hit" 1 !hits;
+          or_fail (Broker_client.unsubscribe c t_root);
+          Alcotest.(check int) "root: one wire unsubscribe" 1
+            (Broker_client.wire_unsubscribes c);
+          Alcotest.(check (list int)) "nothing forwarded" []
+            (Broker_client.forwarded_tokens c);
+          Alcotest.(check bool) "token gone" true
+            (Result.is_error (Broker_client.unsubscribe c t_root));
+          ignore (or_fail (Broker_client.publish p (event s 7 0)));
+          Alcotest.(check int) "no delivery after unsubscribe" 0
+            (Broker_client.await_deliveries ~timeout:0.2 c 1);
+          Alcotest.(check int) "still one hit" 1 !hits))
+
 (* A peer that sends garbage mid-session kills only its own
    connection; the server keeps serving others. *)
 let test_torn_frame_on_socket () =
@@ -697,6 +738,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_socket_roundtrip;
           Alcotest.test_case "no echo" `Quick test_no_echo;
           Alcotest.test_case "covering on the wire" `Quick test_covering_on_the_wire;
+          Alcotest.test_case "unsubscribe on the wire" `Quick
+            test_unsubscribe_on_the_wire;
           Alcotest.test_case "torn frame on socket" `Quick test_torn_frame_on_socket;
           Alcotest.test_case "handshake reject" `Quick test_handshake_reject;
         ] );
