@@ -14,6 +14,8 @@ module Metrics = Genas_obs.Metrics
 type instruments = {
   match_ns : Metrics.histogram;
   match_comparisons : Metrics.histogram;
+  mutable countdown : int;  (** events until the histograms' next sample *)
+  gaps : Genas_prng.Prng.t;  (** draws each gap between two samples *)
   events_total : Metrics.counter;
   matches_total : Metrics.counter;
   comparisons_total : Metrics.counter;
@@ -28,11 +30,13 @@ let make_instruments registry =
   {
     match_ns =
       Metrics.histogram registry "genas_engine_match_duration_ns"
-        ~help:"Wall-clock latency of Engine.match_event (ns, monotonic)";
+        ~help:"Wall-clock ns of a sampled Engine.match_event (monotonic)";
     match_comparisons =
       Metrics.histogram registry "genas_engine_match_comparisons"
-        ~help:"Comparison steps (the paper's #operations) per event"
+        ~help:"Comparison steps (the paper's #operations) per sampled event"
         ~buckets:[| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 1e4 |];
+    countdown = 1;
+    gaps = Genas_prng.Prng.create ~seed:0x6a5;
     events_total =
       Metrics.counter registry "genas_engine_events_total"
         ~help:"Events filtered";
@@ -652,18 +656,33 @@ let record t event =
   Image.resolve t.image event;
   Stats.observe t.stats t.image
 
+(* Mean gap between the events the per-event histograms sample (their
+   clock pair and updates cost about a bare publish); gaps are uniform
+   on 1..2*mean-1, so periodic traffic cannot alias with them. *)
+let sample_gap = 64
+
 let match_core t event =
   record t event;
   match t.instruments with
   | None -> match_dispatch t event
   | Some ins ->
     let c0 = t.ops.Ops.comparisons in
-    let t0 = Genas_obs.Clock.now_ns () in
-    let n = match_dispatch t event in
-    let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
+    ins.countdown <- ins.countdown - 1;
+    let n =
+      if ins.countdown > 0 then match_dispatch t event
+      else begin
+        ins.countdown <-
+          Genas_prng.Prng.int_in ins.gaps ~lo:1 ~hi:((2 * sample_gap) - 1);
+        let t0 = Genas_obs.Clock.now_ns () in
+        let n = match_dispatch t event in
+        let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
+        Metrics.Histogram.observe ins.match_ns (Float.max 0.0 dt);
+        Metrics.Histogram.observe ins.match_comparisons
+          (float_of_int (t.ops.Ops.comparisons - c0));
+        n
+      end
+    in
     let dc = t.ops.Ops.comparisons - c0 in
-    Metrics.Histogram.observe ins.match_ns (Float.max 0.0 dt);
-    Metrics.Histogram.observe ins.match_comparisons (float_of_int dc);
     Metrics.Counter.incr ins.events_total;
     Metrics.Counter.add ins.comparisons_total dc;
     Metrics.Counter.add ins.matches_total n;

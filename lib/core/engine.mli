@@ -36,7 +36,10 @@ val create :
     latency and comparisons-per-event histograms, event/match/
     comparison/rebuild counters, tree-size gauges, the pending
     churn gauge, and with [adaptive] the drift clock's series (all
-    names in docs/OBSERVABILITY.md). Without it
+    names in docs/OBSERVABILITY.md). The two histograms observe
+    sampled events only: the first event, then one event in 64 on
+    average (gaps uniform on 1..127, from a fixed-seed stream); the
+    counters count every event. Without it
     ([?metrics:None], the default) the match path performs no
     observability work at all — handles are resolved once at
     construction and the hot loop stays allocation-free.
@@ -164,8 +167,9 @@ val match_batch :
     Exactly a sequence of {!match_with} calls, one per event in order,
     each result copied out of the borrowed buffer: statistics, pending
     churn folds, operation counters and metrics (the per-event
-    histograms included) advance as they would for those calls, except
-    the drift clock, which advances once, after the whole batch. *)
+    histograms' sampling included) advance as they would for those
+    calls, except the drift clock, which advances once, after the whole
+    batch. *)
 
 val refresh_keeping_history : t -> unit
 (** Compile everything now: fold pending churn, absorbing the observed

@@ -323,7 +323,7 @@ let deliver_incr counter =
    published/notifications counters. Only accepted deliveries count. *)
 let deliver_prim t event id sent =
   match Hashtbl.find_opt t.handlers id with
-  | None -> ()
+  | None -> sent
   | Some sub ->
     if
       Supervise.deliver t.super ?faults:t.faults
@@ -331,26 +331,36 @@ let deliver_prim t event id sent =
         (Notification.make ~event ~origin:(Notification.Primitive id)
            ~subscriber:sub.p_subscriber ())
     then begin
-      incr sent;
-      deliver_incr sub.p_delivered
+      deliver_incr sub.p_delivered;
+      sent + 1
     end
+    else sent
+
+let rec deliver_prims t event sent = function
+  | [] -> sent
+  | id :: rest -> deliver_prims t event (deliver_prim t event id sent) rest
 
 let feed_composites t event sent =
-  Hashtbl.iter
-    (fun cid c ->
-      List.iter
-        (fun (_ : Composite.occurrence) ->
-          if
-            Supervise.deliver t.super ?faults:t.faults
-              ~subscriber:c.subscriber ~handler:c.handler
-              (Notification.make ~event ~origin:(Notification.Composite cid)
-                 ~subscriber:c.subscriber ())
-          then begin
-            incr sent;
-            deliver_incr c.c_delivered
-          end)
-        (Composite.feed c.detector event))
-    t.composites
+  if Hashtbl.length t.composites = 0 then sent
+  else begin
+    let sent = ref sent in
+    Hashtbl.iter
+      (fun cid c ->
+        List.iter
+          (fun (_ : Composite.occurrence) ->
+            if
+              Supervise.deliver t.super ?faults:t.faults
+                ~subscriber:c.subscriber ~handler:c.handler
+                (Notification.make ~event ~origin:(Notification.Composite cid)
+                   ~subscriber:c.subscriber ())
+            then begin
+              incr sent;
+              deliver_incr c.c_delivered
+            end)
+          (Composite.feed c.detector event))
+      t.composites;
+    !sent
+  end
 
 (* A publish record carries the dead letters it caused: the journaled
    op must be self-contained, because replay cannot re-run the
@@ -412,13 +422,14 @@ let attach_match_path tr engine event matched =
         path_matched = Array.of_list matched;
       }
 
-(* Wrap a publish entry point in a root trace; an injected crash
-   escaping it dumps the flight recorder before propagating. *)
-let with_publish_trace t ~name f =
+(* Wrap a publish entry point [f t x] in a root trace; an injected
+   crash escaping it dumps the flight recorder before propagating.
+   Untraced, the call allocates no closure. *)
+let with_publish_trace t ~name f x =
   match t.tracer with
-  | None -> f ()
+  | None -> f t x
   | Some tr -> (
-    try Trace.with_trace tr ~name f
+    try Trace.with_trace tr ~name (fun () -> f t x)
     with Fault.Crashed p as exn ->
       ignore
         (Trace.record_crash tr ~reason:("crashed: " ^ Fault.crash_point_name p));
@@ -442,20 +453,20 @@ let publish_core t event =
               matched))
     | Some _ | None -> Engine.match_event t.engine event
   in
-  let sent = ref 0 in
-  List.iter (fun id -> deliver_prim t event id sent) matched;
-  feed_composites t event sent;
-  t.notifications <- t.notifications + !sent;
+  let sent = feed_composites t event (deliver_prims t event 0 matched) in
+  t.notifications <- t.notifications + sent;
   (match t.instruments with
   | None -> ()
   | Some ins ->
     Metrics.Counter.incr ins.published_total;
-    Metrics.Counter.add ins.notifications_total !sent);
-  journal_publish t ~events:[| event |] ~batch:false ~total_before;
-  !sent
+    Metrics.Counter.add ins.notifications_total sent);
+  (* Checked here too, so an unjournaled publish builds no array. *)
+  if Option.is_some t.journal then
+    journal_publish t ~events:[| event |] ~batch:false ~total_before;
+  sent
 
 let publish t event =
-  with_publish_trace t ~name:"broker.publish" (fun () -> publish_core t event)
+  with_publish_trace t ~name:"broker.publish" publish_core event
 
 let publish_batch_core t events =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
@@ -474,8 +485,8 @@ let publish_batch_core t events =
   Array.iteri
     (fun i matched ->
       let event = events.(i) in
-      Array.iter (fun id -> deliver_prim t event id sent) matched;
-      feed_composites t event sent)
+      Array.iter (fun id -> sent := deliver_prim t event id !sent) matched;
+      sent := feed_composites t event !sent)
     results;
   t.notifications <- t.notifications + !sent;
   (match t.instruments with
@@ -488,8 +499,7 @@ let publish_batch_core t events =
   !sent
 
 let publish_batch t events =
-  with_publish_trace t ~name:"broker.publish_batch" (fun () ->
-      publish_batch_core t events)
+  with_publish_trace t ~name:"broker.publish_batch" publish_batch_core events
 
 let publish_quenched t event =
   if Quench.wanted_event (quench t) event then Some (publish t event)

@@ -225,6 +225,86 @@ let backoff_for t ~attempt =
   with_ins t (fun ins -> Metrics.Histogram.observe ins.backoff_ns_hist b);
   b
 
+(* The steps of [deliver] are top-level functions with explicit
+   arguments, not closures over the delivery: a clean delivery then
+   allocates nothing but what its handler does. *)
+
+let finish_deliver t ?error dspan =
+  match t.tracer with
+  | None -> ()
+  | Some tr -> Trace.finish_span tr ?error dspan
+
+(* A planned fault replaces the real handler invocation: the
+   subscriber is simulated as raising. Retries re-draw. *)
+let attempt_raw faults ~subscriber ~handler notification =
+  match faults with
+  | Some plan when Fault.handler_raises plan ~subscriber ->
+    Error (Fault.Injected subscriber)
+  | Some _ | None -> (
+    match handler notification with
+    | () -> Ok ()
+    | exception exn -> Error exn)
+
+let attempt_once t faults ~subscriber ~handler notification =
+  match t.tracer with
+  | Some tr when Trace.active tr ->
+    let s = Trace.start_span tr ~name:"deliver.attempt" in
+    let r = attempt_raw faults ~subscriber ~handler notification in
+    (match r with
+    | Ok () -> Trace.finish_span tr s
+    | Error exn -> Trace.finish_span tr ~error:(error_string exn) s);
+    r
+  | Some _ | None -> attempt_raw faults ~subscriber ~handler notification
+
+(* Attempt [attempt] of a delivery, after the [backoffs] (newest
+   first) scheduled before the earlier retries. A half-open probe gets
+   one attempt. *)
+let rec supervised t faults c ~probe ~seq ~subscriber ~handler ~dspan
+    ~attempt ~backoffs notification =
+  match attempt_once t faults ~subscriber ~handler notification with
+  | Ok () ->
+    close t c;
+    t.delivered <- t.delivered + 1;
+    if attempt > 1 then
+      record_trace t
+        { seq; subscriber; attempts = attempt; backoffs_ns = List.rev backoffs;
+          outcome = Delivered; error = None };
+    finish_deliver t dspan;
+    true
+  | Error exn ->
+    t.failures <- t.failures + 1;
+    with_ins t (fun ins -> Metrics.Counter.incr ins.failures_total);
+    if probe || attempt >= t.policy.max_attempts then begin
+      let error = error_string exn in
+      dead_letter t notification ~attempts:attempt ~error ~seq;
+      if probe then trip t c
+      else begin
+        c.count <- c.count + 1;
+        if t.policy.trip_after > 0 && c.count >= t.policy.trip_after then
+          trip t c
+      end;
+      record_trace t
+        { seq; subscriber; attempts = attempt; backoffs_ns = List.rev backoffs;
+          outcome = Failed; error = Some error };
+      finish_deliver t ~error dspan;
+      (match t.tracer with
+      | None -> ()
+      | Some tr ->
+        ignore
+          (Trace.record_crash tr
+             ~reason:
+               (Printf.sprintf "terminal delivery failure: %s (%s)" subscriber
+                  error)));
+      false
+    end
+    else begin
+      let backoffs = backoff_for t ~attempt :: backoffs in
+      t.retries <- t.retries + 1;
+      with_ins t (fun ins -> Metrics.Counter.incr ins.retries_total);
+      supervised t faults c ~probe ~seq ~subscriber ~handler ~dspan
+        ~attempt:(attempt + 1) ~backoffs notification
+    end
+
 let deliver t ?faults ~subscriber ~handler notification =
   let seq = t.deliveries in
   t.deliveries <- seq + 1;
@@ -238,12 +318,14 @@ let deliver t ?faults ~subscriber ~handler notification =
       s
     | Some _ | None -> None
   in
-  let finish_deliver ?error () =
-    match t.tracer with
-    | None -> ()
-    | Some tr -> Trace.finish_span tr ?error dspan
+  (* A disabled breaker keeps no circuits: each delivery gets a fresh
+     closed one. *)
+  let c =
+    if t.policy.trip_after = 0 then { state = Closed; count = 0 }
+    else circuit_of t subscriber
   in
-  let finish_short_circuit c =
+  match c.state with
+  | Open when c.count + 1 < t.policy.cooldown ->
     c.count <- c.count + 1;
     t.short_circuited <- t.short_circuited + 1;
     with_ins t (fun ins -> Metrics.Counter.incr ins.short_circuited_total);
@@ -251,102 +333,16 @@ let deliver t ?faults ~subscriber ~handler notification =
     record_trace t
       { seq; subscriber; attempts = 0; backoffs_ns = []; outcome = Short_circuited;
         error = Some "circuit open" };
-    finish_deliver ~error:"circuit open" ();
+    finish_deliver t ~error:"circuit open" dspan;
     false
-  in
-  let attempt_raw () =
-    (* A planned fault replaces the real handler invocation: the
-       subscriber is simulated as raising. Retries re-draw. *)
-    match faults with
-    | Some plan when Fault.handler_raises plan ~subscriber ->
-      Error (Fault.Injected subscriber)
-    | Some _ | None -> (
-      match handler notification with
-      | () -> Ok ()
-      | exception exn -> Error exn)
-  in
-  let attempt_once () =
-    match t.tracer with
-    | Some tr when Trace.active tr ->
-      let s = Trace.start_span tr ~name:"deliver.attempt" in
-      let r = attempt_raw () in
-      (match r with
-      | Ok () -> Trace.finish_span tr s
-      | Error exn -> Trace.finish_span tr ~error:(error_string exn) s);
-      r
-    | Some _ | None -> attempt_raw ()
-  in
-  let run_attempts ~max_attempts =
-    let backoffs = ref [] in
-    let rec go attempt =
-      match attempt_once () with
-      | Ok () -> (attempt, List.rev !backoffs, None)
-      | Error exn ->
-        t.failures <- t.failures + 1;
-        with_ins t (fun ins -> Metrics.Counter.incr ins.failures_total);
-        if attempt >= max_attempts then (attempt, List.rev !backoffs, Some exn)
-        else begin
-          backoffs := backoff_for t ~attempt :: !backoffs;
-          t.retries <- t.retries + 1;
-          with_ins t (fun ins -> Metrics.Counter.incr ins.retries_total);
-          go (attempt + 1)
-        end
-    in
-    go 1
-  in
-  let supervised ~probe c =
-    let max_attempts = if probe then 1 else t.policy.max_attempts in
-    let attempts, backoffs_ns, err = run_attempts ~max_attempts in
-    match err with
-    | None ->
-      close t c;
-      t.delivered <- t.delivered + 1;
-      if attempts > 1 then
-        record_trace t
-          { seq; subscriber; attempts; backoffs_ns; outcome = Delivered;
-            error = None };
-      finish_deliver ();
-      true
-    | Some exn ->
-      let error = error_string exn in
-      dead_letter t notification ~attempts ~error ~seq;
-      if probe then trip t c
-      else begin
-        c.count <- c.count + 1;
-        if t.policy.trip_after > 0 && c.count >= t.policy.trip_after then
-          trip t c
-      end;
-      record_trace t
-        { seq; subscriber; attempts; backoffs_ns; outcome = Failed;
-          error = Some error };
-      finish_deliver ~error ();
-      (match t.tracer with
-      | None -> ()
-      | Some tr ->
-        ignore
-          (Trace.record_crash tr
-             ~reason:
-               (Printf.sprintf "terminal delivery failure: %s (%s)" subscriber
-                  error)));
-      false
-  in
-  if t.policy.trip_after = 0 then
-    (* Breaker disabled: no circuit bookkeeping at all. *)
-    supervised ~probe:false { state = Closed; count = 0 }
-  else begin
-    let c = circuit_of t subscriber in
-    match c.state with
-    | Closed -> supervised ~probe:false c
-    | Half_open -> supervised ~probe:true c
-    | Open ->
-      if c.count + 1 >= t.policy.cooldown then begin
-        set_open_count t (-1);
-        c.state <- Half_open;
-        c.count <- 0;
-        supervised ~probe:true c
-      end
-      else finish_short_circuit c
-  end
+  | Closed | Half_open | Open ->
+    if c.state = Open then begin
+      set_open_count t (-1);
+      c.state <- Half_open;
+      c.count <- 0
+    end;
+    supervised t faults c ~probe:(c.state = Half_open) ~seq ~subscriber
+      ~handler ~dspan ~attempt:1 ~backoffs:[] notification
 
 let delivered t = t.delivered
 

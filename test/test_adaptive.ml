@@ -461,54 +461,35 @@ let test_empty_plan_stays_stale () =
 
 (* ------------------------- allocation guard -------------------------- *)
 
-(* The paper's table: 500 Gaussian equality profiles with 0.3
-   don't-care over 3 integer attributes of 100 points, uniform events. *)
-let paper_table () =
-  let s = Workload.normalized_schema ~attrs:3 ~points:100 () in
-  let axes =
-    Array.init 3 (fun i -> Axis.of_domain (Schema.attribute s i).Schema.domain)
-  in
-  let rng = Prng.create ~seed:1 in
-  let pset =
-    Workload.gen_profiles rng s
-      {
-        Workload.p = 500;
-        dontcare = Array.make 3 0.3;
-        value_dists = Array.map (fun ax -> Shape.gauss () ax) axes;
-        range_width = None;
-      }
-  in
-  let events =
-    Array.init 1024 (fun _ ->
-        Event.create_exn s
-          (List.init 3 (fun i ->
-               (Printf.sprintf "a%d" i, Value.Int (Prng.int_in rng ~lo:0 ~hi:99)))))
-  in
-  (pset, events)
-
-let minor_words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+let minor_words = Genas_testlib.Paper.minor_words
 
 (* The whole plain, in-sync match path of an engine with no registry:
    resolving the event into the image, recording it in the statistics,
-   and matching it through the flat kernel. *)
+   and matching it through the flat kernel. With a registry, the
+   counters add nothing and the sampled histograms well under a word
+   per event. *)
 let test_allocation_guard () =
-  let pset, events = paper_table () in
-  let plain = Engine.create pset in
+  let pset, events = Genas_testlib.Paper.table () in
   let f ~ids:_ ~len = len in
-  let n = 10_000 in
-  let run () =
+  let run engine n () =
     for i = 0 to n - 1 do
-      ignore (Engine.match_with plain events.(i land 1023) ~f)
+      ignore (Engine.match_with engine events.(i land 1023) ~f)
     done
   in
-  run ();
-  let w = minor_words run in
+  let plain = Engine.create pset in
+  let n = 10_000 in
+  run plain n ();
+  let w = minor_words (run plain n) in
   (* The measurement's own boxed floats are all that may show. *)
   if w > 16.0 then
     Alcotest.failf "Engine.match_with allocated %.0f words over %d events" w n;
+  let metered = Engine.create ~metrics:(Genas_obs.Metrics.create ()) pset in
+  let n = 65_536 in
+  run metered n ();
+  let w = minor_words (run metered n) in
+  if w > float_of_int n then
+    Alcotest.failf "with a registry, Engine.match_with allocated %.0f words over %d events"
+      w n;
   let engine = Engine.create ~adaptive:Adaptive.default_policy pset in
   for i = 0 to 19_999 do
     ignore (Engine.match_event engine events.(i land 1023))

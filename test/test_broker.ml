@@ -339,29 +339,57 @@ let test_batch_pending_churn () =
   Alcotest.(check int) "handler subscribed" 1
     (Genas_core.Engine.pending_rebuild (Broker.engine b))
 
-(* Batched events feed the per-event engine histograms exactly as
-   single publishes do. *)
+(* The engine's per-event histograms observe sampled events only, and
+   a batch samples exactly as the same events published one by one:
+   the counters stay exact, the first event is always sampled, and the
+   two histograms always hold the same events. *)
 let test_batch_histograms () =
   let s = schema () in
+  let comparisons reg = Metrics.histogram reg "genas_engine_match_comparisons" in
+  let durations reg = Metrics.histogram reg "genas_engine_match_duration_ns" in
+  let count = Metrics.Histogram.count in
+  let same_events reg =
+    Alcotest.(check int) "histograms hold the same events"
+      (count (comparisons reg)) (count (durations reg))
+  in
+  let broker aggregate =
+    let reg = Metrics.create () in
+    let b = Broker.create ~metrics:reg ~aggregate s in
+    ignore
+      (Result.get_ok
+         (Broker.subscribe_text b ~subscriber:"a" "x >= 5" (fun _ -> ())));
+    (reg, b)
+  in
+  let events n f = Array.init n (fun i -> event s (f i) (if i mod 3 = 0 then "a" else "b")) in
   List.iter
     (fun aggregate ->
-      let reg = Metrics.create () in
-      let b = Broker.create ~metrics:reg ~aggregate s in
-      ignore
-        (Result.get_ok
-           (Broker.subscribe_text b ~subscriber:"a" "x >= 5" (fun _ -> ())));
-      ignore (Broker.publish b (event s 1 "b"));
-      let batch = Array.init 9 (fun i -> event s i (if i mod 2 = 0 then "a" else "b")) in
-      ignore (Broker.publish_batch b batch);
-      let events =
-        Metrics.Counter.value (Metrics.counter reg "genas_engine_events_total")
-      in
-      Alcotest.(check int) "events counted" 10 events;
-      List.iter
-        (fun name ->
-          Alcotest.(check int) (name ^ " count = events_total") events
-            (Metrics.Histogram.count (Metrics.histogram reg name)))
-        [ "genas_engine_match_comparisons"; "genas_engine_match_duration_ns" ])
+      (* [single] publishes one by one what [batched] publishes as
+         one event and then two batches. *)
+      let reg1, single = broker aggregate and reg, batched = broker aggregate in
+      ignore (Broker.publish single (event s 1 "b"));
+      Alcotest.(check int) "first event sampled" 1 (count (comparisons reg1));
+      same_events reg1;
+      ignore (Broker.publish batched (event s 1 "b"));
+      let batch = events 9 Fun.id in
+      ignore (Broker.publish_batch batched batch);
+      Array.iter (fun e -> ignore (Broker.publish single e)) batch;
+      Alcotest.(check int) "events counted" 10
+        (Metrics.Counter.value (Metrics.counter reg "genas_engine_events_total"));
+      (* Long enough for several samples. *)
+      let more = events 1000 (fun i -> i * 7 mod 10) in
+      ignore (Broker.publish_batch batched more);
+      Array.iter (fun e -> ignore (Broker.publish single e)) more;
+      List.iter same_events [ reg; reg1 ];
+      let n = count (comparisons reg) in
+      if n < 2 || n >= 1010 then Alcotest.failf "%d of 1010 events sampled" n;
+      Alcotest.(check int) "batch samples as single publishes"
+        (count (comparisons reg1)) n;
+      let h = comparisons reg and h1 = comparisons reg1 in
+      Alcotest.(check bool) "comparison buckets bit-identical" true
+        (Metrics.Histogram.buckets h1 = Metrics.Histogram.buckets h
+        && Metrics.Histogram.overflow h1 = Metrics.Histogram.overflow h
+        && Int64.bits_of_float (Metrics.Histogram.sum h1)
+           = Int64.bits_of_float (Metrics.Histogram.sum h)))
     [ false; true ]
 
 (* A subscriber name's delivery series lives exactly as long as one of
@@ -536,6 +564,31 @@ let prop_trace_path_is_reference =
              = ops_tuple (Broker.ops agg_plain))
         value_choices)
 
+(* A bare broker (no registry, tracer or journal) over the paper's
+   table: a publish allocates the matched-id list and, per delivery,
+   the notification and its bookkeeping, and nothing per step of the
+   supervised delivery. *)
+let test_allocation_guard () =
+  let pset, events = Genas_testlib.Paper.table () in
+  let b = Broker.create (Genas_profile.Profile_set.schema pset) in
+  Genas_profile.Profile_set.iter pset (fun i p ->
+      ignore
+        (Broker.subscribe b ~subscriber:(Printf.sprintf "s%d" i) ~profile:p
+           (fun _ -> ())));
+  Genas_core.Engine.refresh_keeping_history (Broker.engine b);
+  let n = 65_536 in
+  let run () =
+    for i = 0 to n - 1 do
+      ignore (Broker.publish b events.(i land 1023))
+    done
+  in
+  run ();
+  let w = Genas_testlib.Paper.minor_words run /. float_of_int n in
+  Alcotest.(check bool) "the table delivers" true (Broker.notifications b > n);
+  (* 19.6 words at 1.04 deliveries per publish; one closure restored in
+     [Supervise.deliver] (5 words or more per delivery) fails it. *)
+  if w > 24.0 then Alcotest.failf "Broker.publish allocated %.1f words per publish" w
+
 let () =
   Alcotest.run "broker"
     [
@@ -551,6 +604,7 @@ let () =
           Alcotest.test_case "unsubscribe stale id" `Quick
             test_unsubscribe_stale_id;
           Alcotest.test_case "notification payload" `Quick test_notification_payload;
+          Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
         ] );
       ( "composite",
         [
