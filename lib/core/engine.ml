@@ -709,8 +709,14 @@ let match_with t event ~f =
   tick t 1;
   r
 
-let match_event t event =
-  match_with t event ~f:(fun ~ids ~len -> List.init len (fun i -> ids.(i)))
+(* The first [len] ids as a list, built back to front: no closure per
+   call, unlike [List.init]. *)
+let rec ids_to_list ids i acc =
+  if i < 0 then acc else ids_to_list ids (i - 1) (ids.(i) :: acc)
+
+let id_list ~ids ~len = ids_to_list ids (len - 1) []
+
+let match_event t event = match_with t event ~f:id_list
 
 let match_batch t events =
   let results =

@@ -9,14 +9,29 @@
     the same flat node — so the flat form is never larger than the
     hash-consed DFSA.
 
-    Positions are encoded as doubled integer ranks: a referenced cell
-    at rank [q] becomes [2q], a zero-subdomain half-rank [q − 0.5]
-    becomes [2q − 1], and an out-of-domain value becomes [max_int].
-    The mapping is strictly monotonic and equality-preserving, so every
-    three-way comparison the float tree performs has the same outcome
-    here and the comparison/node-visit counters are bit-identical to
-    {!Tree.match_event} — the paper's figures are unchanged; only the
-    wall clock moves.
+    Positions are encoded as dense ranks: per attribute, the distinct
+    lookup positions of its cells (ranks and zero-subdomain half-ranks,
+    {!Order.table}) are numbered [0 .. d − 1] in ascending order, and an
+    out-of-domain value takes [d], the attribute's sentinel. The mapping
+    is strictly monotonic and equality-preserving, so every three-way
+    comparison the float tree performs has the same outcome here.
+
+    An inner node steps by direct indexing when it can: its {e row}
+    holds one 32-bit slot per target its attribute can take
+    ([d + 1] slots), each slot the next node (edge child, rest node, or
+    stop) and the comparisons the pointer tree's value search charges
+    for that target at that node (linear: the stopping edge's index
+    + 1, or the edge count when every edge is passed; binary: the
+    probes of {!Order.bisect}; hashed: 1). A step is then one slot load
+    and one add. A node gets a row only when the row has at most 8
+    slots per (edge + 1), the node at most 255 edges (the charge field
+    is 8 bits) and the tree fewer than 2{^23} nodes (the next field is
+    24 bits); every other node keeps the edge search. Each row is
+    filled gap by gap between consecutive edges at compile time and
+    replaces its node's edges, so the flat form takes about the memory
+    it took with edges alone. Either way the comparison and node-visit
+    counters are bit-identical to {!Tree.match_event} — the paper's
+    figures are unchanged; only the wall clock moves.
 
     Matching runs through a reusable {!cursor} holding an event image
     ({!Genas_model.Image}), the target scratch buffer, the output
@@ -38,9 +53,15 @@ val node_count : t -> int
     the source tree — sharing is preserved. *)
 
 val edge_count : t -> int
+(** Edges of the source tree. Only nodes without a row store theirs;
+    a row replaces its node's edges. *)
 
 val posting_count : t -> int
 (** Total leaf-posting slots in the shared postings array. *)
+
+val row_slots : t -> int
+(** 32-bit slots over all node rows: at most 8 × (edges + inner
+    nodes) of the source tree. *)
 
 val cursor : t -> cursor
 (** A fresh cursor sized for [t] (scratch targets, seen-array over the

@@ -80,11 +80,12 @@ let linear_cost ~edge_positions ~target =
   in
   if n = 0 then (0, false) else scan 0
 
-(* The one bisection loop in the codebase: [binary_cost], the tree's
-   Binary and Hashed scans, and the flat matcher's analytic mirror all
-   delegate here, so the probe sequence (and therefore the charged
-   comparison count) cannot drift between the analytic and runtime
-   paths. *)
+(* The one float bisection loop: [binary_cost] and the tree's Binary
+   and Hashed scans delegate here, and the flat matcher charges its
+   direct-indexed rows by running the tree's scan once per gap between
+   edges, so the probe sequence (and therefore the charged comparison
+   count) cannot drift between the analytic and runtime paths. The flat
+   matcher's edge search, for nodes without a row, is its int mirror. *)
 let bisect ~edge_positions ~target =
   let n = Array.length edge_positions in
   let lo = ref 0 and hi = ref (n - 1) in

@@ -58,9 +58,10 @@ val pp_strategy : Format.formatter -> strategy -> unit
 val bisect : edge_positions:float array -> target:float -> int * int option
 (** The shared three-way bisection probe over ascending positions:
     [(probes, matched index)]. Every binary/hashed search in the
-    matcher and cost-model stack runs this one loop, so probe counts
-    cannot drift between the analytic and runtime paths. An empty
-    array costs 0 probes. *)
+    pointer tree and the cost model runs this one loop, and the flat
+    matcher's direct-indexed rows are charged by it at compile time, so
+    probe counts cannot drift between the analytic and runtime paths.
+    An empty array costs 0 probes. *)
 
 val linear_cost : edge_positions:float array -> target:float -> int * bool
 (** Cost and success of the early-stopping linear scan over a node

@@ -395,6 +395,180 @@ let test_paper_table_image () =
   Alcotest.(check (list int)) "unshared" [ 111071; 108053; 259952 ]
     (image false)
 
+(* The rows the documented rule gives a pointer tree: an inner node's
+   row has one slot per distinct lookup position of its attribute plus
+   the out-of-domain sentinel, and the node gets it when that is at most
+   8 slots per (edge + 1) and it has at most 255 edges. Returns (nodes
+   with a row, nodes without, row slots). *)
+let row_rule (tree : Tree.t) =
+  let width =
+    Array.map
+      (fun (tb : Genas_filter.Order.table) ->
+        1 + List.length (List.sort_uniq Float.compare (Array.to_list tb.positions)))
+      tree.Tree.tables
+  in
+  let seen = Hashtbl.create 64 in
+  let rows = ref 0 and searches = ref 0 and slots = ref 0 in
+  let rec go = function
+    | Tree.Leaf _ -> ()
+    | Tree.Node { id; attr; edge_positions; children; rest; _ } ->
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        let k = Array.length edge_positions in
+        if width.(attr) <= 8 * (k + 1) && k <= 255 then begin
+          incr rows;
+          slots := !slots + width.(attr)
+        end
+        else incr searches;
+        Array.iter go children;
+        Option.iter go rest
+      end
+  in
+  Option.iter go tree.Tree.root;
+  (!rows, !searches, !slots)
+
+(* A paper-like table (three 100-point int attributes, equality and
+   short range tests, 30% don't-care) plus a wide float attribute with
+   many distinct range bounds. Profile values avoid the outer points of
+   the int attributes, so those land in zero cells (half-rank targets),
+   and the float attribute's many cells leave its sparse nodes without
+   rows. Both node kinds compile under every spec, and every event,
+   in the domain or outside it (through a looser schema), matches as
+   the pointer tree does, with the same counters. *)
+let test_row_and_search_nodes () =
+  let rng = Prng.create ~seed:27 in
+  let dom name = (name, Domain.int_range ~lo:0 ~hi:99) in
+  let s =
+    Schema.create_exn
+      [ dom "a0"; dom "a1"; dom "a2"; ("w", Domain.float_range ~lo:0.0 ~hi:1000.0) ]
+  in
+  let pset = Profile_set.create s in
+  let bounds = ref [] in
+  for _ = 1 to 300 do
+    let int_test name =
+      if Prng.bernoulli rng ~p:0.3 then []
+      else
+        let v = Prng.int_in rng ~lo:20 ~hi:79 in
+        if Prng.bernoulli rng ~p:0.8 then [ (name, Predicate.Eq (Value.Int v)) ]
+        else
+          [
+            ( name,
+              Predicate.Between
+                { lo = Value.Int v; lo_closed = true;
+                  hi = Value.Int (v + 3); hi_closed = true } );
+          ]
+    in
+    let w_test =
+      if Prng.bernoulli rng ~p:0.5 then []
+      else begin
+        let lo = Prng.float_in rng ~lo:0.0 ~hi:990.0 in
+        let hi = lo +. Prng.float_in rng ~lo:0.5 ~hi:10.0 in
+        bounds := lo :: hi :: !bounds;
+        [
+          ( "w",
+            Predicate.Between
+              { lo = Value.Float lo; lo_closed = true;
+                hi = Value.Float hi; hi_closed = false } );
+        ]
+      end
+    in
+    let tests = int_test "a0" @ int_test "a1" @ int_test "a2" @ w_test in
+    ignore (Profile_set.add pset (Profile.create_exn s tests))
+  done;
+  let bounds = Array.of_list !bounds in
+  let loose =
+    Schema.create_exn
+      [
+        ("a0", Domain.int_range ~lo:(-50) ~hi:150);
+        ("a1", Domain.int_range ~lo:(-50) ~hi:150);
+        ("a2", Domain.int_range ~lo:(-50) ~hi:150);
+        ("w", Domain.float_range ~lo:(-100.0) ~hi:1100.0);
+      ]
+  in
+  let event schema ~int_lo ~int_hi ~w =
+    Event.create_exn schema
+      (List.map
+         (fun a -> (a, Value.Int (Prng.int_in rng ~lo:int_lo ~hi:int_hi)))
+         [ "a0"; "a1"; "a2" ]
+      @ [ ("w", Value.Float w) ])
+  in
+  let events =
+    List.init 600 (fun i ->
+        let w =
+          match i mod 3 with
+          | 0 -> Prng.float_in rng ~lo:0.0 ~hi:1000.0
+          | 1 -> bounds.(Prng.int_in rng ~lo:0 ~hi:(Array.length bounds - 1))
+          | _ -> Float.pred bounds.(Prng.int_in rng ~lo:0 ~hi:(Array.length bounds - 1))
+        in
+        event s ~int_lo:0 ~int_hi:99 ~w)
+    @ List.init 200 (fun _ ->
+          event loose ~int_lo:(-50) ~int_hi:150
+            ~w:(Prng.float_in rng ~lo:(-100.0) ~hi:1100.0))
+  in
+  List.iter
+    (fun (name, tree) ->
+      let rows, searches, slots = row_rule tree in
+      let flat = Flat.compile tree in
+      Alcotest.(check bool) (name ^ ": nodes with rows") true (rows > 0);
+      Alcotest.(check bool) (name ^ ": nodes without rows") true (searches > 0);
+      Alcotest.(check int) (name ^ ": row slots") slots (Flat.row_slots flat);
+      let cur = Flat.cursor flat and image = Image.create s in
+      let tree_ops = Ops.create () and flat_ops = Ops.create () in
+      List.iteri
+        (fun i e ->
+          let expect = Tree.match_event ~ops:tree_ops tree e in
+          let label = Printf.sprintf "%s: event %d" name i in
+          Alcotest.(check (list int)) (label ^ " matches") expect
+            (match_list ~ops:flat_ops ~image flat cur e);
+          if not (ops_eq tree_ops flat_ops) then
+            Alcotest.failf "%s ops: tree %a, flat %a" label Ops.pp tree_ops
+              Ops.pp flat_ops)
+        events)
+    (trees_of pset)
+
+(* About 2,000 distinct float range bounds: short intervals on two wide
+   float attributes give thousands of cells, most inner nodes a handful
+   of edges over them, and a root with more edges than a row entry can
+   charge. Whatever the shape, the rows stay within 8 slots per (edge +
+   1) of the nodes they serve. *)
+let test_row_memory_bound () =
+  let rng = Prng.create ~seed:2000 in
+  let s =
+    Schema.create_exn
+      [
+        ("f", Domain.float_range ~lo:0.0 ~hi:1e4);
+        ("g", Domain.float_range ~lo:0.0 ~hi:1e4);
+        ("k", Domain.int_range ~lo:0 ~hi:7);
+      ]
+  in
+  let pset = Profile_set.create s in
+  let range name =
+    let lo = Prng.float_in rng ~lo:0.0 ~hi:9990.0 in
+    ( name,
+      Predicate.Between
+        { lo = Value.Float lo; lo_closed = true;
+          hi = Value.Float (lo +. Prng.float_in rng ~lo:1.0 ~hi:8.0);
+          hi_closed = true } )
+  in
+  for _ = 1 to 500 do
+    let k = Prng.int_in rng ~lo:0 ~hi:7 in
+    ignore
+      (Profile_set.add pset
+         (Profile.create_exn s [ range "f"; range "g"; ("k", Predicate.Eq (Value.Int k)) ]))
+  done;
+  List.iter
+    (fun (name, tree) ->
+      let flat = Flat.compile tree in
+      let st = tree.Tree.stats in
+      let bound = 8 * (st.Tree.edges + st.Tree.nodes) in
+      if Flat.row_slots flat > bound then
+        Alcotest.failf "%s: %d row slots over the bound %d" name
+          (Flat.row_slots flat) bound;
+      let _, searches, slots = row_rule tree in
+      Alcotest.(check int) (name ^ ": row slots") slots (Flat.row_slots flat);
+      Alcotest.(check bool) (name ^ ": nodes without rows") true (searches > 0))
+    (trees_of pset)
+
 let () =
   Alcotest.run "flat"
     [
@@ -416,5 +590,8 @@ let () =
             test_foreign_cursor_rejected;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;
           Alcotest.test_case "paper table image" `Quick test_paper_table_image;
+          Alcotest.test_case "row and search nodes" `Quick
+            test_row_and_search_nodes;
+          Alcotest.test_case "row memory bound" `Quick test_row_memory_bound;
         ] );
     ]
