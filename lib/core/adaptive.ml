@@ -7,20 +7,12 @@ type policy = { warmup : int; check_every : int; drift_threshold : float }
 let default_policy = { warmup = 500; check_every = 200; drift_threshold = 0.25 }
 
 type instruments = {
-  checks_total : Metrics.counter;
-  rebuilds_total : Metrics.counter;
   rebuild_ns : Metrics.histogram;
   last_drift_gauge : Metrics.gauge;
 }
 
 let make_instruments registry =
   {
-    checks_total =
-      Metrics.counter registry "genas_adaptive_checks_total"
-        ~help:"Drift checks performed";
-    rebuilds_total =
-      Metrics.counter registry "genas_adaptive_rebuilds_total"
-        ~help:"Drift-triggered tree re-optimizations";
     rebuild_ns =
       Metrics.histogram registry "genas_adaptive_rebuild_duration_ns"
         ~help:"Wall-clock duration of one adaptive rebuild (ns, monotonic)";
@@ -51,16 +43,28 @@ let validate policy =
 
 let create ?metrics policy =
   validate policy;
-  {
-    policy;
-    planned = None;
-    since_check = 0;
-    seen = 0;
-    checks = 0;
-    rebuilds = 0;
-    last_drift = 0.0;
-    instruments = Option.map make_instruments metrics;
-  }
+  let t =
+    {
+      policy;
+      planned = None;
+      since_check = 0;
+      seen = 0;
+      checks = 0;
+      rebuilds = 0;
+      last_drift = 0.0;
+      instruments = Option.map make_instruments metrics;
+    }
+  in
+  (* The two counters are the tallies below, read at export. *)
+  Option.iter
+    (fun r ->
+      Metrics.counters_of r
+        [ ("genas_adaptive_checks_total", "Drift checks performed",
+           fun () -> t.checks);
+          ("genas_adaptive_rebuilds_total",
+           "Drift-triggered tree re-optimizations", fun () -> t.rebuilds) ])
+    metrics;
+  t
 
 let plan_of stats =
   let hists = (Stats.export stats).Stats.Export.hists in
@@ -94,17 +98,12 @@ let check t stats ~replan =
   t.last_drift <- (if Float.is_finite d then d else 2.0);
   (match t.instruments with
   | None -> ()
-  | Some ins ->
-    Metrics.Counter.incr ins.checks_total;
-    Metrics.Gauge.set ins.last_drift_gauge t.last_drift);
+  | Some ins -> Metrics.Gauge.set ins.last_drift_gauge t.last_drift);
   if d > t.policy.drift_threshold then begin
     let stats =
       match t.instruments with
       | None -> replan ()
-      | Some ins ->
-        let stats = Genas_obs.Span.time ins.rebuild_ns replan in
-        Metrics.Counter.incr ins.rebuilds_total;
-        stats
+      | Some ins -> Genas_obs.Span.time ins.rebuild_ns replan
     in
     (* [replan] went through {!replanned}, which records no baseline
        from empty statistics; a drift re-plan records one anyway. *)
@@ -189,12 +188,7 @@ let import t stats (e : Export.t) =
   in
   (match t.instruments with
   | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.checks_total
-      (Stdlib.max 0 (e.Export.checks - t.checks));
-    Metrics.Counter.add ins.rebuilds_total
-      (Stdlib.max 0 (e.Export.rebuilds - t.rebuilds));
-    Metrics.Gauge.set ins.last_drift_gauge e.Export.last_drift);
+  | Some ins -> Metrics.Gauge.set ins.last_drift_gauge e.Export.last_drift);
   t.planned <- planned;
   t.seen <- e.Export.seen;
   t.since_check <- e.Export.since_check;

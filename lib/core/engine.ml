@@ -1,5 +1,6 @@
 module Image = Genas_model.Image
 module Profile_set = Genas_profile.Profile_set
+module Id_table = Profile_set.Id_table
 module Lattice = Genas_profile.Lattice
 module Profile = Genas_profile.Profile
 module Decomp = Genas_filter.Decomp
@@ -16,9 +17,6 @@ type instruments = {
   match_comparisons : Metrics.histogram;
   mutable countdown : int;  (** events until the histograms' next sample *)
   gaps : Genas_prng.Prng.t;  (** draws each gap between two samples *)
-  events_total : Metrics.counter;
-  matches_total : Metrics.counter;
-  comparisons_total : Metrics.counter;
   rebuilds_total : Metrics.counter;
   tree_nodes : Metrics.gauge;
   tree_leaves : Metrics.gauge;
@@ -26,7 +24,15 @@ type instruments = {
   pending_rebuild : Metrics.gauge;
 }
 
-let make_instruments registry =
+(* The event, match and comparison counters are the engine's own
+   [Ops] tallies, read at export time. *)
+let make_instruments registry (ops : Ops.t) =
+  Metrics.counters_of registry
+    [ ("genas_engine_events_total", "Events filtered", fun () -> ops.Ops.events);
+      ("genas_engine_matches_total", "(event, profile) match pairs produced",
+       fun () -> ops.Ops.matches);
+      ("genas_engine_comparisons_total", "Total comparison steps",
+       fun () -> ops.Ops.comparisons) ];
   {
     match_ns =
       Metrics.histogram registry "genas_engine_match_duration_ns"
@@ -37,15 +43,6 @@ let make_instruments registry =
         ~buckets:[| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 1e4 |];
     countdown = 1;
     gaps = Genas_prng.Prng.create ~seed:0x6a5;
-    events_total =
-      Metrics.counter registry "genas_engine_events_total"
-        ~help:"Events filtered";
-    matches_total =
-      Metrics.counter registry "genas_engine_matches_total"
-        ~help:"(event, profile) match pairs produced";
-    comparisons_total =
-      Metrics.counter registry "genas_engine_comparisons_total"
-        ~help:"Total comparison steps";
     rebuilds_total =
       Metrics.counter registry "genas_engine_rebuilds_total"
         ~help:"Tree re-plans (explicit rebuilds and profile-set refreshes)";
@@ -71,7 +68,6 @@ type agg_instruments = {
   absorbed_profiles : Metrics.gauge;
   lattice_entries : Metrics.gauge;
   lattice_roots : Metrics.gauge;
-  epoch_swaps_total : Metrics.counter;
 }
 
 let make_agg_instruments registry =
@@ -86,9 +82,6 @@ let make_agg_instruments registry =
     lattice_roots =
       Metrics.gauge registry "genas_engine_lattice_roots"
         ~help:"Covering-lattice roots (the covering-minimal set)";
-    epoch_swaps_total =
-      Metrics.counter registry "genas_engine_epoch_swaps_total"
-        ~help:"Epoch swaps: atomic installs of a recompiled root matcher";
   }
 
 (* Aggregated mode: the flat matcher is compiled over the covering
@@ -102,7 +95,7 @@ type agg = {
   lat : Lattice.t;
   mutable cset : Profile_set.t;
       (** root representatives compiled into the current flat matcher *)
-  compiled : (int, unit) Hashtbl.t;  (** ids present in the flat form *)
+  compiled : unit Id_table.t;  (** ids present in the flat form *)
   mutable epoch : int;
   delta_cap : int;
   agg_ins : agg_instruments option;
@@ -141,7 +134,7 @@ type t = {
      every entry point refuses. [planned] is the revision a plain
      engine's statistics were planned for. *)
   delta : (int, unit) Hashtbl.t;
-  dead : (int, Profile.t) Hashtbl.t;
+  dead : Profile.t Id_table.t;
   mutable synced : int;
   mutable planned : int;
   mutable rent : int;
@@ -163,7 +156,7 @@ let observe_tree t =
     Metrics.Gauge.set ins.tree_leaves (float_of_int s.Tree.leaves);
     Metrics.Gauge.set ins.tree_edges (float_of_int s.Tree.edges)
 
-let pending_of t = Hashtbl.length t.delta + Hashtbl.length t.dead
+let pending_of t = Hashtbl.length t.delta + Id_table.length t.dead
 
 let observe_pending t =
   match t.instruments with
@@ -210,7 +203,7 @@ let fold_rent = 3
 (* Forget pending churn: the matcher just compiled accounts for it. *)
 let reset_pending t =
   Hashtbl.reset t.delta;
-  Hashtbl.reset t.dead;
+  Id_table.reset t.dead;
   t.rent <- 0;
   let s = t.tree.Tree.stats in
   t.rent_limit <- fold_rent * (s.Tree.nodes + s.Tree.edges)
@@ -265,15 +258,22 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
         {
           lat;
           cset = Profile_set.create schema;
-          compiled = Hashtbl.create 256;
+          compiled = Id_table.create 256;
           epoch = 0;
           delta_cap = Stdlib.max 1 delta_cap;
           agg_ins = Option.map make_agg_instruments metrics;
         }
       in
+      Option.iter
+        (fun r ->
+          Metrics.counters_of r
+            [ ("genas_engine_epoch_swaps_total",
+               "Epoch swaps: atomic installs of a recompiled root matcher",
+               fun () -> agg.epoch) ])
+        metrics;
       agg.cset <- root_snapshot agg (Profile_set.schema pset);
       Profile_set.iter agg.cset (fun id _ ->
-          Hashtbl.replace agg.compiled id ());
+          Id_table.replace agg.compiled id ());
       Some agg
     end
   in
@@ -284,9 +284,10 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
   let tree = Reorder.build stats spec in
   let flat = Flat.compile tree in
   (* Exporters list series in registration order: engine's, then clock's. *)
-  let instruments = Option.map make_instruments metrics in
+  let ops = Ops.create () in
+  let instruments = Option.map (fun r -> make_instruments r ops) metrics in
   let adaptive = Option.map (Adaptive.create ?metrics) adaptive in
-  let image = Image.create (Profile_set.schema pset) and ops = Ops.create () in
+  let image = Image.create (Profile_set.schema pset) in
   let t =
     {
       pset;
@@ -302,7 +303,7 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics ?adaptive
       (* A plain engine walks [delta] on every event while churn is
          pending; fewer buckets keep that walk short. *)
       delta = Hashtbl.create (if aggregate then 64 else 16);
-      dead = Hashtbl.create 64;
+      dead = Id_table.create 64;
       synced = Profile_set.revision pset;
       planned = Profile_set.revision pset;
       rent = 0;
@@ -348,13 +349,6 @@ let lattice t = Option.map (fun a -> a.lat) t.agg
 
 let adaptive t = t.adaptive
 
-let swap_metrics t agg =
-  agg.epoch <- agg.epoch + 1;
-  (match agg.agg_ins with
-  | None -> ()
-  | Some ins -> Metrics.Counter.incr ins.epoch_swaps_total);
-  observe_agg t agg
-
 (* Epoch swap: recompile the flat matcher over the current lattice
    roots and install it atomically (single field stores — the publish
    path between two swaps always sees one coherent compiled snapshot
@@ -365,9 +359,10 @@ let swap_agg t agg =
   agg.cset <- cset;
   replan t cset Absorb;
   count_rebuild t;
-  Hashtbl.reset agg.compiled;
-  Profile_set.iter cset (fun id _ -> Hashtbl.replace agg.compiled id ());
-  swap_metrics t agg
+  Id_table.reset agg.compiled;
+  Profile_set.iter cset (fun id _ -> Id_table.replace agg.compiled id ());
+  agg.epoch <- agg.epoch + 1;
+  observe_agg t agg
 
 (* Fold pending churn into a re-plan over the full population, keeping
    the learned history: an epoch swap on aggregated engines. *)
@@ -380,7 +375,7 @@ let fold t =
    some member must sit in the compiled-live or delta set. *)
 let ensure_reachable t agg members =
   let live m =
-    (Hashtbl.mem agg.compiled m && not (Hashtbl.mem t.dead m))
+    (Id_table.mem agg.compiled m && not (Id_table.mem t.dead m))
     || Hashtbl.mem t.delta m
   in
   if not (List.exists live members) then
@@ -452,7 +447,7 @@ let agg_removed t agg id profile =
   (match Lattice.remove agg.lat id with
   | None -> ()
   | Some r ->
-    if Hashtbl.mem agg.compiled id then Hashtbl.replace t.dead id profile;
+    if Id_table.mem agg.compiled id then Id_table.replace t.dead id profile;
     Hashtbl.remove t.delta id;
     (match r with
     | Lattice.Shrunk { root = true; members } ->
@@ -501,7 +496,7 @@ let remove_profile t id =
     | None ->
       plain_churn t (fun () ->
           if Hashtbl.mem t.delta id then Hashtbl.remove t.delta id
-          else Hashtbl.replace t.dead id profile));
+          else Id_table.replace t.dead id profile));
     true
 
 (* -- Matching ------------------------------------------------------ *)
@@ -593,7 +588,7 @@ let match_agg t agg event =
   in
   for i = 0 to nflat - 1 do
     let id = out.(i) in
-    if not (Hashtbl.mem t.dead id) then
+    if not (Id_table.mem t.dead id) then
       match Lattice.node_of agg.lat id with
       | Some node -> expand ~verified:true node
       | None -> ()
@@ -620,7 +615,7 @@ let match_pending t event =
   t.fill <- 0;
   for i = 0 to nflat - 1 do
     let id = out.(i) in
-    if not (Hashtbl.mem t.dead id) then push_scratch t id
+    if not (Id_table.mem t.dead id) then push_scratch t id
   done;
   let schema = Profile_set.schema t.pset in
   Hashtbl.iter
@@ -666,27 +661,20 @@ let match_core t event =
   match t.instruments with
   | None -> match_dispatch t event
   | Some ins ->
-    let c0 = t.ops.Ops.comparisons in
     ins.countdown <- ins.countdown - 1;
-    let n =
-      if ins.countdown > 0 then match_dispatch t event
-      else begin
-        ins.countdown <-
-          Genas_prng.Prng.int_in ins.gaps ~lo:1 ~hi:((2 * sample_gap) - 1);
-        let t0 = Genas_obs.Clock.now_ns () in
-        let n = match_dispatch t event in
-        let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
-        Metrics.Histogram.observe ins.match_ns (Float.max 0.0 dt);
-        Metrics.Histogram.observe ins.match_comparisons
-          (float_of_int (t.ops.Ops.comparisons - c0));
-        n
-      end
-    in
-    let dc = t.ops.Ops.comparisons - c0 in
-    Metrics.Counter.incr ins.events_total;
-    Metrics.Counter.add ins.comparisons_total dc;
-    Metrics.Counter.add ins.matches_total n;
-    n
+    if ins.countdown > 0 then match_dispatch t event
+    else begin
+      ins.countdown <-
+        Genas_prng.Prng.int_in ins.gaps ~lo:1 ~hi:((2 * sample_gap) - 1);
+      let c0 = t.ops.Ops.comparisons in
+      let t0 = Genas_obs.Clock.now_ns () in
+      let n = match_dispatch t event in
+      let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
+      Metrics.Histogram.observe ins.match_ns (Float.max 0.0 dt);
+      Metrics.Histogram.observe ins.match_comparisons
+        (float_of_int (t.ops.Ops.comparisons - c0));
+      n
+    end
 
 (* -- Drift clock ---------------------------------------------------- *)
 
@@ -746,16 +734,14 @@ type churn = {
   rent : int;
 }
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let pending_churn t =
   match t.agg with
   | None ->
     {
-      delta = List.map fst (sorted_bindings t.delta);
-      dead = sorted_bindings t.dead;
+      delta = List.sort Int.compare (Hashtbl.fold (fun id () l -> id :: l) t.delta []);
+      dead =
+        Id_table.fold (fun id p l -> (id, p) :: l) t.dead []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
       rent = t.rent;
     }
   | Some _ -> { delta = []; dead = []; rent = 0 }
@@ -779,19 +765,8 @@ let restore_churn t c =
     t.rent <- c.rent
   end
 
-let restore_ops t (o : Ops.t) =
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.events_total
-      (Stdlib.max 0 (o.Ops.events - t.ops.Ops.events));
-    Metrics.Counter.add ins.comparisons_total
-      (Stdlib.max 0 (o.Ops.comparisons - t.ops.Ops.comparisons));
-    Metrics.Counter.add ins.matches_total
-      (Stdlib.max 0 (o.Ops.matches - t.ops.Ops.matches)));
-  t.ops.Ops.events <- o.Ops.events;
-  t.ops.Ops.comparisons <- o.Ops.comparisons;
-  t.ops.Ops.node_visits <- o.Ops.node_visits;
-  t.ops.Ops.matches <- o.Ops.matches
+let restore_ops t o =
+  Ops.reset t.ops;
+  Ops.add o ~into:t.ops
 
 let report t = Cost.evaluate_with_stats t.tree t.stats

@@ -39,7 +39,8 @@ val create :
     names in docs/OBSERVABILITY.md). The two histograms observe
     sampled events only: the first event, then one event in 64 on
     average (gaps uniform on 1..127, from a fixed-seed stream); the
-    counters count every event. Without it
+    event, match and comparison counters are the engine's {!ops},
+    which the registry reads when it exports. Without it
     ([?metrics:None], the default) the match path performs no
     observability work at all — handles are resolved once at
     construction and the hot loop stays allocation-free.
@@ -221,5 +222,4 @@ val restore_churn : t -> churn -> unit
 
 val restore_ops : t -> Genas_filter.Ops.t -> unit
 (** Overwrite the cumulative operation counters with a journaled
-    absolute snapshot, advancing the corresponding metrics counters by
-    the (non-negative) delta. *)
+    absolute snapshot; the metrics counters read them. *)

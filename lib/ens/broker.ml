@@ -2,6 +2,7 @@ module Schema = Genas_model.Schema
 module Event = Genas_model.Event
 module Profile = Genas_profile.Profile
 module Profile_set = Genas_profile.Profile_set
+module Id_table = Profile_set.Id_table
 module Lang = Genas_profile.Lang
 module Engine = Genas_core.Engine
 module Adaptive = Genas_core.Adaptive
@@ -15,25 +16,24 @@ type sub_id = Prim_sub of int | Comp_sub of int
 
 module Ids = Map.Make (Int)
 
-type prim_sub = {
-  p_subscriber : string;
-  p_handler : Notification.handler;
-  p_delivered : Metrics.counter option;
+(* Where a subscription's notifications go. It counts its accepted
+   deliveries; the registry reads the count through [source]. *)
+type sink = {
+  subscriber : string;
+  handler : Notification.handler;
+  mutable delivered : int;
+  mutable source : Metrics.source option;
 }
 
 type comp_sub = {
-  subscriber : string;
+  sink : sink;
   detector : Composite.t;
   expr : Composite.expr;  (** source expression, for durable snapshots *)
   prims : Profile.t list;  (** constituents, for the quench table *)
-  handler : Notification.handler;
-  c_delivered : Metrics.counter option;
 }
 
 type instruments = {
   registry : Metrics.t;  (** for per-subscriber delivery counters *)
-  published_total : Metrics.counter;
-  notifications_total : Metrics.counter;
   quench_invalidations_total : Metrics.counter;
   quench_rebuilds_total : Metrics.counter;
   quench_suppressed_total : Metrics.counter;
@@ -43,12 +43,6 @@ type instruments = {
 let make_instruments registry =
   {
     registry;
-    published_total =
-      Metrics.counter registry "genas_broker_published_total"
-        ~help:"Events accepted by Broker.publish";
-    notifications_total =
-      Metrics.counter registry "genas_broker_notifications_total"
-        ~help:"Notifications delivered to subscribers";
     quench_invalidations_total =
       Metrics.counter registry "genas_broker_quench_invalidations_total"
         ~help:"Quench-cache invalidations (subscription changes)";
@@ -65,29 +59,16 @@ let make_instruments registry =
                     4096.; 16384.; 65536. |];
   }
 
-(* Each subscription holds its subscriber's delivery series; the
-   series is freed when the name's last subscription goes. *)
-let delivery_counter instruments subscriber =
-  match instruments with
-  | None -> None
-  | Some ins ->
-    Some
-      (Metrics.counter ins.registry "genas_broker_deliveries_total"
-         ~help:"Notifications delivered, per subscriber"
-         ~labels:[ ("subscriber", subscriber) ])
-
-let release_delivery instruments subscriber =
-  match instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.release ins.registry "genas_broker_deliveries_total"
-      ~labels:[ ("subscriber", subscriber) ]
+let detach_delivery instruments source =
+  match (instruments, source) with
+  | Some ins, Some s -> Metrics.detach ins.registry s
+  | _ -> ()
 
 type t = {
   schema : Schema.t;
   pset : Profile_set.t;
   engine : Engine.t;
-  handlers : (int, prim_sub) Hashtbl.t;
+  handlers : sink Id_table.t;
       (** primitive subscriptions, by profile id *)
   mutable records : string Ids.t;
       (** each primitive's {!Codec.prim} bytes, encoded once for the
@@ -100,7 +81,7 @@ type t = {
   mutable notifications : int;
   super : Supervise.t;
   faults : Fault.t option;
-  journal : Journal.t option;
+  mutable journal : Journal.t option;  (** attached after recovery's replay *)
   tracer : Trace.t option;
   instruments : instruments option;
 }
@@ -109,25 +90,37 @@ type t = {
    engine they pass and the journal they open. *)
 let make ?metrics ?retry ?faults ?deadletter_capacity ?tracer ~journal schema
     pset engine =
-  {
-    schema;
-    pset;
-    engine;
-    handlers = Hashtbl.create 64;
-    records = Ids.empty;
-    composites = Hashtbl.create 8;
-    next_comp = 0;
-    quench = None;
-    published = 0;
-    notifications = 0;
-    super =
-      Supervise.create ?policy:retry ?deadletter_capacity ?metrics ?tracer
-        ~prefix:"genas_broker" ();
-    faults;
-    journal = Option.map (fun cfg -> Journal.create ?metrics schema cfg) journal;
-    tracer;
-    instruments = Option.map make_instruments metrics;
-  }
+  let t =
+    {
+      schema;
+      pset;
+      engine;
+      handlers = Id_table.create 64;
+      records = Ids.empty;
+      composites = Hashtbl.create 8;
+      next_comp = 0;
+      quench = None;
+      published = 0;
+      notifications = 0;
+      super =
+        Supervise.create ?policy:retry ?deadletter_capacity ?metrics ?tracer
+          ~prefix:"genas_broker" ();
+      faults;
+      journal = Option.map (fun cfg -> Journal.create ?metrics schema cfg) journal;
+      tracer;
+      instruments = Option.map make_instruments metrics;
+    }
+  in
+  (* The two totals are the broker's own tallies, read at export. *)
+  Option.iter
+    (fun r ->
+      Metrics.counters_of r
+        [ ("genas_broker_published_total", "Events accepted by Broker.publish",
+           fun () -> t.published);
+          ("genas_broker_notifications_total",
+           "Notifications delivered to subscribers", fun () -> t.notifications) ])
+    metrics;
+  t
 
 let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
     ?tracer ?aggregate schema =
@@ -149,12 +142,18 @@ let invalidate_quench t =
 
 (* -- Durability ---------------------------------------------------- *)
 
-let prim_sub t ~subscriber handler =
-  {
-    p_subscriber = subscriber;
-    p_handler = handler;
-    p_delivered = delivery_counter t.instruments subscriber;
-  }
+(* Each subscription is a source of its subscriber's delivery series;
+   the series is freed when the name's last subscription goes. *)
+let sink t ~subscriber handler =
+  let s = { subscriber; handler; delivered = 0; source = None } in
+  s.source <-
+    Option.map
+      (fun ins ->
+        Metrics.counter_of ins.registry "genas_broker_deliveries_total"
+          ~help:"Notifications delivered, per subscriber"
+          ~labels:[ ("subscriber", subscriber) ] (fun () -> s.delivered))
+      t.instruments;
+  s
 
 let snapshot_data t last_op =
   let profiles =
@@ -165,7 +164,7 @@ let snapshot_data t last_op =
   in
   let composites =
     Hashtbl.fold
-      (fun id c acc -> (id, c.subscriber, c.expr) :: acc)
+      (fun id c acc -> (id, c.sink.subscriber, c.expr) :: acc)
       t.composites []
     |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
@@ -218,7 +217,7 @@ let wal t = t.journal
 
 let subscribe t ~subscriber ~profile handler =
   let id = Engine.add_profile t.engine profile in
-  Hashtbl.replace t.handlers id (prim_sub t ~subscriber handler);
+  Id_table.replace t.handlers id (sink t ~subscriber handler);
   invalidate_quench t;
   if Option.is_some t.journal then begin
     let prim = Codec.prim t.schema ~id ~subscriber profile in
@@ -242,14 +241,8 @@ let rec prims_of_expr = function
 let comp_sub t ~subscriber expr handler =
   Result.map
     (fun detector ->
-      {
-        subscriber;
-        detector;
-        expr;
-        prims = prims_of_expr expr;
-        handler;
-        c_delivered = delivery_counter t.instruments subscriber;
-      })
+      { sink = sink t ~subscriber handler; detector; expr;
+        prims = prims_of_expr expr })
     (Composite.compile t.schema expr)
 
 let subscribe_composite t ~subscriber expr handler =
@@ -268,10 +261,10 @@ let subscribe_composite t ~subscriber expr handler =
 let drop_prim t id =
   let present = Engine.remove_profile t.engine id in
   if present then begin
-    (match Hashtbl.find_opt t.handlers id with
-    | Some s -> release_delivery t.instruments s.p_subscriber
+    (match Id_table.find_opt t.handlers id with
+    | Some s -> detach_delivery t.instruments s.source
     | None -> ());
-    Hashtbl.remove t.handlers id;
+    Id_table.remove t.handlers id;
     t.records <- Ids.remove id t.records;
     invalidate_quench t
   end;
@@ -281,7 +274,7 @@ let drop_comp t id =
   match Hashtbl.find_opt t.composites id with
   | None -> false
   | Some c ->
-    release_delivery t.instruments c.subscriber;
+    detach_delivery t.instruments c.sink.source;
     Hashtbl.remove t.composites id;
     invalidate_quench t;
     true
@@ -314,27 +307,25 @@ let quench t =
     | Some ins -> Metrics.Counter.incr ins.quench_rebuilds_total);
     q
 
-let deliver_incr counter =
-  match counter with None -> () | Some c -> Metrics.Counter.incr c
-
 (* Every handler invocation passes through the supervisor: a raising
    handler is retried/dead-lettered under the broker's policy, so it
    can neither starve later subscribers nor desynchronize the
    published/notifications counters. Only accepted deliveries count. *)
+let deliver t s n =
+  let ok =
+    Supervise.deliver t.super ?faults:t.faults ~subscriber:s.subscriber
+      ~handler:s.handler n
+  in
+  if ok then s.delivered <- s.delivered + 1;
+  ok
+
+let notify t s event origin =
+  deliver t s (Notification.make ~event ~origin ~subscriber:s.subscriber ())
+
 let deliver_prim t event id sent =
-  match Hashtbl.find_opt t.handlers id with
+  match Id_table.find_opt t.handlers id with
   | None -> sent
-  | Some sub ->
-    if
-      Supervise.deliver t.super ?faults:t.faults
-        ~subscriber:sub.p_subscriber ~handler:sub.p_handler
-        (Notification.make ~event ~origin:(Notification.Primitive id)
-           ~subscriber:sub.p_subscriber ())
-    then begin
-      deliver_incr sub.p_delivered;
-      sent + 1
-    end
-    else sent
+  | Some s -> if notify t s event (Notification.Primitive id) then sent + 1 else sent
 
 let rec deliver_prims t event sent = function
   | [] -> sent
@@ -348,15 +339,7 @@ let feed_composites t event sent =
       (fun cid c ->
         List.iter
           (fun (_ : Composite.occurrence) ->
-            if
-              Supervise.deliver t.super ?faults:t.faults
-                ~subscriber:c.subscriber ~handler:c.handler
-                (Notification.make ~event ~origin:(Notification.Composite cid)
-                   ~subscriber:c.subscriber ())
-            then begin
-              incr sent;
-              deliver_incr c.c_delivered
-            end)
+            if notify t c.sink event (Notification.Composite cid) then incr sent)
           (Composite.feed c.detector event))
       t.composites;
     !sent
@@ -455,11 +438,6 @@ let publish_core t event =
   in
   let sent = feed_composites t event (deliver_prims t event 0 matched) in
   t.notifications <- t.notifications + sent;
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.incr ins.published_total;
-    Metrics.Counter.add ins.notifications_total sent);
   (* Checked here too, so an unjournaled publish builds no array. *)
   if Option.is_some t.journal then
     journal_publish t ~events:[| event |] ~batch:false ~total_before;
@@ -491,10 +469,7 @@ let publish_batch_core t events =
   t.notifications <- t.notifications + !sent;
   (match t.instruments with
   | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.published_total n;
-    Metrics.Counter.add ins.notifications_total !sent;
-    Metrics.Histogram.observe ins.batch_size (float_of_int n));
+  | Some ins -> Metrics.Histogram.observe ins.batch_size (float_of_int n));
   journal_publish t ~events ~batch:true ~total_before;
   !sent
 
@@ -516,31 +491,19 @@ let replay_deadletters t =
     let n = e.Deadletter.notification in
     let target =
       match n.Notification.origin with
-      | Notification.Primitive id ->
-        Option.map
-          (fun s -> (s.p_subscriber, s.p_handler, s.p_delivered))
-          (Hashtbl.find_opt t.handlers id)
+      | Notification.Primitive id -> Id_table.find_opt t.handlers id
       | Notification.Composite id ->
-        Option.map
-          (fun c -> (c.subscriber, c.handler, c.c_delivered))
-          (Hashtbl.find_opt t.composites id)
+        Option.map (fun c -> c.sink) (Hashtbl.find_opt t.composites id)
     in
     match target with
     | None ->
       (* The subscription is gone; keep the letter for the operator. *)
       Deadletter.push dlq e;
       false
-    | Some (subscriber, handler, counter) ->
-      if Supervise.deliver t.super ?faults:t.faults ~subscriber ~handler n
-      then begin
-        t.notifications <- t.notifications + 1;
-        (match t.instruments with
-        | None -> ()
-        | Some ins -> Metrics.Counter.incr ins.notifications_total);
-        deliver_incr counter;
-        true
-      end
-      else false
+    | Some s ->
+      let ok = deliver t s n in
+      if ok then t.notifications <- t.notifications + 1;
+      ok
   in
   let redelivered, failed = Deadletter.replay dlq ~deliver in
   journal_op t
@@ -557,21 +520,6 @@ let replay_deadletters t =
 
 (* -- Recovery ------------------------------------------------------ *)
 
-let set_published t n =
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.published_total (Stdlib.max 0 (n - t.published)));
-  t.published <- n
-
-let set_notifications t n =
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.notifications_total
-      (Stdlib.max 0 (n - t.notifications)));
-  t.notifications <- n
-
 (* Replay one journaled operation onto a recovering broker. Matching
    decisions are re-executed (so the learned statistics and composite
    detector streams regrow exactly); counters and supervisor state are
@@ -582,8 +530,8 @@ let apply_op t resolve op =
   | Journal.Subscribe { id; subscriber; profile; record } -> (
     match Engine.add_profile_with_id t.engine ~id profile with
     | () ->
-      Hashtbl.replace t.handlers id
-        (prim_sub t ~subscriber (resolve ~subscriber));
+      Id_table.replace t.handlers id
+        (sink t ~subscriber (resolve ~subscriber));
       t.records <- Ids.add id record t.records;
       invalidate_quench t;
       Ok ()
@@ -624,8 +572,8 @@ let apply_op t resolve op =
           (fun _ c -> ignore (Composite.feed c.detector ev))
           t.composites)
       events;
-    set_published t published;
-    set_notifications t notifications;
+    t.published <- published;
+    t.notifications <- notifications;
     Engine.restore_ops t.engine ops;
     let dlq = Supervise.deadletter t.super in
     List.iter (Deadletter.push dlq) new_deadletters;
@@ -635,8 +583,8 @@ let apply_op t resolve op =
   | Journal.Deadletter_replay
       { published; notifications; supervise; dlq_entries; dlq_total; dlq_dropped }
     ->
-    set_published t published;
-    set_notifications t notifications;
+    t.published <- published;
+    t.notifications <- notifications;
     Deadletter.restore
       (Supervise.deadletter t.super)
       dlq_entries ~total:dlq_total ~dropped:dlq_dropped;
@@ -690,8 +638,8 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
     | Some snap ->
       List.iter
         (fun { Codec.id; subscriber; record; _ } ->
-          Hashtbl.replace t.handlers id
-            (prim_sub t ~subscriber (resolve ~subscriber));
+          Id_table.replace t.handlers id
+            (sink t ~subscriber (resolve ~subscriber));
           t.records <- Ids.add id record t.records)
         snap.Snapshot.profiles;
       let* () = Stats.import (Engine.stats engine) snap.Snapshot.stats in
@@ -711,8 +659,8 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
           (Ok ()) snap.Snapshot.composites
       in
       t.next_comp <- Stdlib.max t.next_comp snap.Snapshot.next_comp;
-      set_published t snap.Snapshot.published;
-      set_notifications t snap.Snapshot.notifications;
+      t.published <- snap.Snapshot.published;
+      t.notifications <- snap.Snapshot.notifications;
       Deadletter.restore
         (Supervise.deadletter t.super)
         snap.Snapshot.dlq_entries ~total:snap.Snapshot.dlq_total
@@ -726,7 +674,8 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
         apply_op t resolve op)
       (Ok ()) recovered.Journal.tail
   in
-  Ok { t with journal = Some j }
+  t.journal <- Some j;
+  Ok t
 
 let close t = match t.journal with None -> () | Some j -> Journal.close j
 
@@ -744,13 +693,13 @@ let subscription_count t = Profile_set.size t.pset + Hashtbl.length t.composites
 
 let subscriptions t =
   let prims =
-    Hashtbl.fold
-      (fun id s acc -> (Prim_sub id, s.p_subscriber) :: acc)
+    Id_table.fold
+      (fun id s acc -> (Prim_sub id, s.subscriber) :: acc)
       t.handlers []
   in
   let comps =
     Hashtbl.fold
-      (fun id c acc -> (Comp_sub id, c.subscriber) :: acc)
+      (fun id c acc -> (Comp_sub id, c.sink.subscriber) :: acc)
       t.composites []
   in
   List.sort Stdlib.compare (prims @ comps)

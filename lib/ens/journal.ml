@@ -46,44 +46,20 @@ type op =
     }
 
 type instruments = {
-  appends_total : Metrics.counter;
-  bytes_total : Metrics.counter;
-  fsyncs_total : Metrics.counter;
   fsync_ns : Metrics.histogram;
-  snapshots_total : Metrics.counter;
   snapshot_install_ns : Metrics.histogram;
-  truncations_total : Metrics.counter;
-  replayed_ops_total : Metrics.counter;
   recoveries_total : Metrics.counter;
   size_bytes : Metrics.gauge;
 }
 
 let make_instruments registry =
   {
-    appends_total =
-      Metrics.counter registry "genas_journal_appends_total"
-        ~help:"Operations appended to the write-ahead journal";
-    bytes_total =
-      Metrics.counter registry "genas_journal_bytes_total"
-        ~help:"Framed bytes appended to the journal";
-    fsyncs_total =
-      Metrics.counter registry "genas_journal_fsyncs_total"
-        ~help:"fsync calls issued by the journal";
     fsync_ns =
       Metrics.histogram registry "genas_journal_fsync_duration_ns"
         ~help:"Latency of one journal fsync (ns, monotonic)";
-    snapshots_total =
-      Metrics.counter registry "genas_journal_snapshots_total"
-        ~help:"Snapshots installed (journal truncations after snapshot)";
     snapshot_install_ns =
       Metrics.histogram registry "genas_journal_snapshot_install_duration_ns"
         ~help:"Latency of one atomic snapshot install (ns, monotonic)";
-    truncations_total =
-      Metrics.counter registry "genas_journal_truncations_total"
-        ~help:"Corrupt or torn journal tails truncated during recovery";
-    replayed_ops_total =
-      Metrics.counter registry "genas_journal_replayed_ops_total"
-        ~help:"Journal operations replayed by recovery";
     recoveries_total =
       Metrics.counter registry "genas_journal_recoveries_total"
         ~help:"Successful Broker.recover completions";
@@ -102,11 +78,33 @@ type t = {
   mutable file_bytes : int;
   mutable appends : int;
   mutable bytes : int;
+  mutable fsyncs : int;
   mutable snapshots : int;
   mutable truncations : int;
   mutable replayed : int;
   instruments : instruments option;
 }
+
+(* The journal's own tallies, read at export. *)
+let read_counters t metrics =
+  Option.iter
+    (fun r ->
+      Metrics.counters_of r
+        [ ("genas_journal_appends_total",
+           "Operations appended to the write-ahead journal", fun () -> t.appends);
+          ("genas_journal_bytes_total", "Framed bytes appended to the journal",
+           fun () -> t.bytes);
+          ("genas_journal_fsyncs_total", "fsync calls issued by the journal",
+           fun () -> t.fsyncs);
+          ("genas_journal_snapshots_total",
+           "Snapshots installed (journal truncations after snapshot)",
+           fun () -> t.snapshots);
+          ("genas_journal_truncations_total",
+           "Corrupt or torn journal tails truncated during recovery",
+           fun () -> t.truncations);
+          ("genas_journal_replayed_ops_total",
+           "Journal operations replayed by recovery", fun () -> t.replayed) ])
+    metrics
 
 let magic = "GWAL001\n"
 
@@ -134,14 +132,14 @@ let set_size t n =
 let do_fsync t =
   flush t.oc;
   if t.config.fsync then begin
+    t.fsyncs <- t.fsyncs + 1;
     match t.instruments with
     | None -> Unix.fsync (Unix.descr_of_out_channel t.oc)
     | Some ins ->
       let t0 = Genas_obs.Clock.now_ns () in
       Unix.fsync (Unix.descr_of_out_channel t.oc);
       let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
-      Metrics.Histogram.observe ins.fsync_ns (Float.max 0.0 dt);
-      Metrics.Counter.incr ins.fsyncs_total
+      Metrics.Histogram.observe ins.fsync_ns (Float.max 0.0 dt)
   end
 
 let observe_snapshot_install t ~ns =
@@ -156,6 +154,19 @@ let rec mkdir_p dir =
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Journal: %s exists and is not a directory" dir)
 
+(* The one constructor: [create] starts a fresh log, [recover] resumes
+   one after [replayed] ops were read back from it. *)
+let make ?metrics schema cfg oc ~next_op ~base_op ~file_bytes ~truncations
+    ~replayed =
+  let t =
+    { config = cfg; schema; oc; next_op; base_op; since_snapshot = replayed;
+      file_bytes; appends = 0; bytes = 0; fsyncs = 0; snapshots = 0;
+      truncations; replayed; instruments = Option.map make_instruments metrics }
+  in
+  read_counters t metrics;
+  set_size t file_bytes;
+  t
+
 let create ?metrics schema cfg =
   mkdir_p cfg.dir;
   Snapshot.remove ~dir:cfg.dir;
@@ -163,24 +174,10 @@ let create ?metrics schema cfg =
   output_string oc (header cfg.seed);
   flush oc;
   let t =
-    {
-      config = cfg;
-      schema;
-      oc;
-      next_op = 0;
-      base_op = 0;
-      since_snapshot = 0;
-      file_bytes = header_len;
-      appends = 0;
-      bytes = 0;
-      snapshots = 0;
-      truncations = 0;
-      replayed = 0;
-      instruments = Option.map make_instruments metrics;
-    }
+    make ?metrics schema cfg oc ~next_op:0 ~base_op:0 ~file_bytes:header_len
+      ~truncations:0 ~replayed:0
   in
   do_fsync t;
-  set_size t header_len;
   t
 
 let configuration t = t.config
@@ -328,9 +325,6 @@ let append t ?faults op =
     t.appends <- t.appends + 1;
     t.bytes <- t.bytes + String.length framed;
     set_size t (t.file_bytes + String.length framed);
-    with_ins t (fun ins ->
-        Metrics.Counter.incr ins.appends_total;
-        Metrics.Counter.add ins.bytes_total (String.length framed));
     match crash with
     | Some Fault.Crash_after_journal ->
       (* The record is durable; the simulated process dies before the
@@ -353,8 +347,7 @@ let wrote_snapshot t =
   t.base_op <- t.next_op;
   t.since_snapshot <- 0;
   t.snapshots <- t.snapshots + 1;
-  set_size t header_len;
-  with_ins t (fun ins -> Metrics.Counter.incr ins.snapshots_total)
+  set_size t header_len
 
 let close t = close_out t.oc
 
@@ -454,25 +447,8 @@ let recover ?metrics schema cfg =
             open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
           in
           let t =
-            {
-              config = cfg;
-              schema;
-              oc;
-              next_op;
-              base_op;
-              since_snapshot = List.length tail;
-              file_bytes = valid_end;
-              appends = 0;
-              bytes = 0;
-              snapshots = 0;
-              truncations = truncated;
-              replayed = List.length tail;
-              instruments = Option.map make_instruments metrics;
-            }
+            make ?metrics schema cfg oc ~next_op ~base_op ~file_bytes:valid_end
+              ~truncations:truncated ~replayed:(List.length tail)
           in
-          set_size t valid_end;
-          with_ins t (fun ins ->
-              Metrics.Counter.add ins.truncations_total truncated;
-              Metrics.Counter.add ins.replayed_ops_total (List.length tail);
-              Metrics.Counter.incr ins.recoveries_total);
+          with_ins t (fun ins -> Metrics.Counter.incr ins.recoveries_total);
           Ok ({ snapshot; tail; truncated }, t))

@@ -59,47 +59,23 @@ type record = {
 }
 
 type instruments = {
-  failures_total : Metrics.counter;
-  retries_total : Metrics.counter;
   backoff_ns_hist : Metrics.histogram;
-  deadletters_total : Metrics.counter;
   deadletter_size : Metrics.gauge;
-  deadletter_dropped_total : Metrics.counter;
-  circuit_trips_total : Metrics.counter;
   circuits_open : Metrics.gauge;
-  short_circuited_total : Metrics.counter;
 }
 
 let make_instruments registry prefix =
   let n suffix = prefix ^ suffix in
   {
-    failures_total =
-      Metrics.counter registry (n "_handler_failures_total")
-        ~help:"Delivery attempts that raised (including injected faults)";
-    retries_total =
-      Metrics.counter registry (n "_retries_total")
-        ~help:"Delivery attempts beyond the first";
     backoff_ns_hist =
       Metrics.histogram registry (n "_retry_backoff_ns")
         ~help:"Backoff scheduled before each retry (ns)";
-    deadletters_total =
-      Metrics.counter registry (n "_deadletters_total")
-        ~help:"Notifications that failed terminally (dead-lettered)";
     deadletter_size =
       Metrics.gauge registry (n "_deadletter_size")
         ~help:"Dead-letter queue length at the last terminal failure";
-    deadletter_dropped_total =
-      Metrics.counter registry (n "_deadletter_dropped_total")
-        ~help:"Dead-letter entries evicted by the capacity bound";
-    circuit_trips_total =
-      Metrics.counter registry (n "_circuit_trips_total")
-        ~help:"Circuit-breaker trips (including half-open reopens)";
     circuits_open =
       Metrics.gauge registry (n "_circuits_open")
         ~help:"Subscriber circuits currently open";
-    short_circuited_total =
-      Metrics.counter registry (n "_short_circuited_total")
-        ~help:"Deliveries skipped because the subscriber's circuit was open";
   }
 
 let trace_cap = 4096
@@ -126,29 +102,56 @@ type t = {
   instruments : instruments option;
 }
 
+(* The counters are the supervisor's own tallies, read at export. *)
+let read_counters t registry prefix =
+  let n (suffix, help, read) = (prefix ^ suffix, help, read) in
+  Metrics.counters_of registry
+    (List.map n
+       [ ("_handler_failures_total",
+          "Delivery attempts that raised (including injected faults)",
+          fun () -> t.failures);
+         ("_retries_total", "Delivery attempts beyond the first",
+          fun () -> t.retries);
+         ("_deadletters_total",
+          "Notifications that failed terminally (dead-lettered)",
+          fun () -> t.deadlettered);
+         ("_deadletter_dropped_total",
+          "Dead-letter entries evicted by the capacity bound",
+          fun () -> Deadletter.dropped t.dlq);
+         ("_circuit_trips_total",
+          "Circuit-breaker trips (including half-open reopens)",
+          fun () -> t.trips);
+         ("_short_circuited_total",
+          "Deliveries skipped because the subscriber's circuit was open",
+          fun () -> t.short_circuited) ])
+
 let create ?(policy = default_policy) ?(deadletter_capacity = 1024) ?metrics
     ?tracer ~prefix () =
   validate_policy policy;
-  {
-    policy;
-    rng = Prng.create ~seed:policy.jitter_seed;
-    jitter_draws = 0;
-    circuits = Hashtbl.create 16;
-    dlq = Deadletter.create ~capacity:deadletter_capacity ();
-    deliveries = 0;
-    delivered = 0;
-    failures = 0;
-    retries = 0;
-    deadlettered = 0;
-    short_circuited = 0;
-    trips = 0;
-    open_circuits = 0;
-    trace = [];
-    trace_len = 0;
-    tracer;
-    instruments =
-      Option.map (fun registry -> make_instruments registry prefix) metrics;
-  }
+  let t =
+    {
+      policy;
+      rng = Prng.create ~seed:policy.jitter_seed;
+      jitter_draws = 0;
+      circuits = Hashtbl.create 16;
+      dlq = Deadletter.create ~capacity:deadletter_capacity ();
+      deliveries = 0;
+      delivered = 0;
+      failures = 0;
+      retries = 0;
+      deadlettered = 0;
+      short_circuited = 0;
+      trips = 0;
+      open_circuits = 0;
+      trace = [];
+      trace_len = 0;
+      tracer;
+      instruments =
+        Option.map (fun registry -> make_instruments registry prefix) metrics;
+    }
+  in
+  Option.iter (fun registry -> read_counters t registry prefix) metrics;
+  t
 
 let policy t = t.policy
 
@@ -160,6 +163,11 @@ let circuit t subscriber =
   match Hashtbl.find_opt t.circuits subscriber with
   | None -> Closed
   | Some c -> c.state
+
+(* Shared by every delivery under a disabled breaker. It stays closed
+   at count 0: a success rewrites those values, and with
+   [trip_after = 0] a failure neither counts nor trips. *)
+let no_circuit = { state = Closed; count = 0 }
 
 let circuit_of t subscriber =
   match Hashtbl.find_opt t.circuits subscriber with
@@ -178,8 +186,7 @@ let trip t c =
   if c.state <> Open then set_open_count t 1;
   c.state <- Open;
   c.count <- 0;
-  t.trips <- t.trips + 1;
-  with_ins t (fun ins -> Metrics.Counter.incr ins.circuit_trips_total)
+  t.trips <- t.trips + 1
 
 let close t c =
   if c.state = Open then set_open_count t (-1);
@@ -199,13 +206,8 @@ let dead_letter t notification ~attempts ~error ~seq =
   t.deadlettered <- t.deadlettered + 1;
   Deadletter.push t.dlq { Deadletter.notification; attempts; error; seq };
   with_ins t (fun ins ->
-      Metrics.Counter.incr ins.deadletters_total;
       Metrics.Gauge.set ins.deadletter_size
-        (float_of_int (Deadletter.length t.dlq));
-      let dropped = Deadletter.dropped t.dlq in
-      let seen = Metrics.Counter.value ins.deadletter_dropped_total in
-      if dropped > seen then
-        Metrics.Counter.add ins.deadletter_dropped_total (dropped - seen))
+        (float_of_int (Deadletter.length t.dlq)))
 
 let error_string = function
   | Fault.Injected what -> "injected: " ^ what
@@ -273,15 +275,13 @@ let rec supervised t faults c ~probe ~seq ~subscriber ~handler ~dspan
     true
   | Error exn ->
     t.failures <- t.failures + 1;
-    with_ins t (fun ins -> Metrics.Counter.incr ins.failures_total);
     if probe || attempt >= t.policy.max_attempts then begin
       let error = error_string exn in
       dead_letter t notification ~attempts:attempt ~error ~seq;
       if probe then trip t c
-      else begin
+      else if t.policy.trip_after > 0 then begin
         c.count <- c.count + 1;
-        if t.policy.trip_after > 0 && c.count >= t.policy.trip_after then
-          trip t c
+        if c.count >= t.policy.trip_after then trip t c
       end;
       record_trace t
         { seq; subscriber; attempts = attempt; backoffs_ns = List.rev backoffs;
@@ -300,7 +300,6 @@ let rec supervised t faults c ~probe ~seq ~subscriber ~handler ~dspan
     else begin
       let backoffs = backoff_for t ~attempt :: backoffs in
       t.retries <- t.retries + 1;
-      with_ins t (fun ins -> Metrics.Counter.incr ins.retries_total);
       supervised t faults c ~probe ~seq ~subscriber ~handler ~dspan
         ~attempt:(attempt + 1) ~backoffs notification
     end
@@ -318,17 +317,13 @@ let deliver t ?faults ~subscriber ~handler notification =
       s
     | Some _ | None -> None
   in
-  (* A disabled breaker keeps no circuits: each delivery gets a fresh
-     closed one. *)
-  let c =
-    if t.policy.trip_after = 0 then { state = Closed; count = 0 }
-    else circuit_of t subscriber
-  in
+  (* A disabled breaker keeps no circuits: every delivery shares the
+     one that never opens. *)
+  let c = if t.policy.trip_after = 0 then no_circuit else circuit_of t subscriber in
   match c.state with
   | Open when c.count + 1 < t.policy.cooldown ->
     c.count <- c.count + 1;
     t.short_circuited <- t.short_circuited + 1;
-    with_ins t (fun ins -> Metrics.Counter.incr ins.short_circuited_total);
     dead_letter t notification ~attempts:0 ~error:"circuit open" ~seq;
     record_trace t
       { seq; subscriber; attempts = 0; backoffs_ns = []; outcome = Short_circuited;
@@ -394,21 +389,8 @@ let import t (e : Export.t) =
     Error "Supervise.import: jitter stream ahead of the exported position"
   else begin
     with_ins t (fun ins ->
-        let bump counter now target =
-          Metrics.Counter.add counter (Stdlib.max 0 (target - now))
-        in
-        bump ins.failures_total t.failures e.Export.failures;
-        bump ins.retries_total t.retries e.Export.retries;
-        bump ins.deadletters_total t.deadlettered e.Export.deadlettered;
-        bump ins.circuit_trips_total t.trips e.Export.trips;
-        bump ins.short_circuited_total t.short_circuited
-          e.Export.short_circuited;
         Metrics.Gauge.set ins.deadletter_size
-          (float_of_int (Deadletter.length t.dlq));
-        let dropped = Deadletter.dropped t.dlq in
-        let seen = Metrics.Counter.value ins.deadletter_dropped_total in
-        if dropped > seen then
-          Metrics.Counter.add ins.deadletter_dropped_total (dropped - seen));
+          (float_of_int (Deadletter.length t.dlq)));
     (* Fast-forward the jitter stream: re-create positions by discarding
        the draws the original consumed before the export. *)
     for _ = t.jitter_draws + 1 to e.Export.jitter_draws do

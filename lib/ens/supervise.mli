@@ -160,8 +160,8 @@ val export : t -> Export.t
 
 val import : t -> Export.t -> (unit, string) result
 (** Restore exported state into a supervisor created with the same
-    policy. Counters are overwritten (metrics advance by the
-    non-negative delta), circuits replaced, and the jitter stream
+    policy. Counters are overwritten (the metrics counters read
+    them), circuits replaced, and the jitter stream
     fast-forwarded. Fails if the target's jitter stream is already past
     the exported position. Importing repeatedly with non-decreasing
     exports (journal replay) is safe. *)

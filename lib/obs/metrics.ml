@@ -2,13 +2,24 @@
    thread and client tickers all share one registry.
    Counters and gauges are single atomics (a CAS loop keeps the
    max_int saturation exact under contention); histograms update five
-   fields per observation, so each carries its own mutex. *)
+   fields per observation, so each carries its own mutex. A counter
+   may also carry sources, read functions its owners keep current
+   themselves; those fields are guarded by the registry's lock. *)
 
-type counter = { c_value : int Atomic.t }
+type counter = {
+  c_value : int Atomic.t;
+      (** pushed adds, plus the last read of every detached source *)
+  mutable sources : source array;  (** live in [0 .. n_sources - 1] *)
+  mutable n_sources : int;
+  mutable high : int;  (** the highest value read so far *)
+  c_mu : Mutex.t;  (** the registry's lock *)
+}
 
-type gauge = { g_value : float Atomic.t }
+and source = { read : unit -> int; series : metric; mutable at : int }
 
-type histogram = {
+and gauge = { g_value : float Atomic.t }
+
+and histogram = {
   bounds : float array;  (** finite upper bounds, strictly increasing *)
   counts : int array;  (** per-bucket; [counts.(length bounds)] = overflow *)
   mutable h_count : int;
@@ -18,22 +29,22 @@ type histogram = {
   h_mu : Mutex.t;
 }
 
-let sum_i = 0
-let min_i = 1
-let max_i = 2
-
-type instrument =
+and instrument =
   | Counter_i of counter
   | Gauge_i of gauge
   | Histogram_i of histogram
 
-type metric = {
+and metric = {
   name : string;
   labels : (string * string) list;  (** sorted by key *)
   help : string;
   inst : instrument;
   mutable holders : int;  (** registrations not yet released; 0 = removed *)
 }
+
+let sum_i = 0
+let min_i = 1
+let max_i = 2
 
 (* The list keeps registration order for the exporters; the index finds
    an identity (name, sorted labels) in O(1), so a registry holding one
@@ -127,19 +138,23 @@ let kind_name = function
   | Gauge_i _ -> "gauge"
   | Histogram_i _ -> "histogram"
 
+let sort_labels labels =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+
 (* A registration of the same kind holds the found series once more; a
-   kind clash raises in the caller and holds nothing. *)
-let register t ~kind ~help ~labels name make =
+   kind clash raises in the caller and holds nothing. [attach] runs on
+   the series under the lock. *)
+let register t ~kind ~help ~labels name make attach =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics: malformed metric name %S" name);
-  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
+  let labels = sort_labels labels in
   Mutex.protect t.t_mu @@ fun () ->
   let i = slot_of t.slots name labels in
   let found = t.slots.(i) in
   if found != vacant then begin
     if String.equal kind (kind_name found.inst) then
       found.holders <- found.holders + 1;
-    found.inst
+    attach found
   end
   else begin
     let m = { name; labels; help; inst = make (); holders = 1 } in
@@ -147,46 +162,83 @@ let register t ~kind ~help ~labels name make =
     t.used <- t.used + 1;
     if 2 * t.used > Array.length t.slots then grow t;
     t.metrics <- m :: t.metrics;
-    m.inst
+    attach m
   end
 
+let inst m = m.inst
+
+let clash name other =
+  invalid_arg (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
+
+let new_counter t () =
+  Counter_i
+    { c_value = Atomic.make 0; sources = [||]; n_sources = 0; high = 0;
+      c_mu = t.t_mu }
+
 let counter t ?(help = "") ?(labels = []) name =
-  match
-    register t ~kind:"counter" ~help ~labels name (fun () ->
-        Counter_i { c_value = Atomic.make 0 })
-  with
+  match register t ~kind:"counter" ~help ~labels name (new_counter t) inst with
   | Counter_i c -> c
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
+  | other -> clash name other
 
 let gauge t ?(help = "") ?(labels = []) name =
   match
-    register t ~kind:"gauge" ~help ~labels name (fun () ->
-        Gauge_i { g_value = Atomic.make 0.0 })
+    register t ~kind:"gauge" ~help ~labels name
+      (fun () -> Gauge_i { g_value = Atomic.make 0.0 })
+      inst
   with
   | Gauge_i g -> g
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
+  | other -> clash name other
 
-let release t ?(labels = []) name =
-  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  Mutex.protect t.t_mu @@ fun () ->
-  let i = slot_of t.slots name labels in
+(* Under [t_mu]: drop one holder of the series in slot [i]. *)
+let release_slot t i =
   let m = t.slots.(i) in
-  if m != vacant then begin
-    m.holders <- m.holders - 1;
-    if m.holders = 0 then begin
-      delete_slot t.slots i;
-      t.used <- t.used - 1;
-      t.removed <- t.removed + 1;
-      if t.removed > t.used then begin
-        t.metrics <- List.filter (fun m -> m.holders > 0) t.metrics;
-        t.removed <- 0
-      end
+  m.holders <- m.holders - 1;
+  if m.holders = 0 then begin
+    delete_slot t.slots i;
+    t.used <- t.used - 1;
+    t.removed <- t.removed + 1;
+    if t.removed > t.used then begin
+      t.metrics <- List.filter (fun m -> m.holders > 0) t.metrics;
+      t.removed <- 0
     end
   end
+
+let release t ?(labels = []) name =
+  let labels = sort_labels labels in
+  Mutex.protect t.t_mu @@ fun () ->
+  let i = slot_of t.slots name labels in
+  if t.slots.(i) != vacant then release_slot t i
+
+let sat_add a b = if b > max_int - a then max_int else a + b
+
+(* Under [t_mu]: pushed part plus every live source, never below what
+   an earlier read returned. *)
+let read_locked c =
+  let v = ref (Atomic.get c.c_value) in
+  for i = 0 to c.n_sources - 1 do
+    v := sat_add !v (Stdlib.max 0 (c.sources.(i).read ()))
+  done;
+  if !v > c.high then c.high <- !v;
+  c.high
+
+let no_source = { read = (fun () -> 0); series = vacant; at = -1 }
+
+let attach_source c series read =
+  let s = { read; series; at = c.n_sources } in
+  if c.n_sources = Array.length c.sources then begin
+    let grown = Array.make (Stdlib.max 1 (2 * c.n_sources)) no_source in
+    Array.blit c.sources 0 grown 0 c.n_sources;
+    c.sources <- grown
+  end;
+  c.sources.(c.n_sources) <- s;
+  c.n_sources <- c.n_sources + 1;
+  s
+
+let counter_of t ~help ~labels name read =
+  register t ~kind:"counter" ~help ~labels name (new_counter t) (fun series ->
+      match series.inst with
+      | Counter_i c -> attach_source c series read
+      | other -> clash name other)
 
 let exponential_buckets ~start ~factor ~count =
   if start <= 0.0 || factor <= 1.0 || count < 1 then
@@ -223,11 +275,9 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
         h_mu = Mutex.create ();
       }
   in
-  match register t ~kind:"histogram" ~help ~labels name make with
+  match register t ~kind:"histogram" ~help ~labels name make inst with
   | Histogram_i h -> h
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
+  | other -> clash name other
 
 module Counter = struct
   (* Far below [max_int], one fetch-and-add: even [far] adders racing
@@ -248,8 +298,33 @@ module Counter = struct
 
   let incr c = add c 1
 
-  let value c = Atomic.get c.c_value
+  (* Exporters and tests only: the lock orders it after every attach
+     and detach, so no read reports below an earlier one. *)
+  let value c = Mutex.protect c.c_mu (fun () -> read_locked c)
 end
+
+let counters_of t reads =
+  List.iter
+    (fun (name, help, read) -> ignore (counter_of t ~help ~labels:[] name read))
+    reads
+
+(* The detached source's last read stays in the series, so the value
+   never drops; the last slot's source fills the hole. A series already
+   released away (or a newer one of its identity) keeps its holders. *)
+let detach t s =
+  Mutex.protect t.t_mu @@ fun () ->
+  match s.series with
+  | { inst = Counter_i c; name; labels; _ } when s.at >= 0 ->
+    Counter.add c (Stdlib.max 0 (s.read ()));
+    let last = c.sources.(c.n_sources - 1) in
+    c.sources.(s.at) <- last;
+    last.at <- s.at;
+    c.n_sources <- c.n_sources - 1;
+    c.sources.(c.n_sources) <- no_source;
+    s.at <- -1;
+    let i = slot_of t.slots name labels in
+    if t.slots.(i) == s.series then release_slot t i
+  | _ -> ()
 
 module Gauge = struct
   let set g v = Atomic.set g.g_value v

@@ -8,16 +8,19 @@
 
     Hot-path cost: an instrument handle is resolved once at component
     construction; [Counter.incr] is one atomic CAS, [Histogram.observe]
-    a short mutex-guarded update. Components take the registry as an
-    optional argument — with [?metrics:None] they must not touch this
-    module at all, keeping the uninstrumented path allocation-free.
+    a short mutex-guarded update; a tally its owner keeps anyway is
+    registered with {!counter_of} and costs nothing per update.
+    Components take the registry as an optional argument — with
+    [?metrics:None] they must not touch this module at all, keeping the
+    uninstrumented path allocation-free.
 
     Thread safety: every operation is safe under concurrent use from
     threads and domains. Counters update by compare-and-swap (the
     [max_int] saturation survives contention), gauges are single
     atomic cells, and each histogram serializes its five-field update
-    under a private mutex; exporters and accessors read consistent
-    per-instrument snapshots.
+    under a private mutex; a counter's sources are attached, detached
+    and read under the registry's lock. Exporters and accessors read
+    consistent per-instrument snapshots.
 
     Exporters: {!to_json} (canonical JSON snapshot with p50/p90/p99
     histogram readouts) and {!to_prometheus} (Prometheus text format
@@ -30,6 +33,9 @@ type t
 type counter
 (** Monotonic integer counter. Saturates at [max_int] instead of
     wrapping, so exported values never decrease. *)
+
+type source
+(** One owner's read function on a counter series ({!counter_of}). *)
 
 type gauge
 (** A float that can go up and down. *)
@@ -46,6 +52,29 @@ val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> c
 
     @raise Invalid_argument on a malformed name, or if the (name,
     labels) identity is already registered as a different kind. *)
+
+val counter_of :
+  t -> help:string -> labels:(string * string) list -> string -> (unit -> int) ->
+  source
+(** Register [read] as a source of the counter series: an owner that
+    already keeps the tally lets the registry read it at export time
+    instead of pushing every change. The series reads as its pushed
+    adds plus every live source's read, summed over holders like pushed
+    adds; each source is one holder. Reads run under the registry's
+    lock, from whichever thread exports, so [read] must only load the
+    owner's fields and must be non-decreasing. The value never
+    decreases between two reads, and is exact once the owner is
+    quiescent. The registry keeps [read], and what it reaches, until
+    {!detach}. *)
+
+val counters_of : t -> (string * string * (unit -> int)) list -> unit
+(** [counters_of t [(name, help, read); ...]]: {!counter_of} for each
+    unlabelled series, held for the registry's life. *)
+
+val detach : t -> source -> unit
+(** Drop the source's holder, keeping its last read in the series (so
+    the value does not drop); the last holder's release removes the
+    series as {!release} does. O(1); a second detach is a no-op. *)
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 

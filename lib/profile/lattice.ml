@@ -2,6 +2,7 @@ module Iset = Genas_interval.Iset
 module Interval = Genas_interval.Interval
 module Schema = Genas_model.Schema
 module Axis = Genas_model.Axis
+module Id_table = Profile_set.Id_table
 
 (* Per-node summary signature: [mask] has bit [i] set iff attribute [i]
    is constrained (axis-normalized: a full-axis denotation counts as
@@ -34,7 +35,7 @@ type t = {
   schema : Schema.t;
   arity : int;
   fulls : Iset.t array;  (** full axis per attribute, for normalization *)
-  by_id : (int, node) Hashtbl.t;
+  by_id : node Id_table.t;
   mutable roots : node list;
   mutable size : int;
   mutable nnodes : int;
@@ -54,7 +55,7 @@ let create schema =
     schema;
     arity = Schema.arity schema;
     fulls;
-    by_id = Hashtbl.create 256;
+    by_id = Id_table.create 256;
     roots = [];
     size = 0;
     nnodes = 0;
@@ -215,21 +216,21 @@ type add_result =
   | Rooted of { demoted : int list list }
 
 let add t ~id profile =
-  if Hashtbl.mem t.by_id id then
+  if Id_table.mem t.by_id id then
     invalid_arg "Lattice.add: id already present";
   let k = make_key t profile in
   match find_coverers t k with
   | Some host, _ ->
     (* Equivalent class exists: join it. *)
     host.members <- insert_sorted id host.members;
-    Hashtbl.replace t.by_id id host;
+    Id_table.replace t.by_id id host;
     t.size <- t.size + 1;
     Absorbed { coverer = List.hd host.members }
   | None, (_ :: _ as preds) ->
     let node = fresh_node t ~id ~profile k in
     node.parents <- preds;
     List.iter (fun p -> p.children <- node :: p.children) preds;
-    Hashtbl.replace t.by_id id node;
+    Id_table.replace t.by_id id node;
     t.size <- t.size + 1;
     Absorbed { coverer = List.hd (List.hd preds).members }
   | None, [] ->
@@ -242,7 +243,7 @@ let add t ~id profile =
     List.iter (fun r -> r.parents <- [ node ]) covered;
     t.roots <- node :: kept;
     t.nroots <- t.nroots - List.length covered + 1;
-    Hashtbl.replace t.by_id id node;
+    Id_table.replace t.by_id id node;
     t.size <- t.size + 1;
     Rooted { demoted = List.map (fun r -> r.members) covered }
 
@@ -281,10 +282,10 @@ let replace_orphan t (orphan : node) =
     t.nroots <- t.nroots - List.length covered + 1
 
 let remove t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Id_table.find_opt t.by_id id with
   | None -> None
   | Some n ->
-    Hashtbl.remove t.by_id id;
+    Id_table.remove t.by_id id;
     t.size <- t.size - 1;
     n.members <- List.filter (fun m -> m <> id) n.members;
     if n.members <> [] then
@@ -317,7 +318,7 @@ let remove t id =
       Some (Dissolved { root = was_root; promoted })
     end
 
-let mem t id = Hashtbl.mem t.by_id id
+let mem t id = Id_table.mem t.by_id id
 
 let size t = t.size
 
@@ -342,17 +343,17 @@ let covered_by t profile =
   scan t.roots
 
 let entries t =
-  Hashtbl.fold (fun id n acc -> (id, n.profile) :: acc) t.by_id []
+  Id_table.fold (fun id n acc -> (id, n.profile) :: acc) t.by_id []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let find t id = Option.map (fun n -> n.profile) (Hashtbl.find_opt t.by_id id)
+let find t id = Option.map (fun n -> n.profile) (Id_table.find_opt t.by_id id)
 
 let cover_tests t = t.cover_tests
 
 (* ------------------------------------------------------------------ *)
 (* Traversal *)
 
-let node_of t id = Hashtbl.find_opt t.by_id id
+let node_of t id = Id_table.find_opt t.by_id id
 
 let begin_visit t = t.stamp <- t.stamp + 1
 
@@ -404,7 +405,7 @@ let expand t ~coords ~verified node ~on_check ~emit =
   visit verified node
 
 let descendant_count t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Id_table.find_opt t.by_id id with
   | None -> 0
   | Some n ->
     begin_visit t;

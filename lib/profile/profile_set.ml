@@ -2,15 +2,22 @@ module Schema = Genas_model.Schema
 
 type id = int
 
+module Id_table = Hashtbl.Make (struct
+  type t = id
+
+  let equal = Int.equal
+  let hash (id : id) = id
+end)
+
 type t = {
   schema : Schema.t;
-  profiles : (id, Profile.t) Hashtbl.t;
+  profiles : Profile.t Id_table.t;
   mutable next_id : id;
   mutable revision : int;
 }
 
 let create schema =
-  { schema; profiles = Hashtbl.create 64; next_id = 0; revision = 0 }
+  { schema; profiles = Id_table.create 64; next_id = 0; revision = 0 }
 
 let schema t = t.schema
 
@@ -18,14 +25,14 @@ let add t profile =
   let id = t.next_id in
   t.next_id <- id + 1;
   t.revision <- t.revision + 1;
-  Hashtbl.replace t.profiles id profile;
+  Id_table.replace t.profiles id profile;
   id
 
 let add_with_id t ~id profile =
   if id < 0 then invalid_arg "Profile_set.add_with_id: negative id";
-  if Hashtbl.mem t.profiles id then
+  if Id_table.mem t.profiles id then
     invalid_arg (Printf.sprintf "Profile_set.add_with_id: id %d in use" id);
-  Hashtbl.replace t.profiles id profile;
+  Id_table.replace t.profiles id profile;
   if id >= t.next_id then t.next_id <- id + 1;
   t.revision <- t.revision + 1
 
@@ -40,35 +47,35 @@ let add_spec t ?name specs =
   | Ok p -> Ok (add t p)
 
 let remove t id =
-  if Hashtbl.mem t.profiles id then begin
-    Hashtbl.remove t.profiles id;
+  if Id_table.mem t.profiles id then begin
+    Id_table.remove t.profiles id;
     t.revision <- t.revision + 1;
     true
   end
   else false
 
-let find t id = Hashtbl.find_opt t.profiles id
+let find t id = Id_table.find_opt t.profiles id
 
 let find_exn t id =
   match find t id with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Profile_set.find_exn: no profile %d" id)
 
-let mem t id = Hashtbl.mem t.profiles id
+let mem t id = Id_table.mem t.profiles id
 
-let size t = Hashtbl.length t.profiles
+let size t = Id_table.length t.profiles
 
 let revision t = t.revision
 
 let ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.profiles []
+  Id_table.fold (fun id _ acc -> id :: acc) t.profiles []
   |> List.sort Int.compare
 
-let iter t f = List.iter (fun id -> f id (Hashtbl.find t.profiles id)) (ids t)
+let iter t f = List.iter (fun id -> f id (Id_table.find t.profiles id)) (ids t)
 
 let fold t ~init ~f =
   List.fold_left
-    (fun acc id -> f acc id (Hashtbl.find t.profiles id))
+    (fun acc id -> f acc id (Id_table.find t.profiles id))
     init (ids t)
 
 let denotations t attr_index =

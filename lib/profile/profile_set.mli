@@ -6,6 +6,11 @@
 
 type id = int
 
+module Id_table : Hashtbl.S with type key = id
+(** Tables keyed by id, hashed by identity: a lookup on the match or
+    delivery path costs no generic [caml_hash] and [compare]. Iteration
+    order differs from a generic [Hashtbl]'s. *)
+
 type t
 
 val create : Genas_model.Schema.t -> t

@@ -452,6 +452,205 @@ let test_delivery_series_replay () =
     Alcotest.(check bool) "carol freed on replay" false (has_series reg "carol");
     Broker.close r
 
+(* --- counters read from their owners: every series the registry
+   reads at export equals its owner's own tally, at every quiescent
+   point of a scenario that drives each of them. *)
+
+module Journal = Genas_ens.Journal
+module Adaptive = Genas_core.Adaptive
+
+let series reg ?(labels = "") name =
+  List.assoc_opt (name ^ labels) (Metrics.counters reg)
+
+let owner_tallies b =
+  let sup = Broker.supervisor b and ops = Broker.ops b in
+  let dropped = Deadletter.dropped (Broker.deadletter b) in
+  let open Genas_filter.Ops in
+  [
+    ("genas_broker_published_total", Broker.published b);
+    ("genas_broker_notifications_total", Broker.notifications b);
+    ("genas_engine_events_total", ops.events);
+    ("genas_engine_matches_total", ops.matches);
+    ("genas_engine_comparisons_total", ops.comparisons);
+    ("genas_broker_handler_failures_total", Supervise.failures sup);
+    ("genas_broker_retries_total", Supervise.retries sup);
+    ("genas_broker_deadletters_total", Supervise.deadlettered sup);
+    ("genas_broker_deadletter_dropped_total", dropped);
+    ("genas_broker_circuit_trips_total", Supervise.trips sup);
+    ("genas_broker_short_circuited_total", Supervise.short_circuited sup);
+  ]
+  @ (if Genas_core.Engine.aggregated (Broker.engine b) then
+       [ ("genas_engine_epoch_swaps_total", Genas_core.Engine.epoch (Broker.engine b)) ]
+     else [])
+  @ (match Genas_core.Engine.adaptive (Broker.engine b) with
+    | None -> []
+    | Some a ->
+      [
+        ("genas_adaptive_checks_total", Adaptive.checks a);
+        ("genas_adaptive_rebuilds_total", Adaptive.rebuilds a);
+      ])
+  @
+  match Broker.wal b with
+  | None -> []
+  | Some j ->
+    [
+      ("genas_journal_appends_total", Journal.appends j);
+      ("genas_journal_snapshots_total", Journal.snapshots_written j);
+      ("genas_journal_truncations_total", Journal.truncations j);
+      ("genas_journal_replayed_ops_total", Journal.replayed_ops j);
+    ]
+
+let check_owners ~step reg b =
+  List.iter
+    (fun (name, owner) ->
+      Alcotest.(check (option int)) (step ^ ": " ^ name) (Some owner) (series reg name))
+    (owner_tallies b)
+
+let test_registry_matches_owners () =
+  let s = schema () in
+  let dir = Filename.temp_file "genas_owners" ".d" in
+  Sys.remove dir;
+  let journal = Journal.config ~snapshot_every:1_000_000 dir in
+  let retry =
+    Supervise.retry_policy ~max_attempts:2 ~jitter:0.0 ~trip_after:2 ~cooldown:3 ()
+  in
+  let adaptive = { Adaptive.default_policy with Adaptive.warmup = 8; check_every = 16 } in
+  let reg = Metrics.create () in
+  let b =
+    Broker.create ~metrics:reg ~retry ~adaptive ~deadletter_capacity:3 ~journal s
+  in
+  (* Accepted deliveries per subscriber name, reset when the name's
+     last subscription goes (its series restarts). *)
+  let accepted = Hashtbl.create 4 in
+  let tally who = Option.value ~default:0 (Hashtbl.find_opt accepted who) in
+  let count who = Hashtbl.replace accepted who (tally who + 1) in
+  let broken = ref true in
+  let handler who _ = if who = "alice" && !broken then failwith "alice is down" else count who in
+  let sub who src = Result.get_ok (Broker.subscribe_text b ~subscriber:who src (handler who)) in
+  let _alice = sub "alice" "x >= 5" and bob1 = sub "bob" "k = a" in
+  let bob2 = sub "bob" "x <= 3" and carol = sub "carol" "x = 7" in
+  let hot = Result.get_ok (Genas_profile.Lang.parse_profile s "x >= 8") in
+  ignore
+    (Result.get_ok
+       (Broker.subscribe_composite b ~subscriber:"dave" (Composite.Prim hot) (handler "dave")));
+  let check_all step =
+    check_owners ~step reg b;
+    List.iter
+      (fun who ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s: deliveries of %s" step who)
+          (Some (tally who))
+          (series reg "genas_broker_deliveries_total"
+             ~labels:(Printf.sprintf {|{subscriber="%s"}|} who)))
+      [ "alice"; "bob"; "dave" ];
+    let j = Option.get (Broker.wal b) in
+    (* No snapshot yet: every appended byte is still in the file, and
+       every append and the header paid one fsync. *)
+    if Journal.snapshots_written j = 0 then begin
+      Alcotest.(check (option int)) (step ^ ": journal bytes")
+        (Some (Journal.size_bytes j - 16)) (series reg "genas_journal_bytes_total");
+      Alcotest.(check (option int)) (step ^ ": journal fsyncs")
+        (Some (1 + Journal.appends j)) (series reg "genas_journal_fsyncs_total")
+    end
+  in
+  check_all "subscribed";
+  for x = 0 to 9 do
+    ignore (Broker.publish b (event s x (if x mod 2 = 0 then "a" else "b")))
+  done;
+  check_all "publish";
+  ignore (Broker.publish_batch b (Array.init 40 (fun i -> event s (i mod 10) "a")));
+  check_all "publish_batch";
+  Alcotest.(check bool) "alice tripped" true (Supervise.trips (Broker.supervisor b) > 0);
+  Alcotest.(check bool) "dead letters dropped" true
+    (Deadletter.dropped (Broker.deadletter b) > 0);
+  broken := false;
+  ignore (Broker.replay_deadletters b);
+  check_all "dead-letter replay";
+  ignore (Broker.unsubscribe b bob1);
+  ignore (Broker.publish b (event s 2 "a"));
+  check_all "one of bob's subscriptions dropped";
+  ignore (Broker.unsubscribe b bob2);
+  Hashtbl.remove accepted "bob";
+  Alcotest.(check (option int)) "bob's series freed" None
+    (series reg "genas_broker_deliveries_total" ~labels:{|{subscriber="bob"}|});
+  ignore (sub "bob" "x <= 3");
+  ignore (Broker.publish b (event s 1 "a"));
+  check_all "bob resubscribed";
+  ignore (Broker.unsubscribe b carol);
+  Broker.snapshot_now b;
+  ignore (Broker.publish b (event s 9 "b"));
+  check_all "snapshot";
+  Broker.close b;
+  let reg2 = Metrics.create () in
+  match Broker.recover ~metrics:reg2 ~retry ~adaptive ~deadletter_capacity:3 ~journal s with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_owners ~step:"recovered" reg2 r;
+    Alcotest.(check (option int)) "recovered: published" (Some (Broker.published b))
+      (series reg2 "genas_broker_published_total");
+    ignore (Broker.publish r (event s 9 "a"));
+    check_owners ~step:"recovered publish" reg2 r;
+    Broker.close r;
+    (* An aggregated engine's epoch swaps are its epoch. *)
+    let reg = Metrics.create () in
+    let a = Broker.create ~metrics:reg ~aggregate:true s in
+    List.iter
+      (fun src -> ignore (Result.get_ok (Broker.subscribe_text a ~subscriber:"e" src (fun _ -> ()))))
+      [ "x >= 2"; "x >= 5"; "k = a" ];
+    Genas_core.Engine.swap_now (Broker.engine a);
+    ignore (Broker.publish a (event s 6 "a"));
+    Alcotest.(check bool) "aggregated engine swapped" true
+      (Genas_core.Engine.epoch (Broker.engine a) > 0);
+    check_owners ~step:"aggregated" reg a
+
+(* One scraping thread reads the registry while the main thread
+   publishes: no counter ever reads lower than the scrape before, and
+   once the publisher stops every series equals its owner. *)
+let test_concurrent_scrape () =
+  let s = schema () in
+  let reg = Metrics.create () in
+  let retry = Supervise.retry_policy ~max_attempts:2 ~jitter:0.0 () in
+  let b = Broker.create ~metrics:reg ~retry s in
+  let sub who src handler =
+    ignore (Result.get_ok (Broker.subscribe_text b ~subscriber:who src handler))
+  in
+  let n = 100_000 in
+  let calls = ref 0 in
+  sub "a" "x >= 5" (fun _ -> ());
+  sub "b" "k = a" (fun _ -> ());
+  sub "c" "x <= 2" (fun _ -> incr calls; if !calls mod 7 = 0 then failwith "flaky");
+  let stop = Atomic.make false in
+  let scrapes = ref 0 and regressions = ref [] in
+  let scraper =
+    Thread.create
+      (fun () ->
+        let last = Hashtbl.create 32 in
+        while not (Atomic.get stop) do
+          List.iter
+            (fun (name, v) ->
+              (match Hashtbl.find_opt last name with
+              | Some prev when v < prev -> regressions := (name, prev, v) :: !regressions
+              | _ -> ());
+              Hashtbl.replace last name v)
+            (Metrics.counters reg);
+          incr scrapes;
+          Thread.yield ()
+        done)
+      ()
+  in
+  for i = 0 to n - 1 do
+    ignore (Broker.publish b (event s (i mod 10) (if i mod 3 = 0 then "a" else "b")));
+    if i land 1023 = 0 then Thread.yield ()
+  done;
+  Atomic.set stop true;
+  Thread.join scraper;
+  (match !regressions with
+  | [] -> ()
+  | (name, prev, v) :: _ -> Alcotest.failf "%s went from %d down to %d" name prev v);
+  if !scrapes < 2 then Alcotest.failf "only %d scrapes overlapped the publishes" !scrapes;
+  check_owners ~step:"after the publisher stopped" reg b;
+  Alcotest.(check (option int)) "published" (Some n) (series reg "genas_broker_published_total")
+
 (* --- traced publishes: the path a sampled publish attaches is the
    reference tree's walk of the event, it accounts for exactly the
    comparisons the flat matcher charged, and tracing changes nothing
@@ -585,10 +784,11 @@ let test_allocation_guard () =
   run ();
   let w = Genas_testlib.Paper.minor_words run /. float_of_int n in
   Alcotest.(check bool) "the table delivers" true (Broker.notifications b > n);
-  (* 15.6 words at 1.04 deliveries per publish; one closure restored in
-     [Supervise.deliver] (5 words or more per delivery) or in
-     [Engine.match_event]'s id list (4 words per publish) fails it. *)
-  if w > 17.0 then Alcotest.failf "Broker.publish allocated %.1f words per publish" w
+  (* 12.5 words at 1.04 deliveries per publish; a fresh circuit
+     restored in [Supervise.deliver] (3 words per delivery), a closure
+     there (5 words or more per delivery) or in [Engine.match_event]'s
+     id list (4 words per publish) fails it. *)
+  if w > 13.5 then Alcotest.failf "Broker.publish allocated %.1f words per publish" w
 
 let () =
   Alcotest.run "broker"
@@ -632,6 +832,9 @@ let () =
           Alcotest.test_case "delivery series freed" `Quick test_delivery_series_freed;
           Alcotest.test_case "delivery series freed on replay" `Quick
             test_delivery_series_replay;
+          Alcotest.test_case "registry matches its owners" `Quick
+            test_registry_matches_owners;
+          Alcotest.test_case "concurrent scrape" `Quick test_concurrent_scrape;
         ] );
       ( "tracing", [ QCheck_alcotest.to_alcotest prop_trace_path_is_reference ] );
       ( "quench",

@@ -462,6 +462,42 @@ let test_registry_release () =
   Alcotest.(check int) "re-registration starts fresh" 0
     (Metrics.Counter.value (Metrics.counter reg "deliveries" ~labels))
 
+(* Read series: the value is the pushed adds plus every live source's
+   read; a detached source's last read stays; the last holder's
+   detach removes the series; a read never drops below an earlier one. *)
+let test_registry_sources () =
+  let reg = Metrics.create () in
+  let labels = [ ("subscriber", "alice") ] in
+  let series = {|deliveries{subscriber="alice"}|} in
+  let value () = List.assoc_opt series (Metrics.counters reg) in
+  let a = ref 2 and b = ref 5 in
+  let sa = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> !a) in
+  let sb = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> !b) in
+  Metrics.Counter.add (Metrics.counter reg "deliveries" ~labels) 10;
+  Alcotest.(check (option int)) "pushed + sources" (Some 17) (value ());
+  a := 3;
+  Alcotest.(check (option int)) "read at export" (Some 18) (value ());
+  Metrics.detach reg sa;
+  a := 100;
+  Alcotest.(check (option int)) "detached read kept" (Some 18) (value ());
+  Metrics.detach reg sa;
+  Alcotest.(check (option int)) "second detach is a no-op" (Some 18) (value ());
+  b := 1;
+  Alcotest.(check (option int)) "never reads lower" (Some 18) (value ());
+  b := 9;
+  Alcotest.(check (option int)) "climbs past the high mark" (Some 22) (value ());
+  Metrics.release reg "deliveries" ~labels;
+  Alcotest.(check (option int)) "pushed holder released" (Some 22) (value ());
+  Metrics.detach reg sb;
+  Alcotest.(check (option int)) "last holder removes the series" None (value ());
+  let fresh = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> 1) in
+  Alcotest.(check (option int)) "re-registration starts fresh" (Some 1) (value ());
+  Metrics.detach reg fresh;
+  ignore (Metrics.gauge reg "level");
+  match Metrics.counter_of reg ~help:"" ~labels:[] "level" (fun () -> 0) with
+  | _ -> Alcotest.fail "a source on a gauge must raise"
+  | exception Invalid_argument _ -> ()
+
 (* Random register/release churn over a small table (long probe runs,
    wraparound, growth) against a model: the live series, in
    registration order, and every live handle still found by lookup. *)
@@ -614,6 +650,7 @@ let () =
             test_registry_concurrent_register;
           Alcotest.test_case "release" `Quick test_registry_release;
           Alcotest.test_case "release churn" `Quick test_registry_release_churn;
+          Alcotest.test_case "sources" `Quick test_registry_sources;
         ] );
       ( "histogram",
         [
