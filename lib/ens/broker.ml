@@ -355,9 +355,12 @@ let journal_publish t ~events ~batch ~total_before =
     let dlq = Supervise.deadletter t.super in
     let held = Deadletter.length dlq in
     let keep = Stdlib.min (Deadletter.total dlq - total_before) held in
-    let skip = held - keep in
     let new_deadletters =
-      List.filteri (fun i _ -> i >= skip) (Deadletter.entries dlq)
+      (* Most publishes dead-letter nothing: skip the queue copy. *)
+      if keep = 0 then []
+      else
+        let skip = held - keep in
+        List.filteri (fun i _ -> i >= skip) (Deadletter.entries dlq)
     in
     journal_op t
       (Journal.Publish

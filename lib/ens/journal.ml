@@ -65,17 +65,18 @@ let make_instruments registry =
         ~help:"Successful Broker.recover completions";
     size_bytes =
       Metrics.gauge registry "genas_journal_size_bytes"
-        ~help:"Current size of the journal file (bytes)";
+        ~help:"Logical size of the journal: header plus records (bytes)";
   }
 
 type t = {
   config : config;
   schema : Schema.t;
-  mutable oc : out_channel;
+  oc : out_channel;
   mutable next_op : int;
   mutable base_op : int;  (* lowest op index retained in journal.wal *)
   mutable since_snapshot : int;
-  mutable file_bytes : int;
+  mutable file_bytes : int;  (* logical end: header plus records *)
+  mutable capacity : int;  (* bytes written to the file, zeros included *)
   mutable appends : int;
   mutable bytes : int;
   mutable fsyncs : int;
@@ -118,6 +119,27 @@ let header_len = 16
 
 let wal_file cfg = Filename.concat cfg.dir "journal.wal"
 
+(* Records overwrite a region of zeros that was written and fsynced
+   ahead of them. On ext4 the fsync after an overwrite only flushes the
+   data, where the fsync after an append must also commit the new file
+   size through the filesystem's journal: ≈50 against ≈75-95 µs per
+   225-byte record on one ext4 disk. The region grows by this much
+   whenever a record would not fit; at the default cadence of 512 ops
+   one generation of ~225-byte records fits in the first. *)
+let region_bytes = 1 lsl 18
+
+(* The one source of zeros for every fill. *)
+let zeros = String.make (1 lsl 16) '\000'
+
+let rec output_zeros oc n =
+  if n > 0 then begin
+    let k = Stdlib.min n (String.length zeros) in
+    output_substring oc zeros 0 k;
+    output_zeros oc (n - k)
+  end
+
+let rec all_zero s i = i >= String.length s || (s.[i] = '\000' && all_zero s (i + 1))
+
 let with_ins t f = match t.instruments with None -> () | Some ins -> f ins
 
 let set_size t n =
@@ -155,29 +177,51 @@ let rec mkdir_p dir =
     invalid_arg (Printf.sprintf "Journal: %s exists and is not a directory" dir)
 
 (* The one constructor: [create] starts a fresh log, [recover] resumes
-   one after [replayed] ops were read back from it. *)
-let make ?metrics schema cfg oc ~next_op ~base_op ~file_bytes ~truncations
-    ~replayed =
+   one after [replayed] ops were read back from it. [oc] is positioned
+   at [file_bytes]. *)
+let make ?metrics schema cfg oc ~next_op ~base_op ~file_bytes ~capacity
+    ~truncations ~replayed =
   let t =
     { config = cfg; schema; oc; next_op; base_op; since_snapshot = replayed;
-      file_bytes; appends = 0; bytes = 0; fsyncs = 0; snapshots = 0;
+      file_bytes; capacity; appends = 0; bytes = 0; fsyncs = 0; snapshots = 0;
       truncations; replayed; instruments = Option.map make_instruments metrics }
   in
   read_counters t metrics;
   set_size t file_bytes;
   t
 
+(* Start a generation: the header, then zeros over every byte written
+   so far and at least one region, under one fsync. The old records are
+   wiped in place, so the file keeps its blocks and size. *)
+let restart t =
+  let upto = Stdlib.max (pos_out t.oc) (header_len + region_bytes) in
+  seek_out t.oc 0;
+  output_string t.oc (header t.config.seed);
+  output_zeros t.oc (upto - header_len);
+  do_fsync t;
+  seek_out t.oc header_len;
+  t.capacity <- Stdlib.max t.capacity upto;
+  set_size t header_len
+
+(* Zero-fill and fsync whole regions past [capacity] until [need] bytes
+   fit, then return to the logical end. *)
+let extend t need =
+  let regions = (need - t.capacity + region_bytes - 1) / region_bytes in
+  let upto = t.capacity + (regions * region_bytes) in
+  seek_out t.oc t.capacity;
+  output_zeros t.oc (upto - t.capacity);
+  do_fsync t;
+  seek_out t.oc t.file_bytes;
+  t.capacity <- upto
+
 let create ?metrics schema cfg =
   mkdir_p cfg.dir;
   Snapshot.remove ~dir:cfg.dir;
-  let oc = open_out_bin (wal_file cfg) in
-  output_string oc (header cfg.seed);
-  flush oc;
   let t =
-    make ?metrics schema cfg oc ~next_op:0 ~base_op:0 ~file_bytes:header_len
-      ~truncations:0 ~replayed:0
+    make ?metrics schema cfg (open_out_bin (wal_file cfg)) ~next_op:0 ~base_op:0
+      ~file_bytes:0 ~capacity:0 ~truncations:0 ~replayed:0
   in
-  do_fsync t;
+  restart t;
   t
 
 let configuration t = t.config
@@ -307,6 +351,8 @@ let append t ?faults op =
   let crash =
     match faults with Some f -> Fault.journal_crash f ~op:opi | None -> None
   in
+  let need = t.file_bytes + String.length framed in
+  if need > t.capacity then extend t need;
   match crash with
   | Some Fault.Crash_before_fsync ->
     (* Torn write: a prefix of the frame reaches the disk, the record
@@ -318,7 +364,8 @@ let append t ?faults op =
   | Some Fault.Crash_mid_snapshot | Some Fault.Crash_after_journal | None -> (
     output_string t.oc framed;
     (* [do_fsync] flushes before syncing — the channel buffer is on
-       disk before durability is claimed, on every append path. *)
+       disk before durability is claimed, on every append path. The
+       record overwrites zeros, so the sync commits no size change. *)
     do_fsync t;
     t.next_op <- opi + 1;
     t.since_snapshot <- t.since_snapshot + 1;
@@ -336,20 +383,25 @@ let snapshot_due t = t.since_snapshot >= t.config.snapshot_every
 
 let wrote_snapshot t =
   (* The snapshot now covers every journaled op: restart the log. The
-     old journal is only truncated after the snapshot's atomic rename,
+     old journal is only zeroed after the snapshot's atomic rename,
      and records carry op indices, so a crash between the two steps
      merely replays ops the snapshot already covers (skipped by
      [last_op]). *)
-  close_out t.oc;
-  t.oc <- open_out_bin (wal_file t.config);
-  output_string t.oc (header t.config.seed);
-  do_fsync t;
+  restart t;
   t.base_op <- t.next_op;
   t.since_snapshot <- 0;
-  t.snapshots <- t.snapshots + 1;
-  set_size t header_len
+  t.snapshots <- t.snapshots + 1
 
-let close t = close_out t.oc
+(* Trim the zero region away: a cleanly closed journal holds exactly
+   its header and records. A second close does nothing. *)
+let close t =
+  match Unix.descr_of_out_channel t.oc with
+  | exception Sys_error _ -> ()
+  | fd ->
+    let written = pos_out t.oc in
+    flush t.oc;
+    Unix.ftruncate fd written;
+    close_out t.oc
 
 (* {1 Recovery} *)
 
@@ -359,11 +411,12 @@ type recovered = {
   truncated : int;
 }
 
-let read_file path =
+let read_file ?len path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      really_input_string ic (Option.value len ~default:(in_channel_length ic)))
 
 (* Catch-up cursor for the transport layer: re-read the live WAL and
    return every published event batch recorded after op [since],
@@ -372,7 +425,7 @@ let read_file path =
    [since + 1], so the caller must fall back to full state transfer. *)
 let events_since t ~since =
   flush t.oc;
-  let contents = read_file (wal_file t.config) in
+  let contents = read_file ~len:t.file_bytes (wal_file t.config) in
   let payloads, _, _ =
     if String.length contents < header_len then ([], 0, false)
     else Codec.parse_frames ~seed:t.config.seed contents ~pos:header_len
@@ -412,8 +465,11 @@ let recover ?metrics schema cfg =
         match List.map (decode_op schema) payloads with
         | exception Codec.Corrupt msg -> Error ("journal: " ^ msg)
         | records ->
+          (* Frames stop at the first zero length field; zeros alone
+             after them are the unused region, a clean end. *)
+          let torn = tail_corrupt && not (all_zero contents valid_end) in
           let truncated =
-            if tail_corrupt then begin
+            if torn then begin
               (* Torn or corrupt tail: drop it physically so the next
                  append starts at a clean frame boundary. Never fatal. *)
               Log.warn (fun m ->
@@ -438,17 +494,20 @@ let recover ?metrics schema cfg =
               (fun acc (opi, _) -> Stdlib.max acc (opi + 1))
               (last_covered + 1) records
           in
+          (* Only a run of records that reaches [next_op] is retained:
+             a restart that a crash cut short can leave a prefix of the
+             old generation, ending short of the snapshot's last op. *)
           let base_op =
             List.fold_left
-              (fun acc (opi, _) -> Stdlib.min acc opi)
-              next_op records
+              (fun base (opi, _) -> if opi + 1 = base then opi else base)
+              next_op (List.rev records)
           in
-          let oc =
-            open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-          in
+          let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
+          seek_out oc valid_end;
+          let capacity = if torn then valid_end else String.length contents in
           let t =
             make ?metrics schema cfg oc ~next_op ~base_op ~file_bytes:valid_end
-              ~truncations:truncated ~replayed:(List.length tail)
+              ~capacity ~truncations:truncated ~replayed:(List.length tail)
           in
           with_ins t (fun ins -> Metrics.Counter.incr ins.recoveries_total);
           Ok ({ snapshot; tail; truncated }, t))

@@ -21,9 +21,16 @@
     tail (detected by length prefix and seeded FNV-1a 64 checksum) is
     physically truncated and counted — never a crash.
 
+    Records are written into a zero-filled region that the journal
+    writes and fsyncs ahead of them, so each record's fsync syncs an
+    in-place overwrite, never a change of the file's size. Recovery
+    reads frames up to the first zero length field; a tail of zeros
+    after them is the unused region, a clean end. {!close} trims the
+    region away.
+
     File layout under the journal directory: [journal.wal] (header
-    [GWAL001\n] + seed, then framed records), [snapshot.bin], and a
-    transient [snapshot.tmp]. *)
+    [GWAL001\n] + seed, then framed records, then zeros while the
+    journal is open), [snapshot.bin], and a transient [snapshot.tmp]. *)
 
 type config = {
   dir : string;
@@ -78,14 +85,17 @@ type t
 
 val create : ?metrics:Genas_obs.Metrics.t -> Genas_model.Schema.t -> config -> t
 (** Start a {e fresh} journal: creates [dir] if needed, deletes any
-    existing snapshot, and truncates [journal.wal]. Use {!recover} (via
+    existing snapshot, and truncates [journal.wal], then writes the
+    header and a zero region under one fsync. Use {!recover} (via
     [Broker.recover]) to resume an existing directory instead.
 
     [metrics] registers the [genas_journal_*] family (see
     docs/OBSERVABILITY.md). *)
 
 val append : t -> ?faults:Fault.t -> op -> unit
-(** Frame, write, and (per config) fsync one record. With a fault plan,
+(** Frame, write, and (per config) fsync one record at the logical end,
+    over zeros. A record that does not fit first extends the zero
+    region, under an fsync of its own. With a fault plan,
     draws {!Fault.journal_crash} first: [Crash_before_fsync] writes a
     torn prefix of the frame and raises {!Fault.Crashed} — the record
     is {e not} durable; [Crash_after_journal] completes the append and
@@ -104,12 +114,16 @@ val snapshot_due : t -> bool
     snapshot (or creation). *)
 
 val wrote_snapshot : t -> unit
-(** Acknowledge an installed snapshot: restart [journal.wal] (header
-    only) and reset the cadence. Call only after {!Snapshot.write}
+(** Acknowledge an installed snapshot: restart [journal.wal] in place
+    (the header, then zeros over the old records, one fsync) and reset
+    the cadence. Call only after {!Snapshot.write}
     returned — the ordering (rename, then truncate) plus per-record op
     indices make a crash between the two steps harmless. *)
 
 val close : t -> unit
+(** Trim [journal.wal] to the bytes written (header and records), so a
+    cleanly closed journal holds no zero region. A second close does
+    nothing. *)
 
 val configuration : t -> config
 
@@ -131,7 +145,8 @@ val events_since :
     boolean is [false] when a snapshot has already discarded part of
     the requested range ([base_op > since + 1]) — the caller saw a gap
     and must resynchronise some other way. Flushes before reading, so
-    the result includes every append acknowledged so far. *)
+    the result includes every append acknowledged so far; reads only
+    the logical bytes, never the zero region. *)
 
 val appends : t -> int
 (** Records appended by this handle. *)
@@ -146,6 +161,7 @@ val replayed_ops : t -> int
     handle (0 for a fresh journal). *)
 
 val size_bytes : t -> int
+(** Logical size: header plus records, without the zero region. *)
 
 (** {1 Recovery} *)
 
@@ -161,8 +177,9 @@ val recover :
   Genas_model.Schema.t ->
   config ->
   (recovered * t, string) result
-(** Read [dir]'s snapshot and journal, truncate any corrupt tail, and
-    return the recovered state plus a journal handle open for appending
-    (op indices continue where the log left off). Fails when no journal
+(** Read [dir]'s snapshot and journal, truncate any corrupt tail (a
+    tail of zeros is not one), and return the recovered state plus a
+    journal handle that writes at the end of the last valid record (op
+    indices continue where the log left off). Fails when no journal
     exists, on header/seed mismatch, or when the snapshot itself is
     corrupt. *)

@@ -203,12 +203,6 @@ let release_slot t i =
     end
   end
 
-let release t ?(labels = []) name =
-  let labels = sort_labels labels in
-  Mutex.protect t.t_mu @@ fun () ->
-  let i = slot_of t.slots name labels in
-  if t.slots.(i) != vacant then release_slot t i
-
 let sat_add a b = if b > max_int - a then max_int else a + b
 
 (* Under [t_mu]: pushed part plus every live source, never below what

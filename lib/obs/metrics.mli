@@ -73,8 +73,12 @@ val counters_of : t -> (string * string * (unit -> int)) list -> unit
 
 val detach : t -> source -> unit
 (** Drop the source's holder, keeping its last read in the series (so
-    the value does not drop); the last holder's release removes the
-    series as {!release} does. O(1); a second detach is a no-op. *)
+    the value does not drop). Every registration of an identity counts
+    one holder, and only a detach drops one: when the last holder is
+    dropped, the series is removed. The exporters no longer print it,
+    and a later registration of the same identity starts a fresh
+    instrument. O(1) amortized; lookups of the remaining series stay
+    O(1); a second detach is a no-op. *)
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 
@@ -91,15 +95,6 @@ val histogram :
     Defaults to {!default_latency_buckets}. Bounds are fixed at
     registration: a second registration of the same identity returns
     the existing histogram and ignores [buckets]. *)
-
-val release : t -> ?labels:(string * string) list -> string -> unit
-(** Every registration of an identity ({!counter}, {!gauge},
-    {!histogram}) counts one holder; [release] drops one. When the last
-    holder releases, the series is removed: the exporters no longer
-    print it, and a later registration of the same identity starts a
-    fresh instrument. Handles already resolved keep working but update
-    nothing any exporter reads. No-op on an unregistered identity.
-    O(1) amortized; lookups of the remaining series stay O(1). *)
 
 val default_latency_buckets : float array
 (** Exponential nanosecond bounds, 100 ns … 1 s. *)

@@ -213,6 +213,9 @@ let test_journal_large_record () =
   Journal.append j
     (Journal.Subscribe
        (Codec.prim s ~id:0 ~subscriber:big_name (profile_of s "x >= 5")));
+  let on_disk = (Unix.stat (Filename.concat cfg.Journal.dir "journal.wal")).Unix.st_size in
+  Alcotest.(check bool) "zeros extended past the record" true
+    (on_disk > Journal.size_bytes j);
   Journal.close j;
   match Journal.recover s cfg with
   | Error e -> Alcotest.fail e
@@ -229,6 +232,188 @@ let test_refuses_missing_dir () =
   match Journal.recover (schema ()) (Journal.config (fresh_dir ())) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "recovering a nonexistent journal must fail"
+
+(* --- the preallocated region ----------------------------------------- *)
+
+module Fault = Genas_ens.Fault
+module Metrics = Genas_obs.Metrics
+
+let wal_length dir = (Unix.stat (Filename.concat dir "journal.wal")).Unix.st_size
+
+let sub s id who src = Journal.Subscribe (Codec.prim s ~id ~subscriber:who (profile_of s src))
+
+let subscribers tail =
+  List.filter_map
+    (function Journal.Subscribe { subscriber; _ } -> Some subscriber | _ -> None)
+    tail
+
+(* Recover [cfg], returning the subscribers replayed and the handle. *)
+let recover_ok s cfg =
+  match Journal.recover s cfg with
+  | Error e -> Alcotest.fail e
+  | Ok (r, j) -> (r, subscribers r.Journal.tail, j)
+
+let test_close_trims () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let j = Journal.create s (Journal.config dir) in
+  Journal.append j (sub s 0 "a" "x >= 5");
+  Journal.append j (sub s 1 "b" "k = a");
+  let logical = Journal.size_bytes j in
+  Alcotest.(check bool) "zeros preallocated past the records" true
+    (wal_length dir > logical);
+  Journal.close j;
+  Alcotest.(check int) "close trims to the logical size" logical (wal_length dir);
+  Journal.close j
+
+(* A crash after the fsync leaves records followed by zeros: a clean
+   end, so nothing is truncated, and the next record lands after the
+   last one. A crashed process never closes its handle. *)
+let test_zero_tail_is_clean () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let cfg = Journal.config dir in
+  let j = Journal.create s cfg in
+  Journal.append j (sub s 0 "a" "x >= 5");
+  Journal.append j (sub s 1 "b" "k = a");
+  let on_disk = wal_length dir in
+  let r, who, j2 = recover_ok s cfg in
+  Alcotest.(check int) "zero tail not truncated" 0 r.Journal.truncated;
+  Alcotest.(check (list string)) "every op replayed" [ "a"; "b" ] who;
+  Alcotest.(check int) "the region stays" on_disk (wal_length dir);
+  Alcotest.(check int) "logical size" (Journal.size_bytes j) (Journal.size_bytes j2);
+  Journal.append j2 (sub s 2 "c" "x = 7");
+  let r, who, j3 = recover_ok s cfg in
+  Alcotest.(check int) "still clean" 0 r.Journal.truncated;
+  Alcotest.(check (list string)) "the later append replays too" [ "a"; "b"; "c" ] who;
+  Alcotest.(check int) "op indices continue" 3 (Journal.ops_logged j3);
+  Journal.close j3
+
+(* A torn record inside the zero region is a torn tail: truncated and
+   counted, and what is appended after that recovery reads back. *)
+let test_torn_in_region () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let cfg = Journal.config dir in
+  let j = Journal.create s cfg in
+  Journal.append j (sub s 0 "a" "x >= 5");
+  let faults = Fault.plan ~seed:7 { Fault.none with crash_before_fsync = 1.0 } in
+  (try
+     Journal.append j ~faults (sub s 1 "b" "k = a");
+     Alcotest.fail "crash point did not fire"
+   with Fault.Crashed Fault.Crash_before_fsync -> ());
+  let r, who, j2 = recover_ok s cfg in
+  Alcotest.(check int) "torn tail truncated" 1 r.Journal.truncated;
+  Alcotest.(check (list string)) "the durable op survives" [ "a" ] who;
+  Alcotest.(check int) "physically" (Journal.size_bytes j2) (wal_length dir);
+  Journal.append j2 (sub s 1 "c" "x = 7");
+  let r, who, j3 = recover_ok s cfg in
+  Alcotest.(check int) "clean after the append" 0 r.Journal.truncated;
+  Alcotest.(check (list string)) "the append reads back" [ "a"; "c" ] who;
+  Journal.close j3
+
+let key e =
+  match (Event.value e 0, Event.value e 1) with
+  | Value.Int x, Value.Str k -> (x, k)
+  | _ -> Alcotest.fail "event shape"
+
+let batches_of (batches, complete) =
+  (List.map (fun (opi, evs) -> (opi, Array.to_list (Array.map key evs))) batches, complete)
+
+(* The catch-up cursor reads the logical bytes: the same batches and
+   flag from the live handle and from one recovered over a zero tail. *)
+let test_events_since_region () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let cfg = Journal.config ~snapshot_every:1000 dir in
+  let b = Broker.create ~journal:cfg s in
+  ignore (Broker.subscribe b ~subscriber:"a" ~profile:(profile_of s "x >= 0") (fun _ -> ()));
+  for x = 0 to 4 do
+    ignore (Broker.publish b (event s x (if x mod 2 = 0 then "a" else "b")))
+  done;
+  let live = Journal.events_since (Option.get (Broker.wal b)) ~since:1 in
+  let t = Alcotest.(pair (list (pair int (list (pair int string)))) bool) in
+  Alcotest.check t "ops 2..5"
+    ([ (2, [ (1, "b") ]); (3, [ (2, "a") ]); (4, [ (3, "b") ]); (5, [ (4, "a") ]) ], true)
+    (batches_of live);
+  match Broker.recover ~journal:cfg s with
+  | Error e -> Alcotest.fail e
+  | Ok b2 ->
+    let j2 = Option.get (Broker.wal b2) in
+    Alcotest.check t "same after recovery" (batches_of live)
+      (batches_of (Journal.events_since j2 ~since:1));
+    Broker.close b2
+
+(* A restart rewrites the old generation with zeros in place; a crash
+   before its fsync can leave a prefix of old records, a zeroed page and
+   more old records. Recovery truncates the tail and must not report
+   the cut-off records as retained. *)
+let test_restart_cut_short () =
+  let s = schema () in
+  let dir = fresh_dir () in
+  let cfg = Journal.config ~snapshot_every:1000 dir in
+  let b = Broker.create ~journal:cfg s in
+  ignore (Broker.subscribe b ~subscriber:"a" ~profile:(profile_of s "x >= 0") (fun _ -> ()));
+  let j = Option.get (Broker.wal b) in
+  let ends =
+    List.init 4 (fun x ->
+        ignore (Broker.publish b (event s x "a"));
+        Journal.size_bytes j)
+  in
+  let path = Filename.concat dir "journal.wal" in
+  let old = In_channel.with_open_bin path In_channel.input_all in
+  Broker.snapshot_now b;
+  (* Ops 0..4 are covered; op 3's record reads back as zeros. *)
+  let cut = List.nth ends 1 and resume = List.nth ends 2 in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub old 0 cut);
+      output_string oc (String.make (resume - cut) '\000');
+      output_string oc (String.sub old resume (String.length old - resume)));
+  match Broker.recover ~journal:cfg s with
+  | Error e -> Alcotest.fail e
+  | Ok b2 ->
+    let j2 = Option.get (Broker.wal b2) in
+    Alcotest.(check int) "old records past the zeros truncated" 1 (Journal.truncations j2);
+    Alcotest.(check int) "nothing to replay" 0 (Journal.replayed_ops j2);
+    Alcotest.(check int) "retained from the next op" 5 (Journal.base_op j2);
+    Alcotest.(check bool) "the gap is reported" false
+      (snd (Journal.events_since j2 ~since:1));
+    Broker.close b2
+
+(* Every journaled op syncs once before it returns; the only other
+   fsyncs are the restarts (creation and each snapshot), since these
+   small records never outgrow the first region. *)
+let test_fsync_per_op () =
+  let s = schema () in
+  let reg = Metrics.create () in
+  let b =
+    Broker.create ~metrics:reg ~journal:(Journal.config ~snapshot_every:8 (fresh_dir ())) s
+  in
+  let j = Option.get (Broker.wal b) in
+  let fsyncs () =
+    Option.get (List.assoc_opt "genas_journal_fsyncs_total" (Metrics.counters reg))
+  in
+  let op f =
+    let f0 = fsyncs () and a0 = Journal.appends j in
+    f ();
+    Alcotest.(check bool) "the op appended" true (Journal.appends j > a0);
+    Alcotest.(check bool) "and synced it" true (fsyncs () - f0 >= Journal.appends j - a0)
+  in
+  for i = 0 to 39 do
+    if i mod 5 = 0 then
+      op (fun () ->
+          let id =
+            Broker.subscribe b ~subscriber:"c" ~profile:(profile_of s "x = 3") (fun _ -> ())
+          in
+          ignore (Broker.publish b (event s 3 "a"));
+          ignore (Broker.unsubscribe b id))
+    else op (fun () -> ignore (Broker.publish b (event s (i mod 10) "a")))
+  done;
+  Alcotest.(check bool) "snapshots taken" true (Journal.snapshots_written j > 0);
+  Alcotest.(check int) "one fsync per append, plus the restarts"
+    (Journal.appends j + 1 + Journal.snapshots_written j)
+    (fsyncs ());
+  Broker.close b
 
 (* --- snapshot cadence ----------------------------------------------- *)
 
@@ -385,6 +570,16 @@ let () =
             test_journal_truncates_torn_tail;
           Alcotest.test_case "17 MiB record" `Quick test_journal_large_record;
           Alcotest.test_case "missing dir" `Quick test_refuses_missing_dir;
+        ] );
+      ( "preallocation",
+        [
+          Alcotest.test_case "close trims" `Quick test_close_trims;
+          Alcotest.test_case "zero tail is a clean end" `Quick test_zero_tail_is_clean;
+          Alcotest.test_case "torn record in the region" `Quick test_torn_in_region;
+          Alcotest.test_case "events_since over the region" `Quick
+            test_events_since_region;
+          Alcotest.test_case "restart cut short" `Quick test_restart_cut_short;
+          Alcotest.test_case "one fsync per op" `Quick test_fsync_per_op;
         ] );
       ( "snapshots",
         [

@@ -434,21 +434,20 @@ let test_clock_monotonic () =
   let b = Clock.now_ns () in
   Alcotest.(check bool) "non-decreasing" true (Int64.compare b a >= 0)
 
-(* Every registration holds the series; the last release removes it
-   from the index and from every exporter. *)
+(* Every registration holds the series; the last holder's detach
+   removes it from the index and from every exporter. *)
 let test_registry_release () =
   let reg = Metrics.create () in
   let labels = [ ("subscriber", "alice") ] in
-  let c = Metrics.counter reg "deliveries" ~labels in
-  Metrics.Counter.add c 3;
-  ignore (Metrics.counter reg "deliveries" ~labels);
+  let a = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> 3) in
+  let b = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> 0) in
   let keep = Metrics.counter reg "kept" in
   Metrics.Counter.incr keep;
   let series = {|deliveries{subscriber="alice"}|} in
-  Metrics.release reg "deliveries" ~labels;
+  Metrics.detach reg a;
   Alcotest.(check (option int)) "one holder left" (Some 3)
     (List.assoc_opt series (Metrics.counters reg));
-  Metrics.release reg "deliveries" ~labels;
+  Metrics.detach reg b;
   Alcotest.(check (option int)) "released" None
     (List.assoc_opt series (Metrics.counters reg));
   let prom = Metrics.to_prometheus reg in
@@ -456,11 +455,13 @@ let test_registry_release () =
     (List.exists
        (fun l -> String.length l >= 10 && String.sub l 0 10 = "deliveries")
        (String.split_on_char '\n' prom));
-  Metrics.release reg "deliveries" ~labels;
+  Metrics.detach reg b;
   Alcotest.(check int) "other series intact" 1
     (Metrics.Counter.value (Metrics.counter reg "kept"));
-  Alcotest.(check int) "re-registration starts fresh" 0
-    (Metrics.Counter.value (Metrics.counter reg "deliveries" ~labels))
+  let fresh = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> 1) in
+  Alcotest.(check (option int)) "re-registration starts fresh" (Some 1)
+    (List.assoc_opt series (Metrics.counters reg));
+  Metrics.detach reg fresh
 
 (* Read series: the value is the pushed adds plus every live source's
    read; a detached source's last read stays; the last holder's
@@ -486,45 +487,42 @@ let test_registry_sources () =
   Alcotest.(check (option int)) "never reads lower" (Some 18) (value ());
   b := 9;
   Alcotest.(check (option int)) "climbs past the high mark" (Some 22) (value ());
-  Metrics.release reg "deliveries" ~labels;
-  Alcotest.(check (option int)) "pushed holder released" (Some 22) (value ());
   Metrics.detach reg sb;
-  Alcotest.(check (option int)) "last holder removes the series" None (value ());
-  let fresh = Metrics.counter_of reg ~help:"" ~labels "deliveries" (fun () -> 1) in
-  Alcotest.(check (option int)) "re-registration starts fresh" (Some 1) (value ());
-  Metrics.detach reg fresh;
+  Alcotest.(check (option int)) "the pushed holder keeps the series" (Some 22)
+    (value ());
   ignore (Metrics.gauge reg "level");
   match Metrics.counter_of reg ~help:"" ~labels:[] "level" (fun () -> 0) with
   | _ -> Alcotest.fail "a source on a gauge must raise"
   | exception Invalid_argument _ -> ()
 
-(* Random register/release churn over a small table (long probe runs,
+(* Random register/detach churn over a small table (long probe runs,
    wraparound, growth) against a model: the live series, in
-   registration order, and every live handle still found by lookup. *)
+   registration order, and every live series still found by lookup. *)
 let test_registry_release_churn () =
   let reg = Metrics.create () in
   let rng = Random.State.make [| 7 |] in
-  let live = ref [] in
+  let live = ref [] and sources = Hashtbl.create 16 in
+  let attach name v = Metrics.counter_of reg ~help:"" ~labels:[] name (fun () -> v) in
   for step = 1 to 4000 do
     let k = Random.State.int rng 150 in
     let name = Printf.sprintf "s%d" k in
     if List.mem_assoc name !live && Random.State.bool rng then begin
-      Metrics.release reg name;
+      Metrics.detach reg (Hashtbl.find sources name);
       live := List.remove_assoc name !live
     end
     else if not (List.mem_assoc name !live) then begin
-      Metrics.Counter.add (Metrics.counter reg name) step;
+      Hashtbl.replace sources name (attach name step);
       live := !live @ [ (name, step) ]
     end;
     if step mod 97 = 0 then begin
       Alcotest.(check (list (pair string int))) "live series, in order" !live
         (Metrics.counters reg);
       List.iter
-        (fun (name, v) ->
-          let c = Metrics.counter reg name in
-          Alcotest.(check int) "lookup finds the live handle" v
-            (Metrics.Counter.value c);
-          Metrics.release reg name)
+        (fun (name, _) ->
+          let probe = attach name 0 in
+          Alcotest.(check (list (pair string int))) "lookup finds the live series"
+            !live (Metrics.counters reg);
+          Metrics.detach reg probe)
         !live
     end
   done
